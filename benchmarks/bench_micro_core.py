@@ -43,13 +43,33 @@ def candidate_pairs(partition, groups=24):
     the same work the algorithms do.
     """
     pairs = []
+    for u, vs in _two_hop_groups(partition, groups):
+        pairs.extend((u, v) for v in vs)
+    return pairs
+
+
+def shortlist_pairs(partition, groups=64, width=5):
+    """Mags-DM's shape: ``width``-pair shortlists of ``groups`` roots.
+
+    Each shortlist holds the first ``width`` 2-hop candidates of one
+    root (the default b = 5 of Algorithm 5), so every group is far
+    below ``KERNEL_MIN_GROUP`` and ``savings_many`` scores it on the
+    scalar path.
+    """
+    pairs = []
+    for u, vs in _two_hop_groups(partition, groups):
+        pairs.extend((u, v) for v in vs[:width])
+    return pairs
+
+
+def _two_hop_groups(partition, groups):
+    """``(root, sorted 2-hop candidates)`` of the first ``groups`` roots."""
     for u in sorted(partition.roots())[:groups]:
         two_hop = set()
         for x in partition.weights(u):
             two_hop.update(partition.weights(x))
         two_hop.discard(u)
-        pairs.extend((u, v) for v in sorted(two_hop))
-    return pairs
+        yield u, sorted(two_hop)
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +111,27 @@ def test_micro_saving_pairs_scalar(benchmark, partition, pairs):
     ``tools/perf_gate.py`` divides this bench's mean by the batched
     bench's mean to get the machine-independent kernel speedup.
     """
+
+    def run():
+        return [partition.saving(u, v) for u, v in pairs]
+
+    benchmark(run)
+
+
+def test_micro_saving_shortlists(benchmark, partition):
+    """``savings_many`` over 5-pair shortlists (the Mags-DM shape)."""
+    pairs = shortlist_pairs(partition)
+    benchmark(lambda: partition.savings_many(pairs))
+
+
+def test_micro_saving_shortlists_scalar(benchmark, partition):
+    """The same shortlists through ``saving``, pair by pair.
+
+    ``tools/perf_gate.py`` requires ``savings_many`` to stay within
+    its shortlist floor of this loop: a small group must not pay the
+    NumPy kernel's fixed cost.
+    """
+    pairs = shortlist_pairs(partition)
 
     def run():
         return [partition.saving(u, v) for u, v in pairs]

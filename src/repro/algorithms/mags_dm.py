@@ -356,9 +356,10 @@ class MagsDMSummarizer(Summarizer):
             best_index = -1
             best_saving = -float("inf")
             u = roots[pick]
-            # Score the whole shortlist in one batched kernel call
-            # (every pair shares the pivot endpoint u); ties keep the
-            # earliest shortlist entry, same as the scalar loop did.
+            # Score the whole shortlist in one savings_many call (every
+            # pair shares the pivot endpoint u; default-width shortlists
+            # stay on its scalar path); ties keep the earliest
+            # shortlist entry.
             alive_shortlist = [int(i) for i in shortlist if alive[int(i)]]
             if alive_shortlist:
                 batch = partition.savings_many(

@@ -22,16 +22,22 @@ Two implementations of the cost calculus coexist (see
 
 * the scalar methods below (``node_cost`` / ``merged_cost`` /
   ``saving``), which are the cached pure-Python path;
-* the batched kernel :meth:`savings_many`, which evaluates many
-  candidate savings in one pass over flat NumPy views of the weight
-  tables — the hot path of Mags, Mags-DM and Greedy.
+* the NumPy kernel behind :meth:`savings_many`, which evaluates a
+  group of candidate savings sharing one endpoint in a few passes over
+  flat NumPy views of the weight tables.
+
+:meth:`savings_many` is the entry point of Mags, Mags-DM and Greedy.
+It picks the path per group: groups of at least ``KERNEL_MIN_GROUP``
+pairs (Greedy's sweeps, Mags's wider candidate lists) go to the
+kernel, smaller ones (every Mags-DM shortlist) to the scalar loop,
+where the kernel's fixed per-group cost would dominate.
 
 Both must agree bit-for-bit with :mod:`repro.core.reference`; all
 intermediate quantities are integers (sums of Equation 2 terms), so
 exact agreement is a hard contract enforced by ``tools/diff_fuzz.py``
 rather than a tolerance.  Setting the module flag ``FAST_KERNELS``
-to ``False`` routes ``savings_many`` through the scalar path, which
-the test suite uses to prove summaries are identical under the swap.
+to ``False`` routes every group through the scalar path, which the
+test suite uses to prove summaries are identical under the swap.
 """
 
 from __future__ import annotations
@@ -49,6 +55,13 @@ __all__ = ["SuperNodePartition", "FAST_KERNELS"]
 #: the scalar reference path.  Flipped by tests and ``diff_fuzz`` to
 #: demonstrate the fast and slow paths are interchangeable.
 FAST_KERNELS = True
+
+#: Smallest same-first-endpoint group that :meth:`savings_many` sends
+#: to the NumPy kernel; smaller groups take the scalar ``saving`` loop.
+#: The kernel's fixed per-group cost only pays off once a group is wide
+#: enough; the timing tables behind this value are in
+#: ``docs/performance.md``.
+KERNEL_MIN_GROUP = 24
 
 
 class SuperNodePartition:
@@ -264,16 +277,18 @@ class SuperNodePartition:
     ) -> list[float]:
         """Batched ``s(u, v)`` over many pairs of live roots.
 
-        The fast-path kernel behind the three hot consumers (Mags's
-        candidate generation and refresh, Mags-DM's shortlist scoring,
-        Greedy's pair scans).  Consecutive pairs sharing their first
-        endpoint are evaluated as one group: the shared endpoint's
-        weight table is flattened once, and all of the group's merged
-        costs (Equation 2 summed over the merged weight tables) are
-        computed with vectorised NumPy passes instead of per-pair
-        Python dict loops.  Callers therefore get the best throughput
-        by passing pairs grouped by first endpoint — exactly the shape
-        the consumers produce naturally.
+        The entry point of the three hot consumers (Mags's candidate
+        generation and refresh, Mags-DM's shortlist scoring, Greedy's
+        pair scans).  Consecutive pairs sharing their first endpoint
+        form one group.  A group of at least ``KERNEL_MIN_GROUP``
+        pairs goes to the NumPy kernel: the shared endpoint's weight
+        table is flattened once, and all of the group's merged costs
+        (Equation 2 summed over the merged weight tables) are computed
+        with vectorised passes instead of per-pair Python dict loops.
+        A smaller group is scored pair by pair with :meth:`saving`.
+        Callers therefore get the best throughput by passing pairs
+        grouped by first endpoint — exactly the shape the consumers
+        produce naturally.
 
         Every intermediate is an exact int64 (no floating-point
         accumulation), and the final ratio is divided in Python-int
@@ -297,8 +312,13 @@ class SuperNodePartition:
             end = start + 1
             while end < count and pairs[end][0] == u:
                 end += 1
-            group = [pairs[j][1] for j in range(start, end)]
-            out[start:end] = self._savings_group(u, group)
+            if end - start < KERNEL_MIN_GROUP:
+                saving = self.saving
+                for j in range(start, end):
+                    out[j] = saving(u, pairs[j][1])
+            else:
+                group = [pairs[j][1] for j in range(start, end)]
+                out[start:end] = self._savings_group(u, group)
             start = end
         return out
 

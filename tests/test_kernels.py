@@ -61,6 +61,17 @@ def _candidate_pairs(partition):
     return pairs
 
 
+def _groups_by_first(pairs):
+    """``[(u, [v, ...]), ...]`` runs of consecutive pairs sharing ``u``."""
+    groups = []
+    for u, v in pairs:
+        if groups and groups[-1][0] == u:
+            groups[-1][1].append(v)
+        else:
+            groups.append((u, [v]))
+    return groups
+
+
 class TestSavingsMany:
     def test_empty(self, merged_partition):
         assert merged_partition.savings_many([]) == []
@@ -123,6 +134,73 @@ class TestSavingsMany:
         ) == reference.savings_many(merged_partition, weird)
 
 
+class TestGroupDispatch:
+    """Groups below ``KERNEL_MIN_GROUP`` take the scalar loop, wider
+    ones the NumPy kernel; both must match the oracle exactly."""
+
+    @pytest.fixture
+    def wide_partition(self):
+        graph = planted_partition(160, 4, 0.5, 0.02, seed=5)
+        partition = SuperNodePartition(graph)
+        for u in range(0, 24, 2):
+            partition.merge(partition.find(u), partition.find(u + 1))
+        return partition
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Group sizes handed to ``_savings_group``, in call order."""
+        calls = []
+        original = SuperNodePartition._savings_group
+
+        def counting(self, u, vs):
+            calls.append(len(vs))
+            return original(self, u, vs)
+
+        monkeypatch.setattr(SuperNodePartition, "_savings_group", counting)
+        return calls
+
+    def _group(self, partition, size):
+        for u, vs in _groups_by_first(_candidate_pairs(partition)):
+            if len(vs) >= size:
+                return [(u, v) for v in vs[:size]]
+        pytest.fail(f"no root has {size} two-hop candidates")
+
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
+    def test_crossover_boundary(self, wide_partition, kernel_calls, offset):
+        size = supernodes.KERNEL_MIN_GROUP + offset
+        pairs = self._group(wide_partition, size)
+        assert wide_partition.savings_many(
+            pairs
+        ) == reference.savings_many(wide_partition, pairs)
+        assert kernel_calls == ([size] if offset == 0 else [])
+
+    def test_unsorted_mix_of_small_and_wide_groups(
+        self, wide_partition, kernel_calls
+    ):
+        wide = self._group(wide_partition, supernodes.KERNEL_MIN_GROUP + 5)
+        small = [
+            (u, v)
+            for u, vs in _groups_by_first(_candidate_pairs(wide_partition))
+            if u != wide[0][0]
+            for v in vs[:3]
+        ][:30]
+        pairs = small[:15] + wide + small[15:][::-1]
+        assert wide_partition.savings_many(
+            pairs
+        ) == reference.savings_many(wide_partition, pairs)
+        assert kernel_calls == [len(wide)]
+
+    def test_mags_dm_shortlists_stay_scalar(self, kernel_calls):
+        graph = planted_partition(60, 6, 0.65, 0.04, seed=13)
+        MagsDMSummarizer(iterations=8).summarize(graph)
+        assert kernel_calls == []
+
+    def test_greedy_sweeps_use_the_kernel(self, wide_partition, kernel_calls):
+        GreedySummarizer().summarize(wide_partition.graph)
+        assert kernel_calls
+        assert min(kernel_calls) >= supernodes.KERNEL_MIN_GROUP
+
+
 class TestDifferentialAfterMerges:
     @pytest.mark.parametrize(
         "graph",
@@ -180,9 +258,11 @@ class TestKernelSwapBitIdentity:
 class TestDiffFuzzSmoke:
     def test_a_few_seeds_pass(self):
         comparisons = diff_fuzz.run(3)
-        assert comparisons > 0
+        assert comparisons["kernel"] > 0
+        assert comparisons["scalar"] > 0
 
     def test_cli_reports_clean_run(self, capsys):
         assert diff_fuzz.main(["--seeds", "2"]) == 0
         out = capsys.readouterr().out
         assert "0 mismatches" in out
+        assert "kernel 0," not in out and "scalar 0," not in out

@@ -79,6 +79,8 @@ class TestPerfGateEvaluate:
                 "test_micro_encode": {"time_s": 0.010},
                 perf_gate.SCALAR_BENCH: {"time_s": 0.020},
                 perf_gate.BATCHED_BENCH: {"time_s": 0.008},
+                perf_gate.SHORTLIST_SCALAR_BENCH: {"time_s": 0.0014},
+                perf_gate.SHORTLIST_BENCH: {"time_s": 0.0015},
             },
         }
 
@@ -87,6 +89,8 @@ class TestPerfGateEvaluate:
             "test_micro_encode": 0.010 * scale,
             perf_gate.SCALAR_BENCH: 0.020 * scale,
             perf_gate.BATCHED_BENCH: 0.008 * scale,
+            perf_gate.SHORTLIST_SCALAR_BENCH: 0.0014 * scale,
+            perf_gate.SHORTLIST_BENCH: 0.0015 * scale,
         }
 
     def test_identical_run_passes(self):
@@ -120,6 +124,15 @@ class TestPerfGateEvaluate:
         )
         assert any("speedup" in f for f in failures)
 
+    def test_shortlist_floor_enforced(self):
+        # The NumPy kernel on 5-pair groups: ~0.3x the scalar loop.
+        means = self._means()
+        means[perf_gate.SHORTLIST_BENCH] = (
+            means[perf_gate.SHORTLIST_SCALAR_BENCH] / 0.3
+        )
+        failures, _ = perf_gate.evaluate(means, 0.1, self._baseline())
+        assert any("shortlist ratio" in f for f in failures)
+
     def test_new_and_missing_benches_do_not_fail(self):
         means = self._means()
         means["test_micro_brand_new"] = 0.5
@@ -136,6 +149,7 @@ class TestPerfGateEvaluate:
             {"test_micro_encode": 0.010}, 0.1, self._baseline()
         )
         assert any("speedup benches missing" in f for f in failures)
+        assert any("shortlist ratio benches missing" in f for f in failures)
 
     def test_committed_baseline_parses(self):
         if not perf_gate.DEFAULT_BASELINE.exists():

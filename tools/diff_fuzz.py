@@ -5,6 +5,10 @@ step, checks the performance-tuned code in
 :class:`repro.core.supernodes.SuperNodePartition` (the cached scalar
 methods *and* the batched NumPy kernel ``savings_many``) against the
 cache-free pure-Python oracle in :mod:`repro.core.reference`.
+``savings_many`` sends groups narrower than ``KERNEL_MIN_GROUP`` pairs
+through the scalar loop, so every step scores both a scattered sample
+(mostly one- and two-pair groups) and one wide 2-hop sweep of a single
+root, and the summary line counts the comparisons made on each path.
 
 The contract being enforced is **bit identity**, not tolerance: every
 compared value must satisfy ``==`` exactly (see ``docs/performance.md``
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Callable
 
@@ -99,8 +104,49 @@ def _sample_pairs(
     return pairs
 
 
-def fuzz_one(seed: int, verbose: bool = False) -> int:
-    """Run one randomized merge sequence; return comparisons made.
+def _wide_sweep(
+    partition: SuperNodePartition, rng: random.Random
+) -> list[tuple[int, int]]:
+    """One root's 2-hop candidates, padded with random roots (repeats
+    allowed once the partition runs short) to at least
+    ``KERNEL_MIN_GROUP`` pairs, so the NumPy kernel scores them."""
+    roots = sorted(partition.roots())
+    if len(roots) < 2:
+        return []
+    u = rng.choice(roots)
+    two_hop = set()
+    for x in partition.weights(u):
+        two_hop.update(partition.weights(x))
+    two_hop.discard(u)
+    vs = sorted(two_hop)
+    others = [r for r in roots if r != u]
+    while len(vs) < supernodes.KERNEL_MIN_GROUP:
+        vs.append(rng.choice(others))
+    return [(u, v) for v in vs]
+
+
+def _path_counts(pairs: list[tuple[int, int]]) -> Counter:
+    """Pairs per ``savings_many`` path: groups of consecutive pairs
+    sharing their first endpoint go to the kernel from
+    ``KERNEL_MIN_GROUP`` pairs up, to the scalar loop below that."""
+    counts: Counter = Counter()
+    start = 0
+    while start < len(pairs):
+        end = start + 1
+        while end < len(pairs) and pairs[end][0] == pairs[start][0]:
+            end += 1
+        wide = supernodes.FAST_KERNELS and (
+            end - start >= supernodes.KERNEL_MIN_GROUP
+        )
+        counts["kernel" if wide else "scalar"] += end - start
+        start = end
+    return counts
+
+
+def fuzz_one(seed: int, verbose: bool = False) -> Counter:
+    """Run one randomized merge sequence; return comparisons made,
+    keyed by path: ``kernel`` and ``scalar`` (``savings_many``),
+    ``saving`` (direct scalar calls) and ``total_cost``.
 
     Raises :class:`Mismatch` on any fast-vs-reference disagreement and
     ``AssertionError`` if ``check_invariants`` fails.
@@ -110,7 +156,7 @@ def fuzz_one(seed: int, verbose: bool = False) -> int:
     graph = ZOO[name](seed)
     partition = SuperNodePartition(graph)
     merges = rng.randrange(2, max(3, graph.n // 2))
-    comparisons = 0
+    comparisons: Counter = Counter()
     if verbose:
         print(
             f"seed={seed}: {name} n={graph.n} m={graph.m} "
@@ -122,19 +168,20 @@ def fuzz_one(seed: int, verbose: bool = False) -> int:
         pairs = _sample_pairs(partition, rng, count=12)
         if not pairs:
             break
-        fast = partition.savings_many(pairs)
-        slow = reference.savings_many(partition, pairs)
-        for (u, v), got, want in zip(pairs, fast, slow):
-            comparisons += 1
-            if got != want:
-                raise Mismatch(
-                    f"seed={seed} step={step} gen={name}: "
-                    f"savings_many({u}, {v}) = {got!r}, "
-                    f"reference = {want!r}"
-                )
+        for batch in (pairs, _wide_sweep(partition, rng)):
+            fast = partition.savings_many(batch)
+            slow = reference.savings_many(partition, batch)
+            for (u, v), got, want in zip(batch, fast, slow):
+                if got != want:
+                    raise Mismatch(
+                        f"seed={seed} step={step} gen={name}: "
+                        f"savings_many({u}, {v}) = {got!r}, "
+                        f"reference = {want!r}"
+                    )
+            comparisons += _path_counts(batch)
         # Scalar path too (shares caches with the kernel).
         u, v = rng.choice(pairs)
-        comparisons += 1
+        comparisons["saving"] += 1
         if partition.saving(u, v) != reference.saving(partition, u, v):
             raise Mismatch(
                 f"seed={seed} step={step} gen={name}: scalar saving"
@@ -146,7 +193,7 @@ def fuzz_one(seed: int, verbose: bool = False) -> int:
         partition.merge(u, v)
         partition.check_invariants()
         if step % 5 == 0:
-            comparisons += 1
+            comparisons["total_cost"] += 1
             if partition.total_cost() != reference.total_cost(partition):
                 raise Mismatch(
                     f"seed={seed} step={step} gen={name}: total_cost "
@@ -156,14 +203,14 @@ def fuzz_one(seed: int, verbose: bool = False) -> int:
     return comparisons
 
 
-def run(seeds: int, start: int = 0, verbose: bool = False) -> int:
-    """Fuzz ``seeds`` sequences; return total comparisons made."""
+def run(seeds: int, start: int = 0, verbose: bool = False) -> Counter:
+    """Fuzz ``seeds`` sequences; return comparisons made, by path."""
     if not supernodes.FAST_KERNELS:
         print(
             "warning: FAST_KERNELS is off; fuzzing scalar vs reference only",
             file=sys.stderr,
         )
-    total = 0
+    total: Counter = Counter()
     for seed in range(start, start + seeds):
         total += fuzz_one(seed, verbose=verbose)
     return total
@@ -187,9 +234,13 @@ def main(argv: list[str] | None = None) -> int:
     except Mismatch as exc:
         print(f"MISMATCH: {exc}", file=sys.stderr)
         return 1
+    by_path = ", ".join(
+        f"{path} {comparisons[path]}"
+        for path in ("kernel", "scalar", "saving", "total_cost")
+    )
     print(
-        f"diff_fuzz: {args.seeds} seeds, {comparisons} comparisons, "
-        "0 mismatches"
+        f"diff_fuzz: {args.seeds} seeds, {comparisons.total()} comparisons "
+        f"({by_path}), 0 mismatches"
     )
     return 0
 

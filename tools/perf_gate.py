@@ -16,6 +16,10 @@ applied instead:
 2. **Kernel speedup ratio.**  The scalar-vs-batched saving benches
    time the *same* pair list, so their ratio is a pure same-machine
    speedup.  The gate fails if it drops below ``--min-speedup``.
+3. **Shortlist ratio.**  The same comparison over Mags-DM's 5-pair
+   shortlists, where ``savings_many`` must take the scalar path: the
+   gate fails if it runs slower than ``SHORTLIST_FLOOR`` times the
+   scalar loop's speed (the NumPy kernel manages ~0.3x there).
 
 Usage::
 
@@ -44,6 +48,11 @@ BENCH_FILE = REPO / "benchmarks" / "bench_micro_core.py"
 #: The bench pair whose time ratio is the kernel speedup.
 BATCHED_BENCH = "test_micro_saving_pairs_batched"
 SCALAR_BENCH = "test_micro_saving_pairs_scalar"
+#: The bench pair timing ``savings_many`` against the scalar loop on
+#: small groups, and the lowest acceptable scalar/batched ratio there.
+SHORTLIST_BENCH = "test_micro_saving_shortlists"
+SHORTLIST_SCALAR_BENCH = "test_micro_saving_shortlists_scalar"
+SHORTLIST_FLOOR = 0.8
 
 
 def calibrate(repeats: int = 5) -> float:
@@ -159,22 +168,24 @@ def evaluate(
             f"{ratio:>7.3f}{flag}"
         )
 
-    if BATCHED_BENCH in means and SCALAR_BENCH in means:
-        speedup = means[SCALAR_BENCH] / means[BATCHED_BENCH]
-        lines.append(
-            f"kernel speedup (scalar/batched): {speedup:.2f}x "
-            f"(floor {min_speedup:.2f}x)"
-        )
-        if speedup < min_speedup:
+    for label, scalar, batched, floor in (
+        ("kernel speedup", SCALAR_BENCH, BATCHED_BENCH, min_speedup),
+        ("shortlist ratio", SHORTLIST_SCALAR_BENCH, SHORTLIST_BENCH,
+         SHORTLIST_FLOOR),
+    ):
+        if scalar not in means or batched not in means:
             failures.append(
-                f"batched kernel speedup {speedup:.2f}x is below the "
-                f"{min_speedup:.2f}x floor"
+                f"{label} benches missing from the run: {scalar}, {batched}"
             )
-    else:
-        failures.append(
-            "speedup benches missing from the run: "
-            f"{SCALAR_BENCH}, {BATCHED_BENCH}"
+            continue
+        ratio = means[scalar] / means[batched]
+        lines.append(
+            f"{label} (scalar/batched): {ratio:.2f}x (floor {floor:.2f}x)"
         )
+        if ratio < floor:
+            failures.append(
+                f"{label} {ratio:.2f}x is below the {floor:.2f}x floor"
+            )
     return failures, lines
 
 
