@@ -1098,12 +1098,12 @@ def compactness_drift(
             maintenance_passes += task.run_once()["passes"]
         if at_mark:
             marks.pop(0)
-            live = drift_engine._dynamic
+            live = drift_engine.state.dynamic
             m = live.m
             current = Graph(n, live.to_representation().reconstruct_edges())
             scratch_cost = factory().summarize(current).representation.cost
             drift_cost = live.cost
-            maintained_cost = maintained_engine._dynamic.cost
+            maintained_cost = maintained_engine.state.dynamic.cost
             rows.append(
                 {
                     "mutations": applied,
@@ -1129,7 +1129,7 @@ def compactness_drift(
         else:
             expect.discard((u, v))
     for engine in (drift_engine, maintained_engine):
-        got = set(engine._dynamic.to_representation().reconstruct_edges())
+        got = set(engine.state.dynamic.to_representation().reconstruct_edges())
         if got != expect:
             raise RuntimeError("mutated summary no longer matches graph")
     return (

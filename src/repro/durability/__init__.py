@@ -6,8 +6,11 @@ update; this package makes an update stream *survive* — every
 acknowledged mutation is in the write-ahead log before it is applied,
 a background compactor folds the log into atomic checkpoints, and
 startup recovery replays the tail to reproduce the uninterrupted
-run's state exactly.  ``repro serve --wal-dir`` wires it behind the
-query service; see docs/resilience.md ("Durability & recovery").
+run's state exactly.  Every record — live commit, replay, or
+replicated — reaches the state through one pure state machine,
+:class:`~repro.durability.state.EngineState`.  ``repro serve
+--wal-dir`` wires it behind the query service; see docs/resilience.md
+("Durability & recovery").
 """
 
 from repro.durability.compactor import WalCompactor
@@ -22,9 +25,11 @@ from repro.durability.replication import (
 )
 from repro.durability.recovery import (
     RecoveryReport,
-    engine_state,
     recover_engine,
     replay_tail,
+)
+from repro.durability.state import (
+    EngineState,
     representation_to_state,
     state_to_representation,
 )
@@ -40,6 +45,7 @@ from repro.durability.wal import (
 
 __all__ = [
     "ACKS_MODES",
+    "EngineState",
     "FSYNC_POLICIES",
     "MUTATION_OPS",
     "RecoveryReport",
@@ -52,7 +58,6 @@ __all__ = [
     "WalError",
     "WalRecord",
     "WriteAheadLog",
-    "engine_state",
     "quorum_size",
     "record_from_wire",
     "record_to_wire",

@@ -4,8 +4,11 @@ An unbounded WAL means unbounded replay on restart.  The compactor
 periodically folds the live engine state into the
 :class:`~repro.resilience.checkpoint.CheckpointStore` (tmp + rename,
 checksummed — never an in-place write) keyed by the applied LSN, then
-deletes the WAL segments the new checkpoint made redundant.  Recovery
-time is thereby bounded by one compaction interval's worth of tail.
+deletes the WAL segments that *every* retained checkpoint made
+redundant (recovery falls back past a corrupt newest checkpoint and
+must find the log continuing from the older one).  Replay starts at
+the newest intact checkpoint, so recovery time is bounded by one
+compaction interval's worth of tail.
 
 Crash-safety is inherited, not re-proved: a kill at any point leaves
 either the previous checkpoint (tail replays from it) or the new one
@@ -18,7 +21,6 @@ from __future__ import annotations
 import logging
 import threading
 
-from repro.durability.recovery import engine_state
 from repro.obs.metrics import get_registry
 from repro.resilience.checkpoint import CheckpointError, CheckpointStore
 
@@ -111,10 +113,11 @@ class WalCompactor:
             lsn = engine.applied_lsn
             if lsn <= self._last_lsn:
                 return False
-            state = engine_state(engine)
+            state = engine.state.to_state()
         self._store.save(state, step=lsn)
         self._last_lsn = lsn
-        removed = self._wal.truncate_through(lsn) if self._wal else 0
+        oldest = self._store.steps()[0]
+        removed = self._wal.truncate_through(oldest) if self._wal else 0
         get_registry().counter(
             "repro_wal_compactions_total", event="completed"
         ).inc()

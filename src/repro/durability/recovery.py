@@ -8,7 +8,8 @@ any instant restarts by
    :class:`~repro.resilience.checkpoint.CheckpointStore` (corrupt
    snapshots are skipped with a metric, exactly as in batch resume);
 2. replaying every WAL record past the checkpoint's LSN through the
-   same commit path live ingest uses.
+   one apply path live ingest and follower replication use
+   (:meth:`~repro.durability.state.EngineState.apply`).
 
 Because mutations are validated *before* they are logged and the
 commit path is deterministic, replay retraces the uninterrupted run's
@@ -27,35 +28,16 @@ wrapped in a ``recovery:replay`` span when tracing is on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.core.encoding import Representation
+from repro.durability.state import EngineState
 from repro.dynamic.summary import DynamicGraphSummary
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer
 from repro.resilience.checkpoint import CheckpointStore
 
-__all__ = [
-    "RecoveryReport",
-    "representation_to_state",
-    "state_to_representation",
-    "engine_state",
-    "recover_engine",
-    "replay_tail",
-]
-
-#: v2 added the per-stream batch fingerprint to dedup rows
-#: (``[stream, seq, mutations, result]``), so a recovered server keeps
-#: rejecting a reused sequence number that carries different mutations.
-#: v3 added the per-super-node dirtiness counters (background
-#: maintenance's drift signal) and stores dedup rows in commit-recency
-#: order so LRU eviction survives recovery; v2 checkpoints still load
-#: (dirtiness is re-derived from the live corrections, dedup recency
-#: falls back to the stored sorted order).
-#: v4 added the replication ``term`` so a restarted replica rejoins
-#: with the leadership epoch it last durably observed; older
-#: checkpoints load with term 0 (the WAL's term records still apply).
-STATE_VERSION = 4
-_ACCEPTED_VERSIONS = (2, 3, 4)
+__all__ = ["RecoveryReport", "recover_engine", "replay_tail"]
 
 
 @dataclass
@@ -75,181 +57,62 @@ class RecoveryReport:
         )
 
 
-# ----------------------------------------------------------------------
-# Representation <-> JSON-safe state
-# ----------------------------------------------------------------------
-def representation_to_state(rep: Representation) -> dict:
-    """A JSON-clean snapshot (sorted lists, no integer dict keys —
-    JSON would silently stringify those)."""
-    return {
-        "n": rep.n,
-        "m": rep.m,
-        "supernodes": [
-            [sid, list(members)]
-            for sid, members in sorted(rep.supernodes.items())
-        ],
-        "summary_edges": sorted(list(e) for e in rep.summary_edges),
-        "additions": sorted(list(e) for e in rep.additions),
-        "removals": sorted(list(e) for e in rep.removals),
-    }
-
-
-def state_to_representation(state: dict) -> Representation:
-    supernodes = {
-        int(sid): [int(x) for x in members]
-        for sid, members in state["supernodes"]
-    }
-    node_to_supernode = {
-        node: sid for sid, members in supernodes.items() for node in members
-    }
-    return Representation(
-        n=int(state["n"]),
-        m=int(state["m"]),
-        supernodes=supernodes,
-        node_to_supernode=node_to_supernode,
-        summary_edges={(int(u), int(v)) for u, v in state["summary_edges"]},
-        additions={(int(u), int(v)) for u, v in state["additions"]},
-        removals={(int(u), int(v)) for u, v in state["removals"]},
-    )
-
-
-def engine_state(engine) -> dict:
-    """The checkpointable state of a
-    :class:`~repro.service.ingest.MutableQueryEngine`.
-
-    Must be called under the engine's state lock (the compactor does)
-    so representation, epoch, LSN, and dedup map are one consistent
-    cut.
-    """
-    return {
-        "v": STATE_VERSION,
-        "representation": representation_to_state(
-            engine._dynamic.to_representation()
-        ),
-        "base_cost": engine._dynamic.base_cost,
-        "epoch": engine.epoch,
-        "applied_lsn": engine.applied_lsn,
-        "term": getattr(engine, "term", 0),
-        # Commit-recency order (oldest first), NOT sorted: the row
-        # order is the engine's LRU eviction order and must round-trip.
-        "dedup": [
-            [stream, seq, [list(item) for item in batch], dict(result)]
-            for stream, (seq, batch, result) in engine._dedup.items()
-        ],
-        "dirty": [
-            [sid, count]
-            for sid, count in sorted(
-                engine._dynamic.dirty_supernodes().items()
-            )
-        ],
-    }
-
-
-# ----------------------------------------------------------------------
-# Startup recovery
-# ----------------------------------------------------------------------
 def recover_engine(
     base_representation: Representation,
     wal,
     store: CheckpointStore | None,
     *,
     engine_factory,
-    rebuild_factor: float | None = None,
 ):
     """Build a recovered engine plus the WAL tail still to replay.
 
-    Loads the newest intact checkpoint (falling back to
-    ``base_representation`` at epoch 0 when there is none), constructs
-    the dynamic overlay and engine via ``engine_factory(dynamic)``,
-    restores epoch/LSN/dedup, and returns
-    ``(engine, pending_records, report)``.  The caller decides whether
-    to drain ``pending_records`` inline (tests, small tails) or on a
-    background thread while already serving degraded answers — both go
-    through :func:`replay_tail`.
+    Loads the newest intact checkpoint through
+    :meth:`EngineState.from_state` (falling back to
+    ``base_representation`` at epoch 0 when there is none), builds the
+    engine via ``engine_factory(dynamic)``, hands it the loaded state,
+    and returns ``(engine, pending_records, report)``.  The caller
+    decides whether to drain ``pending_records`` inline (tests, small
+    tails) or on a background thread while already serving degraded
+    answers — both go through :func:`replay_tail`.  Raises
+    :class:`ValueError` when the checkpoint is not a v4 state or when
+    the log does not continue where the checkpoint ends (the missing
+    LSN range is named).
     """
-    from collections import OrderedDict
-
     checkpoint = store.latest() if store is not None else None
-    base_cost = None
-    epoch = 0
-    applied_lsn = 0
-    term = 0
-    dirtiness: dict[int, int] | None = None
-    dedup: OrderedDict[
-        str, tuple[int, tuple[tuple[str, int, int], ...], dict]
-    ] = OrderedDict()
     if checkpoint is not None:
-        state = checkpoint.state
-        if state.get("v") not in _ACCEPTED_VERSIONS:
-            raise ValueError(
-                f"unsupported ingest checkpoint version {state.get('v')!r}"
-            )
-        rep = state_to_representation(state["representation"])
-        base_cost = int(state["base_cost"])
-        epoch = int(state["epoch"])
-        applied_lsn = int(state["applied_lsn"])
-        term = int(state.get("term", 0))
-        # Row order is preserved: for v3 it is the commit-recency
-        # (LRU eviction) order, for v2 the historical sorted order.
-        for stream, seq, batch, result in state.get("dedup", []):
-            dedup[str(stream)] = (
-                int(seq),
-                tuple(
-                    (str(op), int(u), int(v)) for op, u, v in batch
-                ),
-                dict(result),
-            )
-        if "dirty" in state:
-            dirtiness = {
-                int(sid): int(count)
-                for sid, count in state["dirty"]
-            }
-        else:
-            # v2 carried no drift counters; seed them from the live
-            # corrections (one touch per endpoint) so maintenance has
-            # a signal to work with after an upgrade.
-            dirtiness = {}
-            node_to_supernode = rep.node_to_supernode
-            for u, v in sorted(rep.additions | rep.removals):
-                for node in (u, v):
-                    sid = node_to_supernode[node]
-                    dirtiness[sid] = dirtiness.get(sid, 0) + 1
+        state = EngineState.from_state(checkpoint.state)
         get_registry().counter(
             "repro_recovery_total", event="checkpoint_loaded"
         ).inc()
     else:
-        rep = base_representation
+        state = EngineState(
+            DynamicGraphSummary.from_representation(base_representation)
+        )
         get_registry().counter(
             "repro_recovery_total", event="cold_start"
         ).inc()
-    dynamic = DynamicGraphSummary.from_representation(
-        rep,
-        rebuild_factor=rebuild_factor,
-        base_cost=base_cost,
-        dirtiness=dirtiness,
-    )
-    engine = engine_factory(dynamic)
-    engine.epoch = epoch
-    engine.applied_lsn = applied_lsn
-    engine._dedup = dedup
-    # The WAL tail may hold a newer term than the checkpoint cut
-    # (replay_record advances it record by record, but a replica must
-    # not rejoin believing a term it already durably acknowledged is
-    # still open to contest).
-    if hasattr(engine, "term"):
-        engine.term = max(
-            term, wal.last_term if wal is not None else 0
-        )
-    # Lazy: a multi-GB tail streams one record at a time through
-    # replay_tail instead of materializing into one list.
-    pending = (
-        wal.iter_records(after_lsn=applied_lsn) if wal is not None else ()
-    )
+    pending = ()
+    if wal is not None:
+        # The WAL tail may hold a newer term than the checkpoint cut; a
+        # replica must not rejoin believing a term it already durably
+        # acknowledged is still open to contest.
+        state.term = max(state.term, wal.last_term)
+        # Lazy: a multi-GB tail streams one record at a time through
+        # replay_tail instead of materializing into one list.  Its
+        # first record is checked now, so a log that does not continue
+        # the checkpoint fails startup instead of replaying a gap.
+        records = wal.iter_records(after_lsn=state.applied_lsn)
+        first = next(records, None)
+        if first is not None:
+            state.check_lsn(first.lsn)
+            pending = chain((first,), records)
+    engine = engine_factory(state.dynamic)
+    engine.restore(state)
     report = RecoveryReport(
-        checkpoint_lsn=applied_lsn,
+        checkpoint_lsn=state.applied_lsn,
         records_replayed=0,
-        epoch=epoch,
-        applied_lsn=applied_lsn,
+        epoch=state.epoch,
+        applied_lsn=state.applied_lsn,
     )
     return engine, pending, report
 
@@ -261,17 +124,13 @@ def replay_tail(engine, records, report: RecoveryReport) -> RecoveryReport:
     answering (degraded) queries; ingest stays parked until the flag
     drops.  Updates and returns ``report``.
     """
-    tracer = get_tracer()
     engine.replaying = True
     try:
-        if tracer.enabled:
-            # ``records`` may be a lazy stream, so the span reports
-            # the count only after the drain.
-            with tracer.span("recovery:replay") as span:
-                replayed = _drain(engine, records)
-                span.set(records=replayed)
-        else:
-            replayed = _drain(engine, records)
+        # ``records`` may be a lazy stream, so the span reports the
+        # count only after the drain.
+        with get_tracer().span("recovery:replay") as span:
+            replayed = sum(map(engine.replay_record, records))
+            span.set(records=replayed)
     finally:
         engine.replaying = False
     report.records_replayed = replayed
@@ -282,10 +141,3 @@ def replay_tail(engine, records, report: RecoveryReport) -> RecoveryReport:
     ).inc()
     return report
 
-
-def _drain(engine, records) -> int:
-    replayed = 0
-    for record in records:
-        if engine.replay_record(record):
-            replayed += 1
-    return replayed

@@ -6,9 +6,12 @@ the property that makes shipped-log replication exact: a shard's
 primary streams its WAL records (ingest batches, resummarize
 decisions, term changes) to follower replicas over the ``replicate``
 wire op, each follower appends them to its *own* WAL and applies them
-in LSN order through the same commit path, and primary and follower
-summaries are byte-equal at every epoch.  See docs/resilience.md,
-"Replication & failover".
+in LSN order through the same apply path as the primary's commit
+(:meth:`~repro.durability.state.EngineState.apply`), and primary and
+follower summaries are byte-equal at every epoch.  A follower checks a
+whole frame's LSN contiguity before appending any of it; a gap is a
+``bad_request``, which the primary answers with a snapshot.  See
+docs/resilience.md, "Replication & failover".
 
 Terms and fencing
 -----------------
@@ -165,6 +168,21 @@ def record_from_wire(obj):
     )
 
 
+def _chunk(records) -> list:
+    """The leading records that fit one ``replicate`` frame."""
+    chunk = []
+    mutation_load = 0
+    for record in records:
+        chunk.append(record)
+        mutation_load += len(getattr(record, "mutations", ()))
+        if (
+            len(chunk) >= REPL_MAX_RECORDS
+            or mutation_load >= REPL_MAX_MUTATIONS
+        ):
+            break
+    return chunk
+
+
 # ----------------------------------------------------------------------
 # Shipping
 # ----------------------------------------------------------------------
@@ -238,7 +256,7 @@ class ReplicationManager:
         # engine runs without a WAL, e.g. in-process local clusters).
         self._buffer: list = []
         self._buffer_cap = buffer_records
-        self._buffer_floor = getattr(engine, "applied_lsn", 0)
+        self._buffer_floor = engine.applied_lsn
         self._buffer_lock = threading.Lock()
         # Serializes shipping so records leave in LSN order even when
         # several ingest threads publish concurrently.
@@ -297,32 +315,10 @@ class ReplicationManager:
         only a snapshot can bridge the gap."""
         with self._buffer_lock:
             if cursor >= self._buffer_floor:
-                chunk = []
-                mutation_load = 0
-                for record in self._buffer:
-                    if record.lsn <= cursor:
-                        continue
-                    chunk.append(record)
-                    mutation_load += len(getattr(record, "mutations", ()))
-                    if (
-                        len(chunk) >= REPL_MAX_RECORDS
-                        or mutation_load >= REPL_MAX_MUTATIONS
-                    ):
-                        break
-                return chunk
+                return _chunk(r for r in self._buffer if r.lsn > cursor)
         if self._wal is None or cursor < self._wal.truncated_lsn:
             return None
-        chunk = []
-        mutation_load = 0
-        for record in self._wal.iter_records(after_lsn=cursor):
-            chunk.append(record)
-            mutation_load += len(getattr(record, "mutations", ()))
-            if (
-                len(chunk) >= REPL_MAX_RECORDS
-                or mutation_load >= REPL_MAX_MUTATIONS
-            ):
-                break
-        return chunk
+        return _chunk(self._wal.iter_records(after_lsn=cursor))
 
     # -- shipping --------------------------------------------------------
     def notify(self) -> None:
@@ -467,7 +463,7 @@ class ReplicationManager:
     def _high_water(self) -> int:
         if self._wal is not None:
             return self._wal.last_lsn
-        return getattr(self._engine, "applied_lsn", 0)
+        return self._engine.applied_lsn
 
     # -- introspection ---------------------------------------------------
     def status(self) -> dict:

@@ -1,0 +1,296 @@
+"""The mutable engine's state machine: one way to apply a log record.
+
+:class:`EngineState` is everything a WAL record changes and a
+checkpoint carries — the dynamic summary, the read ``epoch``, the
+``applied_lsn`` cursor, the replication ``term``, and the per-stream
+dedup map — with no locks, metrics, caches, WAL, or sockets.  Live
+commit, crash-recovery replay, and follower apply all go through
+:meth:`EngineState.apply`; recovery and replication snapshot install
+both load through :meth:`EngineState.from_state`.  So "replay ==
+replication == live commit, bit for bit" is a property of one
+function, not of several kept in step by hand.
+
+:meth:`~EngineState.apply` accepts exactly the next LSN: a record at
+or below ``applied_lsn`` is already reflected (``None`` comes back),
+and one past ``applied_lsn + 1`` raises :class:`ValueError` naming the
+missing range, so a gap in a recovered log or a replication stream
+fails loudly instead of silently dropping acknowledged batches.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+from collections.abc import Iterable
+from dataclasses import dataclass
+
+from repro.core.encoding import Representation
+from repro.durability.wal import ResummarizeRecord, TermRecord
+from repro.dynamic.summary import DynamicGraphSummary
+
+__all__ = [
+    "Applied",
+    "EngineState",
+    "STATE_VERSION",
+    "merge_budget",
+    "representation_to_state",
+    "state_to_representation",
+]
+
+#: Version of the checkpoint / replication-snapshot state dict.  Only
+#: v4 loads: ``[stream, seq, mutations, result]`` dedup rows in
+#: commit-recency order, per-super-node dirtiness counters, and the
+#: replication ``term``.
+STATE_VERSION = 4
+
+
+def representation_to_state(rep: Representation) -> dict:
+    """A JSON-clean snapshot (sorted lists, no integer dict keys —
+    JSON would silently stringify those)."""
+    return {
+        "n": rep.n,
+        "m": rep.m,
+        "supernodes": [
+            [sid, list(members)]
+            for sid, members in sorted(rep.supernodes.items())
+        ],
+        "summary_edges": sorted(list(e) for e in rep.summary_edges),
+        "additions": sorted(list(e) for e in rep.additions),
+        "removals": sorted(list(e) for e in rep.removals),
+    }
+
+
+def state_to_representation(state: dict) -> Representation:
+    supernodes = {
+        int(sid): [int(x) for x in members]
+        for sid, members in state["supernodes"]
+    }
+    node_to_supernode = {
+        node: sid for sid, members in supernodes.items() for node in members
+    }
+    return Representation(
+        n=int(state["n"]),
+        m=int(state["m"]),
+        supernodes=supernodes,
+        node_to_supernode=node_to_supernode,
+        summary_edges={(int(u), int(v)) for u, v in state["summary_edges"]},
+        additions={(int(u), int(v)) for u, v in state["additions"]},
+        removals={(int(u), int(v)) for u, v in state["removals"]},
+    )
+
+
+def merge_budget(max_merges):
+    """The deterministic merge cap a maintenance pass runs under."""
+    if max_merges is None:
+        return None
+    from repro.resilience.guard import ResourceBudget
+
+    return ResourceBudget(max_merges=max_merges)
+
+
+@dataclass(slots=True)
+class Applied:
+    """What one applied record changed, for the serving wrapper."""
+
+    #: Nodes whose neighbor sets may have changed (cache invalidation).
+    touched: Iterable[int] = ()
+    #: An ingest record's ``{"applied", "lsn"}`` acknowledgement.
+    result: dict | None = None
+    #: Dedup rows evicted past the capacity.
+    evicted: int = 0
+    #: A maintenance record's super-nodes processed (``None`` for
+    #: any other record) ...
+    processed: int | None = None
+    #: ... and the representation cost it reclaimed.
+    reclaimed: int = 0
+
+
+class EngineState:
+    """The pure state machine behind
+    :class:`~repro.service.ingest.MutableQueryEngine`.
+
+    ``dedup`` maps stream id -> ``(last seq, its mutation tuple, its
+    result dict)`` in commit-recency order (oldest first).  Streams
+    beyond ``dedup_capacity`` (0 = unbounded) are evicted oldest first
+    on commit; recency advances only on commit, so eviction order is a
+    pure function of the log.
+    """
+
+    def __init__(
+        self,
+        dynamic: DynamicGraphSummary,
+        *,
+        epoch: int = 0,
+        applied_lsn: int = 0,
+        term: int = 0,
+        dedup=(),
+        dedup_capacity: int = 4096,
+    ):
+        self.dynamic = dynamic
+        self.epoch = epoch
+        self.applied_lsn = applied_lsn
+        self.term = term
+        self.dedup: OrderedDict[
+            str, tuple[int, tuple[tuple[str, int, int], ...], dict]
+        ] = OrderedDict(dedup)
+        self.dedup_capacity = dedup_capacity
+
+    # -- the one apply path ----------------------------------------------
+    def check_lsn(self, lsn: int) -> bool:
+        """Whether ``lsn`` is the next record to apply: ``False`` when
+        it is already applied; raises :class:`ValueError` naming the
+        missing range when records before it are absent."""
+        if lsn <= self.applied_lsn:
+            return False
+        first = self.applied_lsn + 1
+        if lsn != first:
+            missing = (
+                f"record {first} is" if lsn == first + 1
+                else f"records {first}-{lsn - 1} are"
+            )
+            raise ValueError(
+                f"log gap: next lsn is {first} but got {lsn}; "
+                f"{missing} missing"
+            )
+        return True
+
+    def apply(self, record, built=None) -> Applied | None:
+        """Apply one WAL record; ``None`` when it is already applied.
+
+        Replay bypasses validation — a logged record was validated
+        against exactly this state — but a corrupt-yet-checksum-valid
+        ingest record still raises (``insert_edge``/``delete_edge``).
+        A :class:`~repro.durability.wal.ResummarizeRecord` re-runs the
+        recorded maintenance pass in place (a pure function of this
+        state, the targets, and the merge cap), unless the live path
+        passes the structure it already built off-lock as ``built =
+        (representation, dirtiness, processed)``.
+        """
+        if not self.check_lsn(record.lsn):
+            return None
+        if isinstance(record, TermRecord):
+            # No epoch bump: leadership changes no answer.
+            self.term = max(self.term, record.term)
+            self.applied_lsn = record.lsn
+            return Applied()
+        if isinstance(record, ResummarizeRecord):
+            return self._resummarize(record, built)
+        return self._ingest(record)
+
+    def _ingest(self, record) -> Applied:
+        dyn = self.dynamic
+        touched = []
+        for sign, u, v in record.mutations:
+            if sign == "+":
+                dyn.insert_edge(u, v)
+            else:
+                dyn.delete_edge(u, v)
+            touched += (u, v)
+        self.epoch += 1
+        self.applied_lsn = record.lsn
+        result = {"applied": len(record.mutations), "lsn": record.lsn}
+        dedup = self.dedup
+        dedup[record.stream] = (record.seq, record.mutations, result)
+        dedup.move_to_end(record.stream)
+        evicted = 0
+        while 0 < self.dedup_capacity < len(dedup):
+            dedup.popitem(last=False)
+            evicted += 1
+        return Applied(touched, result=result, evicted=evicted)
+
+    def _resummarize(self, record, built) -> Applied:
+        dyn = self.dynamic
+        cost_before = dyn.cost
+        touched = {
+            node
+            for sid in record.targets
+            if sid in dyn._supernodes
+            for node in dyn._supernodes[sid]
+        }
+        old_corrections = dyn._additions | dyn._removals
+        if built is None:
+            processed = dyn.resummarize_local(
+                targets=record.targets,
+                budget=merge_budget(record.max_merges),
+            )
+        else:
+            rep, dirtiness, processed = built
+            dyn._install(rep)
+            dyn._dirty = dict(dirtiness)
+            dyn.num_rebuilds += 1
+        for edge in (dyn._additions | dyn._removals) ^ old_corrections:
+            touched.update(edge)
+        self.epoch += 1
+        self.applied_lsn = record.lsn
+        return Applied(
+            touched,
+            processed=processed,
+            reclaimed=cost_before - dyn.cost,
+        )
+
+    # -- checkpoint state ------------------------------------------------
+    def to_state(self) -> dict:
+        """The JSON-safe checkpoint / replication-snapshot cut."""
+        dyn = self.dynamic
+        return {
+            "v": STATE_VERSION,
+            "representation": representation_to_state(
+                dyn.to_representation()
+            ),
+            "base_cost": dyn.base_cost,
+            "epoch": self.epoch,
+            "applied_lsn": self.applied_lsn,
+            "term": self.term,
+            # Commit-recency order (oldest first), NOT sorted: the row
+            # order is the LRU eviction order and must round-trip.
+            "dedup": [
+                [stream, seq, [list(item) for item in batch], dict(result)]
+                for stream, (seq, batch, result) in self.dedup.items()
+            ],
+            "dirty": sorted(
+                [sid, count]
+                for sid, count in dyn.dirty_supernodes().items()
+            ),
+        }
+
+    @classmethod
+    def from_state(
+        cls,
+        state,
+        *,
+        summarizer_factory=None,
+    ) -> "EngineState":
+        """Load a :meth:`to_state` dict; raises :class:`ValueError` on
+        any other version or a malformed state."""
+        version = state.get("v") if isinstance(state, dict) else None
+        if version != STATE_VERSION:
+            raise ValueError(
+                f"unsupported ingest checkpoint version {version!r} "
+                f"(expected {STATE_VERSION})"
+            )
+        try:
+            dedup = {
+                str(stream): (
+                    int(seq),
+                    tuple((str(op), int(u), int(v)) for op, u, v in batch),
+                    dict(result),
+                )
+                for stream, seq, batch, result in state["dedup"]
+            }
+            dirtiness = {int(sid): int(count) for sid, count in state["dirty"]}
+            dynamic = DynamicGraphSummary.from_representation(
+                state_to_representation(state["representation"]),
+                summarizer_factory=summarizer_factory,
+                base_cost=int(state["base_cost"]),
+                dirtiness=dirtiness,
+            )
+            return cls(
+                dynamic,
+                epoch=int(state["epoch"]),
+                applied_lsn=int(state["applied_lsn"]),
+                term=int(state["term"]),
+                dedup=dedup,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"malformed ingest checkpoint state: {exc!r}"
+            ) from exc

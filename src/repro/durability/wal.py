@@ -19,7 +19,7 @@ payload is itself varint-packed::
     lsn . seq . len(stream) . stream-utf8 . n_ops . (op u v)*
 
 where ``op`` is 0 for insert and 1 for delete.  LSNs (log sequence
-numbers) are assigned densely by :meth:`WriteAheadLog.append` and are
+numbers) are assigned densely by :meth:`WriteAheadLog.append_record` and are
 the recovery cursor: a checkpoint records the LSN it folded through,
 and replay skips records at or below it.
 
@@ -77,7 +77,7 @@ import os
 import re
 import threading
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.compression.varint import decode_varint, encode_varint
@@ -231,15 +231,10 @@ def _decode_payload(body: bytes):
     )
 
 
-def _scan_segment(data: bytes) -> tuple[list[WalRecord], int, bool]:
-    """Parse one segment's bytes.
-
-    Returns ``(records, clean_end_offset, torn)`` where
-    ``clean_end_offset`` is the byte offset just past the last intact
-    record and ``torn`` reports whether anything after it had to be
-    dropped.
-    """
-    records: list[WalRecord] = []
+def _iter_frames(data: bytes):
+    """Yield ``(record, end_offset)`` for each intact record in one
+    segment's bytes, stopping at the first record that fails to frame,
+    checksum, or decode (the torn tail, if any, starts there)."""
     offset = 0
     while offset < len(data):
         try:
@@ -248,15 +243,13 @@ def _scan_segment(data: bytes) -> tuple[list[WalRecord], int, bool]:
             if body_end > len(data):
                 raise ValueError("truncated record body")
             body = data[body_start:body_end]
-            crc, next_offset = decode_varint(data, body_end)
+            crc, offset = decode_varint(data, body_end)
             if crc != zlib.crc32(body):
                 raise ValueError("record checksum mismatch")
             record = _decode_payload(body)
         except ValueError:
-            return records, offset, True
-        records.append(record)
-        offset = next_offset
-    return records, offset, False
+            return
+        yield record, offset
 
 
 class WriteAheadLog:
@@ -358,18 +351,15 @@ class WriteAheadLog:
         indexes = self._segment_indexes()
         for position, index in enumerate(indexes):
             path = self._segment_path(index)
-            records, clean_end, torn = _scan_segment(path.read_bytes())
-            if records:
-                last_lsn = records[-1].lsn
-                if first_lsn == 0:
-                    first_lsn = records[0].lsn
-                for record in records:
-                    if isinstance(record, TermRecord):
-                        self._last_term = max(self._last_term, record.term)
-            self._segment_last_lsn[index] = (
-                records[-1].lsn if records else -1
-            )
-            if torn:
+            data = path.read_bytes()
+            segment_last, clean_end = -1, 0
+            for record, clean_end in _iter_frames(data):
+                segment_last = last_lsn = record.lsn
+                first_lsn = first_lsn or record.lsn
+                if isinstance(record, TermRecord):
+                    self._last_term = max(self._last_term, record.term)
+            self._segment_last_lsn[index] = segment_last
+            if clean_end < len(data):
                 self._count_records("torn_dropped")
                 with path.open("r+b") as handle:
                     handle.truncate(clean_end)
@@ -430,23 +420,10 @@ class WriteAheadLog:
     def append(
         self, stream: str, seq: int, mutations, *, lsn: int | None = None
     ) -> int:
-        """Append one mutation batch; returns its LSN.
-
-        The record is on disk (and fsynced, policy permitting) when
-        this returns — the caller may only apply and acknowledge the
-        batch afterwards.  ``lsn`` is normally assigned here; passing
-        one is for tests that need a gap.
-        """
-        with self._lock:
-            if self._file is None:
-                raise WalError("write-ahead log is closed")
-            if lsn is None:
-                lsn = self._last_lsn + 1
-            elif lsn <= self._last_lsn:
-                raise WalError(
-                    f"lsn {lsn} is not past the last lsn {self._last_lsn}"
-                )
-            record = WalRecord(
+        """Append one mutation batch; returns its LSN (see
+        :meth:`append_record`)."""
+        return self.append_record(
+            WalRecord(
                 lsn=lsn,
                 stream=stream,
                 seq=seq,
@@ -454,7 +431,7 @@ class WriteAheadLog:
                     (op, int(u), int(v)) for op, u, v in mutations
                 ),
             )
-            return self._write_locked(record)
+        )
 
     def append_resummarize(
         self,
@@ -463,47 +440,34 @@ class WriteAheadLog:
         max_merges: int | None = None,
         lsn: int | None = None,
     ) -> int:
-        """Append one committed maintenance pass; returns its LSN.
-
-        Same durability contract as :meth:`append`: the decision is on
-        disk (and fsynced, policy permitting) before the caller may
-        swap the re-encoded structure in.
-        """
-        with self._lock:
-            if self._file is None:
-                raise WalError("write-ahead log is closed")
-            if lsn is None:
-                lsn = self._last_lsn + 1
-            elif lsn <= self._last_lsn:
-                raise WalError(
-                    f"lsn {lsn} is not past the last lsn {self._last_lsn}"
-                )
-            record = ResummarizeRecord(
+        """Append one committed maintenance pass; returns its LSN."""
+        return self.append_record(
+            ResummarizeRecord(
                 lsn=lsn,
                 targets=tuple(int(t) for t in targets),
                 max_merges=max_merges,
             )
-            return self._write_locked(record)
+        )
 
-    def append_term(self, term: int, *, lsn: int | None = None) -> int:
-        """Append one leadership-change record; returns its LSN.
+    def append_record(self, record) -> int:
+        """Append one record of any kind; returns its LSN.
 
-        Same durability contract as :meth:`append`: a promoted primary
-        must have its term on disk before acknowledging any write made
-        under it, or a crash could revive it believing in a stale term.
+        The record is on disk (and fsynced, policy permitting) when
+        this returns — the caller may only apply and acknowledge it
+        afterwards.  A record whose ``lsn`` is ``None`` gets the next
+        LSN; an explicit one must be past the last LSN in the log.
         """
         with self._lock:
             if self._file is None:
                 raise WalError("write-ahead log is closed")
-            if term < 1:
-                raise WalError(f"term must be >= 1, got {term}")
-            if lsn is None:
-                lsn = self._last_lsn + 1
-            elif lsn <= self._last_lsn:
+            if record.lsn is None:
+                record = replace(record, lsn=self._last_lsn + 1)
+            elif record.lsn <= self._last_lsn:
                 raise WalError(
-                    f"lsn {lsn} is not past the last lsn {self._last_lsn}"
+                    f"lsn {record.lsn} is not past the last lsn "
+                    f"{self._last_lsn}"
                 )
-            return self._write_locked(TermRecord(lsn=lsn, term=term))
+            return self._write_locked(record)
 
     def _write_locked(self, record) -> int:
         frame = encode_record(record)
@@ -565,40 +529,33 @@ class WriteAheadLog:
         first, decoding one record at a time.
 
         Re-reads the segments from disk, so it sees exactly what a
-        recovering process would; a torn tail ends the scan (the
-        in-memory writer position is not consulted).  At most one
-        segment's bytes are held in memory at a time, so replaying a
-        multi-GB log — startup recovery, replication catch-up, the
-        compactor — no longer materializes every record into one list.
+        recovering process would; a torn tail ends the scan.  At most
+        one segment's bytes are held in memory at a time, and sealed
+        segments that end at or below ``after_lsn`` are skipped unread,
+        so a replay cursor decodes only the segments it needs.
         """
         with self._lock:
             if self._file is not None:
                 self._file.flush()
-            indexes = self._segment_indexes()
+            indexes = [
+                index for index in self._segment_indexes()
+                if index == self._active_index
+                or self._segment_last_lsn.get(index, after_lsn + 1)
+                > after_lsn
+            ]
         for index in indexes:
             try:
                 data = self._segment_path(index).read_bytes()
             except FileNotFoundError:
                 continue  # truncated away since the listing
-            offset = 0
-            while offset < len(data):
-                try:
-                    length, body_start = decode_varint(data, offset)
-                    body_end = body_start + length
-                    if body_end > len(data):
-                        raise ValueError("truncated record body")
-                    body = data[body_start:body_end]
-                    crc, next_offset = decode_varint(data, body_end)
-                    if crc != zlib.crc32(body):
-                        raise ValueError("record checksum mismatch")
-                    record = _decode_payload(body)
-                except ValueError:
-                    self._count_records("torn_dropped")
-                    return
-                offset = next_offset
+            end = 0
+            for record, end in _iter_frames(data):
                 if record.lsn > after_lsn:
                     self._count_records("replayed")
                     yield record
+            if end < len(data):
+                self._count_records("torn_dropped")
+                return
 
     def records(self, after_lsn: int = 0) -> list[WalRecord]:
         """All durable records with ``lsn > after_lsn``, oldest first,

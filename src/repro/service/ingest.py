@@ -46,14 +46,20 @@ is logged, applied, or remembered — which is the prepare half of the
 cluster router's two-phase fan-out: every involved shard validates
 its sub-batch first, and only when all accept does the commit round
 run (see :meth:`repro.cluster.router.RouterEngine._ingest`).
+
+**One apply path** — the state is a pure
+:class:`~repro.durability.state.EngineState`; primary commit, recovery
+replay, and follower apply all go through ``_apply_locked``, which
+logs the record, applies it with ``EngineState.apply``, and does the
+serving bookkeeping (caches, metrics, replication).
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 from repro.durability.replication import record_from_wire
+from repro.durability.state import EngineState, merge_budget
 from repro.durability.wal import ResummarizeRecord, TermRecord, WalRecord
 from repro.dynamic.summary import DynamicGraphSummary
 from repro.queries.pagerank import SummaryPageRank
@@ -67,10 +73,6 @@ __all__ = ["MutableQueryEngine", "REPLICATION_ROLES"]
 REPLICATION_ROLES = ("primary", "follower")
 
 _SIGNS = ("+", "-")
-
-
-def _ordered(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
 
 
 class MutableQueryEngine(QueryEngine):
@@ -113,31 +115,27 @@ class MutableQueryEngine(QueryEngine):
     ):
         super().__init__(dynamic.to_representation(), **kwargs)
         self.ops = OPS + ("ingest", "replicate", "repl_status")
-        self._dynamic = dynamic
         self._wal = wal
         self._budget = budget
         self._max_inflight = max_inflight
         self._inflight = 0
         self._inflight_lock = threading.Lock()
-        #: Guards the dynamic overlay, epoch, LSN and dedup map; reads
-        #: take it only on a cache miss, writes for the whole commit.
+        #: Guards ``state``; reads take it only on a cache miss,
+        #: writes for the whole commit.
         self._state_lock = threading.RLock()
-        #: Bumped once per committed mutation batch; echoed on every
-        #: successful response.
-        self.epoch = 0
-        #: LSN of the newest applied WAL record.
-        self.applied_lsn = wal.last_lsn if wal is not None else 0
-        #: stream id -> (last seq, its mutation tuple, its result dict),
-        #: in commit-recency order (oldest first) for LRU eviction.
-        #: The mutation tuple is the dedup fingerprint: a replay of the
-        #: last seq must carry the same batch to count as a duplicate.
-        self._dedup: OrderedDict[
-            str, tuple[int, tuple[tuple[str, int, int], ...], dict]
-        ] = OrderedDict()
-        self._dedup_capacity = dedup_capacity
+        #: The summary, epoch, LSN, term, and dedup map.  The dedup
+        #: mutation tuple is the fingerprint: a replay of the last seq
+        #: must carry the same batch to count as a duplicate.
+        self.state = EngineState(
+            dynamic,
+            applied_lsn=wal.last_lsn if wal is not None else 0,
+            dedup_capacity=dedup_capacity,
+        )
         #: True while crash recovery replays the WAL tail.
         self.replaying = False
-        self._rep_snapshot: tuple[int, object] | None = None
+        #: ``representation`` of the current state; every apply and
+        #: restore drops it.
+        self._rep_snapshot = None
         #: Background-maintenance bookkeeping (the ``stats`` section).
         self._maintenance = {
             "passes": 0,
@@ -145,13 +143,28 @@ class MutableQueryEngine(QueryEngine):
             "supernodes_processed": 0,
             "cost_reclaimed": 0,
         }
-        #: Replication state.  An unreplicated engine is a "primary"
+        #: Replication role.  An unreplicated engine is a "primary"
         #: with term 0 and no manager — every legacy path unchanged.
         self.role = "primary"
-        self.term = 0
         self._replicator = None
         self._repl_config: dict | None = None
         self._checkpoint_store = None
+
+    @property
+    def epoch(self) -> int:
+        """Bumped once per committed batch or maintenance pass; echoed
+        on every successful response."""
+        return self.state.epoch
+
+    @property
+    def applied_lsn(self) -> int:
+        """LSN of the newest applied WAL record."""
+        return self.state.applied_lsn
+
+    @property
+    def term(self) -> int:
+        """Highest replication term this replica has observed."""
+        return self.state.term
 
     # -- read path overrides ---------------------------------------------
     @property
@@ -160,20 +173,17 @@ class MutableQueryEngine(QueryEngine):
         (PageRank builds and ``verify_against`` read it; per-request
         paths use the overlay directly)."""
         with self._state_lock:
-            cached = self._rep_snapshot
-            if cached is not None and cached[0] == self.epoch:
-                return cached[1]
-            rep = self._dynamic.to_representation()
-            self._rep_snapshot = (self.epoch, rep)
-            return rep
+            if self._rep_snapshot is None:
+                self._rep_snapshot = self.state.dynamic.to_representation()
+            return self._rep_snapshot
 
     def _check_node(self, node: int) -> None:
         if not isinstance(node, int) or isinstance(node, bool):
             raise QueryError("bad_request", "'node' must be an integer")
-        if not 0 <= node < self._dynamic.n:
+        n = self.state.dynamic.n
+        if not 0 <= node < n:
             raise QueryError(
-                "bad_request",
-                f"node {node} out of range [0, {self._dynamic.n})",
+                "bad_request", f"node {node} out of range [0, {n})"
             )
 
     def neighbors(self, node: int) -> frozenset[int]:
@@ -188,7 +198,7 @@ class MutableQueryEngine(QueryEngine):
         # neighbor set and caching it (which would cache a stale set
         # right past its invalidation).
         with self._state_lock:
-            result = frozenset(self._dynamic.neighbors(node))
+            result = frozenset(self.state.dynamic.neighbors(node))
             self._cache.put(node, result)
         return result
 
@@ -221,7 +231,7 @@ class MutableQueryEngine(QueryEngine):
                 # mix two epochs into one estimate (the lock is
                 # reentrant, so the nested neighbors() call is fine).
                 with self._state_lock:
-                    n, m = self._dynamic.n, self._dynamic.m
+                    n, m = self.state.dynamic.n, self.state.dynamic.m
                     degree = len(self.neighbors(node))
                 return (1.0 - self._damping) / max(1, n) + (
                     self._damping * degree / max(1, 2 * m)
@@ -310,7 +320,7 @@ class MutableQueryEngine(QueryEngine):
             parsed = self._parse_batch(stream, seq, mutations)
             with self._state_lock:
                 result = None
-                last = self._dedup.get(stream)
+                last = self.state.dedup.get(stream)
                 if last is not None:
                     last_seq, last_batch, last_result = last
                     if seq == last_seq:
@@ -337,11 +347,11 @@ class MutableQueryEngine(QueryEngine):
                     self._dry_run(parsed)
                     if dry_run:
                         return {"validated": len(parsed)}
-                    if self._wal is not None:
-                        lsn = self._wal.append(stream, seq, parsed)
-                    else:
-                        lsn = self.applied_lsn + 1
-                    result = dict(self._commit(stream, seq, parsed, lsn))
+                    record = WalRecord(
+                        lsn=self._next_lsn(), stream=stream, seq=seq,
+                        mutations=tuple(parsed),
+                    )
+                    result = dict(self._apply_locked(record).result)
             # Outside the state lock: make the batch replication-
             # durable before acknowledging.  A duplicate re-awaits the
             # quorum too — its original ack already implied one, and a
@@ -353,35 +363,23 @@ class MutableQueryEngine(QueryEngine):
             self._release()
 
     def replay_record(self, record) -> bool:
-        """Re-apply one WAL record during recovery; returns whether it
-        was applied (records at or below the checkpoint LSN are
-        skipped).  Replay bypasses validation — a logged record was
-        validated against exactly the state replay has rebuilt — but a
-        corrupt-yet-checksum-valid record still surfaces as an error
-        rather than silent divergence (``insert_edge``/``delete_edge``
-        raise).  A :class:`~repro.durability.wal.ResummarizeRecord`
-        re-runs the recorded maintenance pass: the re-encode is a pure
-        function of the replayed state plus the recorded targets and
-        merge cap, so the recovered structure stays bit-identical."""
+        """Re-apply one WAL record during recovery through the one
+        apply path; returns whether it was applied (records at or
+        below the checkpoint LSN are skipped, a gap raises)."""
         with self._state_lock:
-            if record.lsn <= self.applied_lsn:
-                return False
-            if isinstance(record, TermRecord):
-                # No epoch bump (the primary's commit didn't bump one
-                # either) — just the durable leadership cursor.
-                if record.term > self.term:
-                    self.term = record.term
-                self.applied_lsn = record.lsn
-            elif isinstance(record, ResummarizeRecord):
-                self._apply_resummarize(
-                    record.targets, record.max_merges, record.lsn
-                )
-            else:
-                self._commit(
-                    record.stream, record.seq, list(record.mutations),
-                    record.lsn,
-                )
-            return True
+            return self._apply_locked(record) is not None
+
+    def restore(self, state: EngineState) -> None:
+        """Adopt a loaded state (startup recovery, snapshot install)
+        and drop every cache derived from the old one.  The dedup
+        capacity is this engine's configuration, not checkpointed
+        state, so it carries over."""
+        with self._state_lock:
+            state.dedup_capacity = self.state.dedup_capacity
+            self.state = state
+            self._pagerank_scores = None
+            self._rep_snapshot = None
+            self._cache = type(self._cache)(self._cache.capacity)
 
     # -- replication -----------------------------------------------------
     def configure_replication(
@@ -422,7 +420,9 @@ class MutableQueryEngine(QueryEngine):
                 if self.term == 0:
                     # A fresh replicated log opens at term 1; a
                     # recovered term (checkpoint/WAL) is kept as-is.
-                    self._stamp_term(1)
+                    self._apply_locked(
+                        TermRecord(lsn=self._next_lsn(), term=1)
+                    )
             self._repl_gauges()
 
     def _start_replicator(self, followers) -> None:
@@ -441,29 +441,10 @@ class MutableQueryEngine(QueryEngine):
         )
         self._replicator = manager.start()
 
-    def _stamp_term(self, term: int) -> int:
-        """Durably open a leadership term; caller holds the state
-        lock.  The term record rides the replication stream like any
-        committed record, so follower logs stay byte-identical."""
-        self.term = term
-        if self._wal is not None:
-            lsn = self._wal.append_term(term)
-        else:
-            lsn = self.applied_lsn + 1
-        self.applied_lsn = lsn
-        if self._replicator is not None:
-            self._replicator.record_committed(
-                TermRecord(lsn=lsn, term=term)
-            )
-        self._repl_gauges()
-        return lsn
-
     def snapshot_state(self) -> dict:
         """One consistent checkpoint cut (the replication snapshot)."""
-        from repro.durability.recovery import engine_state
-
         with self._state_lock:
-            return engine_state(self)
+            return self.state.to_state()
 
     def step_down(self, term: int | None = None) -> None:
         """Demote to follower — this replica observed a higher term
@@ -471,7 +452,7 @@ class MutableQueryEngine(QueryEngine):
         with self._state_lock:
             self.role = "follower"
             if term is not None and term > self.term:
-                self.term = term
+                self.state.term = term
             replicator, self._replicator = self._replicator, None
             self._repl_gauges()
         self.metrics.registry.counter(
@@ -500,17 +481,26 @@ class MutableQueryEngine(QueryEngine):
         checkpoint ``snapshot`` is installed (wiping the local log —
         the tail across a term change or compaction gap cannot be
         trusted), or ``records`` are appended to the local WAL and
-        applied in LSN order through the same commit path live ingest
-        uses, which is what keeps follower summaries — epochs, dedup
-        state, bytes — identical to the primary's.
+        applied in LSN order through the apply path live ingest uses,
+        which is what keeps follower summaries — epochs, dedup state,
+        bytes — identical to the primary's.  A frame that does not
+        continue the local log is a ``bad_request`` that changes
+        nothing; the primary answers it with a snapshot.
         """
         if not isinstance(term, int) or isinstance(term, bool) or term < 1:
             raise QueryError(
                 "bad_request", "'term' must be a positive integer"
             )
+        if self.replaying:
+            # A frame or a promotion applies at the end of the log,
+            # which the state reaches only when replay is done.
+            raise QueryError(
+                "overloaded", "recovery replay in progress; retry shortly"
+            )
         if promote:
             return self._promote(term, followers or (), acks)
-        if term > self.term and self.role == "primary":
+        prior_term = self.term
+        if term > prior_term and self.role == "primary":
             # A newer primary exists; stop competing before applying.
             self.step_down(term)
         with self._state_lock:
@@ -523,111 +513,89 @@ class MutableQueryEngine(QueryEngine):
                     f"replicate from term {term} rejected: "
                     f"local term is {self.term}",
                 )
-            prior_term = self.term
-            if term > self.term:
-                self.term = term
-                self._repl_gauges()
+            # The whole frame is validated before anything is logged
+            # or applied: a rejected frame changes nothing.
             if snapshot is not None:
-                self._install_snapshot_locked(snapshot)
-                return self._repl_ack(applied=1)
-            applied = 0
-            if records:
-                local_last = (
-                    self._wal.last_lsn
-                    if self._wal is not None
-                    else self.applied_lsn
+                self._install_snapshot_locked(snapshot, term)
+                applied = 1
+            else:
+                frame = self._parse_frame(
+                    records or (), after_lsn, term > prior_term
                 )
-                if isinstance(after_lsn, int) and after_lsn > local_last:
-                    raise QueryError(
-                        "bad_request",
-                        f"replication gap: stream resumes after lsn "
-                        f"{after_lsn} but the local log ends at "
-                        f"{local_last}",
-                    )
-                if (
-                    term > prior_term
-                    and isinstance(after_lsn, int)
-                    and local_last > after_lsn
-                ):
-                    # First frame of a new term, and our log extends
-                    # past the primary's cursor.  Within one term a
-                    # follower log is always a prefix of the
-                    # primary's, so overlap is just a re-ship — but
-                    # across a term change our suffix may be a dead
-                    # primary's unreplicated tail, and appending over
-                    # it would silently diverge.  Demand a snapshot.
-                    raise QueryError(
-                        "bad_request",
-                        f"possible divergence across term change "
-                        f"({prior_term} -> {term}): local log ends at "
-                        f"{local_last}, past the stream cursor "
-                        f"{after_lsn}; snapshot required",
-                    )
-                for obj in records:
-                    try:
-                        record = record_from_wire(obj)
-                    except ValueError as exc:
-                        raise QueryError("bad_request", str(exc))
-                    applied += self._apply_record_locked(record)
+                applied = sum(
+                    self._apply_locked(record) is not None
+                    for record in frame
+                )
+            if term > self.term:
+                self.state.term = term
+                self._repl_gauges()
             return self._repl_ack(applied=applied)
 
+    def _parse_frame(self, records, after_lsn, new_term: bool) -> list:
+        """Decode a ``replicate`` frame's records and check that they
+        continue the local log; caller holds the state lock.  The
+        primary answers any ``bad_request`` here with a snapshot."""
+        try:
+            frame = [record_from_wire(obj) for obj in records]
+        except ValueError as exc:
+            raise QueryError("bad_request", str(exc))
+        if not frame:
+            return frame
+        local_last = self._durable_lsn()
+        if isinstance(after_lsn, int) and after_lsn > local_last:
+            raise QueryError(
+                "bad_request",
+                f"replication gap: stream resumes after lsn "
+                f"{after_lsn} but the local log ends at {local_last}",
+            )
+        if new_term and isinstance(after_lsn, int) and local_last > after_lsn:
+            # First frame of a new term, and our log extends past the
+            # primary's cursor.  Within one term a follower log is
+            # always a prefix of the primary's, so overlap is just a
+            # re-ship — but across a term change our suffix may be a
+            # dead primary's unreplicated tail, and appending over it
+            # would silently diverge.  Demand a snapshot.
+            raise QueryError(
+                "bad_request",
+                f"possible divergence across term change: local log "
+                f"ends at {local_last}, past the stream cursor "
+                f"{after_lsn}; snapshot required",
+            )
+        for offset, record in enumerate(frame):
+            if record.lsn != frame[0].lsn + offset:
+                raise QueryError(
+                    "bad_request",
+                    f"replicate frame is not contiguous: lsn "
+                    f"{record.lsn} at position {offset} after "
+                    f"lsn {frame[0].lsn}",
+                )
+        try:
+            self.state.check_lsn(frame[0].lsn)
+        except ValueError as exc:
+            raise QueryError("bad_request", f"replication {exc}")
+        return frame
+
+    def _durable_lsn(self) -> int:
+        """The local durable high-water mark (the primary's cursor)."""
+        if self._wal is not None:
+            return self._wal.last_lsn
+        return self.state.applied_lsn
+
     def _repl_ack(self, *, applied: int) -> dict:
-        """Caller holds the state lock.  ``last_lsn`` is the durable
-        high-water mark the primary advances its cursor to."""
+        """Caller holds the state lock."""
         return {
             "applied": applied,
-            "last_lsn": (
-                self._wal.last_lsn
-                if self._wal is not None
-                else self.applied_lsn
-            ),
+            "last_lsn": self._durable_lsn(),
             "applied_lsn": self.applied_lsn,
             "term": self.term,
             "role": self.role,
         }
 
-    def _apply_record_locked(self, record) -> int:
-        """Durably append then apply one shipped record; idempotent
-        per LSN on both the log and the state."""
-        wal_last = self._wal.last_lsn if self._wal is not None else None
-        if isinstance(record, TermRecord):
-            if wal_last is not None and record.lsn > wal_last:
-                self._wal.append_term(record.term, lsn=record.lsn)
-            if record.lsn <= self.applied_lsn:
-                return 0
-            if record.term > self.term:
-                self.term = record.term
-                self._repl_gauges()
-            self.applied_lsn = record.lsn
-            return 1
-        if wal_last is not None and record.lsn > wal_last:
-            if isinstance(record, ResummarizeRecord):
-                self._wal.append_resummarize(
-                    record.targets,
-                    max_merges=record.max_merges,
-                    lsn=record.lsn,
-                )
-            else:
-                self._wal.append(
-                    record.stream, record.seq, list(record.mutations),
-                    lsn=record.lsn,
-                )
-        if record.lsn <= self.applied_lsn:
-            return 0
-        if isinstance(record, ResummarizeRecord):
-            self._apply_resummarize(
-                record.targets, record.max_merges, record.lsn
-            )
-        else:
-            self._commit(
-                record.stream, record.seq, list(record.mutations),
-                record.lsn,
-            )
-        return 1
-
-    def _install_snapshot_locked(self, snapshot) -> None:
+    def _install_snapshot_locked(self, snapshot, term: int) -> None:
         """Replace the whole local state with the primary's checkpoint
-        cut; caller holds the state lock.
+        cut (loaded through :meth:`EngineState.from_state`, so a bad
+        version or malformed state is a ``bad_request`` that changes
+        nothing); caller holds the state lock.
 
         The local WAL is wiped (`reset`) — across a term change or a
         compaction gap nothing in it can be trusted — and the
@@ -636,52 +604,26 @@ class MutableQueryEngine(QueryEngine):
         not at a stale pre-divergence checkpoint.
         """
         try:
-            from repro.durability.recovery import (
-                state_to_representation,
+            state = EngineState.from_state(
+                snapshot,
+                summarizer_factory=self.state.dynamic._make_summarizer,
             )
-
-            state = dict(snapshot)
-            rep = state_to_representation(state["representation"])
-            base_cost = int(state["base_cost"])
-            epoch = int(state["epoch"])
-            applied_lsn = int(state["applied_lsn"])
-            term = int(state.get("term", self.term))
-            dedup: OrderedDict = OrderedDict()
-            for stream, seq, batch, result in state.get("dedup", []):
-                dedup[str(stream)] = (
-                    int(seq),
-                    tuple(
-                        (str(op), int(u), int(v)) for op, u, v in batch
-                    ),
-                    dict(result),
-                )
-            dirtiness = {
-                int(sid): int(count)
-                for sid, count in state.get("dirty", [])
-            }
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise QueryError("bad_request", f"malformed snapshot: {exc}")
-        self._dynamic = DynamicGraphSummary.from_representation(
-            rep,
-            summarizer_factory=self._dynamic._make_summarizer,
-            base_cost=base_cost,
-            dirtiness=dirtiness,
-        )
-        self.epoch = epoch
-        self.applied_lsn = applied_lsn
-        self.term = max(self.term, term)
-        self._dedup = dedup
-        self._pagerank_scores = None
-        self._rep_snapshot = None
-        self._cache = type(self._cache)(self._cache.capacity)
+        state.term = max(state.term, term)
+        self.restore(state)
+        store = self._checkpoint_store
+        if store is not None:
+            # Checkpoints past the snapshot were cut from this node's
+            # own (divergent) history; left in place, a restart would
+            # recover from them instead of the snapshot.
+            for step in store.steps():
+                if step > state.applied_lsn:
+                    store.path_for(step).unlink(missing_ok=True)
         if self._wal is not None:
-            self._wal.reset(applied_lsn, term=self.term)
-        if self._checkpoint_store is not None:
-            from repro.durability.recovery import engine_state
-
-            self._checkpoint_store.save(
-                engine_state(self), step=applied_lsn
-            )
+            self._wal.reset(state.applied_lsn, term=state.term)
+        if store is not None:
+            store.save(state.to_state(), step=state.applied_lsn)
         self._repl_gauges()
         self.metrics.registry.counter(
             "repro_replication_snapshots_installed_total"
@@ -704,10 +646,10 @@ class MutableQueryEngine(QueryEngine):
                     **(self._repl_config or {}), "acks": acks,
                 }
             if followers:
-                self._start_replicator(
-                    [(host, int(port)) for host, port in followers]
-                )
-            self._stamp_term(term)
+                self._start_replicator(followers)
+            # The term record rides the replication stream like any
+            # committed record, so follower logs stay byte-identical.
+            self._apply_locked(TermRecord(lsn=self._next_lsn(), term=term))
             status = self._repl_ack(applied=0)
         self.metrics.registry.counter(
             "repro_replication_role_changes_total", role="primary"
@@ -725,11 +667,7 @@ class MutableQueryEngine(QueryEngine):
                 "term": self.term,
                 "epoch": self.epoch,
                 "applied_lsn": self.applied_lsn,
-                "last_lsn": (
-                    self._wal.last_lsn
-                    if self._wal is not None
-                    else self.applied_lsn
-                ),
+                "last_lsn": self._durable_lsn(),
                 "replaying": self.replaying,
             }
             replicator = self._replicator
@@ -757,14 +695,15 @@ class MutableQueryEngine(QueryEngine):
         import math
 
         with self._state_lock:
-            dirty = self._dynamic.dirty_supernodes()
-            ratio = self._dynamic.relative_size
+            dyn = self.state.dynamic
+            dirty = dyn.dirty_supernodes()
+            ratio = dyn.relative_size
             return {
                 **self._maintenance,
                 "dirty_supernodes": len(dirty),
                 "dirty_corrections": sum(dirty.values()),
-                "cost": self._dynamic.cost,
-                "base_cost": self._dynamic.base_cost,
+                "cost": dyn.cost,
+                "base_cost": dyn.base_cost,
                 "relative_size": (
                     ratio if math.isfinite(ratio) else None
                 ),
@@ -782,15 +721,12 @@ class MutableQueryEngine(QueryEngine):
         Mirrors the ``pagerank_score`` build-then-check pattern: the
         dirtiest neighborhoods are selected and re-encoded on an
         epoch-consistent snapshot *outside* the state lock, then the
-        new structure is swapped in under the lock only if the epoch
-        is unchanged.  A committed pass behaves exactly like a
-        mutation batch — ``resummarize`` WAL record first, then epoch
-        bump, per-node LRU invalidation for every node whose
-        super-node membership or correction structure changed, and
-        snapshot/PageRank cache invalidation — so crash recovery
-        replays it deterministically.  Returns an outcome dict
-        (``outcome`` is ``idle``, ``committed``, ``abandoned``, or
-        ``skipped``).
+        pass commits under the lock only if the epoch is unchanged —
+        as a ``resummarize`` record through the same apply path as a
+        mutation batch, carrying the prebuilt structure, so crash
+        recovery and followers replay it deterministically.  Returns
+        an outcome dict (``outcome`` is ``idle``, ``committed``,
+        ``abandoned``, or ``skipped``).
         """
         from repro.dynamic.maintenance import select_targets
 
@@ -803,9 +739,9 @@ class MutableQueryEngine(QueryEngine):
             return {"outcome": "skipped", "reason": "follower"}
         with self._state_lock:
             built_at = self.epoch
-            dirty = self._dynamic.dirty_supernodes()
+            dirty = self.state.dynamic.dirty_supernodes()
             rep = self.representation
-            factory = self._dynamic._make_summarizer
+            factory = self.state.dynamic._make_summarizer
         targets = select_targets(
             dirty, rep,
             max_supernodes=max_supernodes, min_dirty=min_dirty,
@@ -821,10 +757,13 @@ class MutableQueryEngine(QueryEngine):
             rep, summarizer_factory=factory, dirtiness=dirty
         )
         processed = scratch.resummarize_local(
-            targets=targets, budget=self._merge_budget(max_merges)
+            targets=targets, budget=merge_budget(max_merges)
         )
-        new_rep = scratch.to_representation()
-        new_dirty = scratch.dirty_supernodes()
+        built = (
+            scratch.to_representation(),
+            scratch.dirty_supernodes(),
+            processed,
+        )
 
         with self._state_lock:
             if self.epoch != built_at:
@@ -835,36 +774,19 @@ class MutableQueryEngine(QueryEngine):
                     "targets": len(targets),
                     "epoch": self.epoch,
                 }
-            if self._wal is not None:
-                lsn = self._wal.append_resummarize(
-                    targets, max_merges=max_merges
-                )
-            else:
-                lsn = self.applied_lsn + 1
-
-            def install() -> int:
-                dyn = self._dynamic
-                dyn._install(new_rep)
-                dyn._dirty = dict(new_dirty)
-                dyn.num_rebuilds += 1
-                return processed
-
-            cost_before = self._dynamic.cost
-            self._swap_in(install, targets, lsn)
-            if self._replicator is not None:
-                self._replicator.record_committed(
-                    ResummarizeRecord(
-                        lsn=lsn, targets=tuple(targets),
-                        max_merges=max_merges,
-                    )
-                )
+            record = ResummarizeRecord(
+                lsn=self._next_lsn(), targets=tuple(targets),
+                max_merges=max_merges,
+            )
+            cost_before = self.state.dynamic.cost
+            self._apply_locked(record, built)
             outcome = {
                 "outcome": "committed",
                 "targets": len(targets),
                 "processed": processed,
                 "cost_before": cost_before,
-                "cost_after": new_rep.cost,
-                "lsn": lsn,
+                "cost_after": built[0].cost,
+                "lsn": record.lsn,
                 "epoch": self.epoch,
             }
         # Maintenance commits carry no client acknowledgement, so they
@@ -872,60 +794,6 @@ class MutableQueryEngine(QueryEngine):
         if self._replicator is not None:
             self._replicator.notify()
         return outcome
-
-    def _apply_resummarize(self, targets, max_merges, lsn) -> int:
-        """Replay one recorded maintenance pass in place; caller holds
-        the state lock (recovery replay is single-threaded, so the
-        out-of-lock build of the live path is unnecessary here)."""
-        def install() -> int:
-            return self._dynamic.resummarize_local(
-                targets=targets, budget=self._merge_budget(max_merges)
-            )
-
-        return self._swap_in(install, targets, lsn)
-
-    def _swap_in(self, install, targets, lsn) -> int:
-        """Commit one maintenance re-encode like a mutation batch;
-        caller holds the state lock.  ``install`` swaps the structure
-        and returns the number of super-nodes processed."""
-        dyn = self._dynamic
-        cost_before = dyn.cost
-        touched = {
-            node
-            for sid in targets
-            if sid in dyn._supernodes
-            for node in dyn._supernodes[sid]
-        }
-        old_corrections = dyn._additions | dyn._removals
-        processed = install()
-        for u, v in (dyn._additions | dyn._removals) ^ old_corrections:
-            touched.add(u)
-            touched.add(v)
-        for node in touched:
-            self._cache.invalidate(node)
-        self.epoch += 1
-        self.applied_lsn = lsn
-        self._pagerank_scores = None
-        self._rep_snapshot = None
-        self._maintenance["passes"] += 1
-        self._maintenance["supernodes_processed"] += processed
-        self._maintenance["cost_reclaimed"] += cost_before - dyn.cost
-        self._count_pass("committed")
-        self.metrics.registry.counter(
-            "repro_maintenance_supernodes_total"
-        ).inc(processed)
-        self.metrics.registry.gauge(
-            "repro_maintenance_dirty_supernodes"
-        ).set(len(dyn.dirty_supernodes()))
-        return processed
-
-    @staticmethod
-    def _merge_budget(max_merges):
-        if max_merges is None:
-            return None
-        from repro.resilience.guard import ResourceBudget
-
-        return ResourceBudget(max_merges=max_merges)
 
     def _count_pass(self, outcome: str) -> None:
         self.metrics.registry.counter(
@@ -1000,11 +868,11 @@ class MutableQueryEngine(QueryEngine):
                         "bad_request",
                         f"mutation #{index} endpoints must be integers",
                     )
-                if not 0 <= node < self._dynamic.n:
+                if not 0 <= node < self.state.dynamic.n:
                     raise QueryError(
                         "bad_request",
                         f"mutation #{index}: node {node} out of range "
-                        f"[0, {self._dynamic.n})",
+                        f"[0, {self.state.dynamic.n})",
                     )
             if u == v:
                 raise QueryError(
@@ -1021,10 +889,10 @@ class MutableQueryEngine(QueryEngine):
         inapplicable record and a rejected batch is a no-op."""
         overlay: dict[tuple[int, int], bool] = {}
         for sign, u, v in parsed:
-            key = _ordered(u, v)
+            key = (min(u, v), max(u, v))
             exists = overlay.get(key)
             if exists is None:
-                exists = self._dynamic.has_edge(u, v)
+                exists = self.state.dynamic.has_edge(u, v)
             if sign == "+" and exists:
                 raise QueryError(
                     "bad_request", f"edge ({u}, {v}) already exists"
@@ -1035,39 +903,63 @@ class MutableQueryEngine(QueryEngine):
                 )
             overlay[key] = sign == "+"
 
-    def _commit(self, stream, seq, parsed, lsn) -> dict:
-        """Apply one validated batch; caller holds the state lock."""
-        for sign, u, v in parsed:
-            if sign == "+":
-                self._dynamic.insert_edge(u, v)
-            else:
-                self._dynamic.delete_edge(u, v)
-            self._cache.invalidate(u)
-            self._cache.invalidate(v)
-        self.epoch += 1
-        self.applied_lsn = lsn
+    def _next_lsn(self) -> int:
+        """LSN of the next record this primary originates.  It is past
+        both the state and the local log, so a log ahead of the state
+        surfaces as a gap instead of being silently overwritten."""
+        last = self._wal.last_lsn if self._wal is not None else 0
+        return max(self.state.applied_lsn, last) + 1
+
+    def _apply_locked(self, record, built=None):
+        """The one way a WAL record reaches the live state — primary
+        commit, recovery replay, and follower apply alike; caller
+        holds the state lock.
+
+        A record past the local log's end is appended (and fsynced,
+        policy permitting) first; then :meth:`EngineState.apply`
+        applies it, and this wrapper invalidates the caches it touched,
+        counts it, and hands it to the replicator.  Returns the
+        :class:`~repro.durability.state.Applied`, or ``None`` for an
+        already-applied record.
+        """
+        state = self.state
+        # Checked before the append, so a gap never reaches the log.
+        if not state.check_lsn(record.lsn):
+            return None
+        if self._wal is not None and record.lsn > self._wal.last_lsn:
+            self._wal.append_record(record)
+        term = state.term
+        applied = state.apply(record, built)
+        for node in applied.touched:
+            self._cache.invalidate(node)
         self._pagerank_scores = None
         self._rep_snapshot = None
-        result = {"applied": len(parsed), "lsn": lsn}
-        self._dedup[stream] = (seq, tuple(parsed), result)
-        self._dedup.move_to_end(stream)
-        if self._dedup_capacity > 0:
-            while len(self._dedup) > self._dedup_capacity:
-                self._dedup.popitem(last=False)
-                self.metrics.registry.counter(
-                    "repro_ingest_dedup_evictions_total"
-                ).inc()
-        self.metrics.registry.counter(
-            "repro_ingest_applied_total"
-        ).inc(len(parsed))
-        if self._replicator is not None:
-            self._replicator.record_committed(
-                WalRecord(
-                    lsn=lsn, stream=stream, seq=seq,
-                    mutations=tuple(parsed),
-                )
+        registry = self.metrics.registry
+        if applied.result is not None:
+            registry.counter("repro_ingest_applied_total").inc(
+                applied.result["applied"]
             )
-        return result
+            if applied.evicted:
+                registry.counter(
+                    "repro_ingest_dedup_evictions_total"
+                ).inc(applied.evicted)
+        elif applied.processed is not None:
+            maintenance = self._maintenance
+            maintenance["passes"] += 1
+            maintenance["supernodes_processed"] += applied.processed
+            maintenance["cost_reclaimed"] += applied.reclaimed
+            self._count_pass("committed")
+            registry.counter("repro_maintenance_supernodes_total").inc(
+                applied.processed
+            )
+            registry.gauge("repro_maintenance_dirty_supernodes").set(
+                len(state.dynamic.dirty_supernodes())
+            )
+        if state.term != term:
+            self._repl_gauges()
+        if self._replicator is not None:
+            self._replicator.record_committed(record)
+        return applied
 
     def _count(self, reason: str) -> None:
         self.metrics.registry.counter(

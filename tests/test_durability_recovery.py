@@ -15,7 +15,6 @@ from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.durability import (
     WalCompactor,
     WriteAheadLog,
-    engine_state,
     recover_engine,
     replay_tail,
     representation_to_state,
@@ -140,7 +139,7 @@ class TestRecovery:
             )
             assert recovered.representation == uninterrupted.representation
             assert recovered.epoch == uninterrupted.epoch
-            assert recovered._dedup["s"][0] == len(script) - 1
+            assert recovered.state.dedup["s"][0] == len(script) - 1
             if cut:
                 assert report.describe().startswith("recovered from")
 
@@ -187,6 +186,73 @@ class TestRecovery:
         assert engine2.representation == engine.representation
         wal2.close()
 
+    def _ingest_with_checkpoints(self, rep, tmp_path, cut_at, compact):
+        """Ingest 11 single-mutation batches into an engine whose WAL
+        rotates every ~4 records, checkpointing at each LSN in
+        ``cut_at`` (through the compactor when ``compact``)."""
+        wal = WriteAheadLog(tmp_path, fsync="never", segment_bytes=64)
+        store = CheckpointStore(tmp_path / "ckpt")
+        engine = MutableQueryEngine(_dynamic(rep), wal=wal)
+        compactor = WalCompactor(engine, wal, store, interval=3600)
+        for i, mutation in enumerate(_mutation_script(rep, count=11)):
+            engine.ingest("s", i, [list(mutation)])
+            if engine.applied_lsn in cut_at:
+                if compact:
+                    assert compactor.compact_now() is True
+                else:
+                    store.save(
+                        engine.state.to_state(), step=engine.applied_lsn
+                    )
+        return engine, wal, store
+
+    def test_corrupt_newest_checkpoint_keeps_needed_tail(
+        self, rep, tmp_path
+    ):
+        """The compactor truncates the WAL only through the oldest
+        checkpoint the store keeps, so falling back past a corrupt
+        newest checkpoint still replays every acknowledged batch."""
+        engine, wal, store = self._ingest_with_checkpoints(
+            rep, tmp_path, cut_at=(4, 10), compact=True
+        )
+        wal.close()
+        assert store.steps() == [4, 10]
+        newest = store.path_for(10)
+        newest.write_text(newest.read_text()[:-40])  # corrupt it
+
+        wal2 = WriteAheadLog(tmp_path, fsync="never", segment_bytes=64)
+        engine2, pending, report = recover_engine(
+            rep, wal2, store,
+            engine_factory=lambda d: MutableQueryEngine(d, wal=wal2),
+        )
+        assert report.checkpoint_lsn == 4
+        replay_tail(engine2, pending, report)
+        assert report.records_replayed == 7
+        assert engine2.applied_lsn == 11
+        assert json.dumps(engine2.state.to_state(), sort_keys=True) == (
+            json.dumps(engine.state.to_state(), sort_keys=True)
+        )
+        wal2.close()
+
+    def test_log_gap_after_checkpoint_fails_startup(self, rep, tmp_path):
+        """A log that does not continue the loaded checkpoint is a
+        startup error naming the missing LSN range, never a replay
+        that silently skips acknowledged batches."""
+        _, wal, store = self._ingest_with_checkpoints(
+            rep, tmp_path, cut_at=(4,), compact=False
+        )
+        # Truncate as if a (since lost) checkpoint at lsn 10 existed.
+        wal.truncate_through(10)
+        wal.close()
+
+        wal2 = WriteAheadLog(tmp_path, fsync="never", segment_bytes=64)
+        assert wal2.records()[0].lsn == 9
+        with pytest.raises(ValueError, match="records 5-8 are missing"):
+            recover_engine(
+                rep, wal2, store,
+                engine_factory=lambda d: MutableQueryEngine(d, wal=wal2),
+            )
+        wal2.close()
+
     def test_dedup_fingerprint_survives_recovery(self, rep, tmp_path):
         """The checkpointed dedup map carries the batch content, so a
         recovered server still rejects the last seq replayed with
@@ -197,7 +263,7 @@ class TestRecovery:
         engine = MutableQueryEngine(_dynamic(rep))
         u, v = _free_edge(rep)
         engine.ingest("s", 0, [["+", u, v]])
-        store.save(json.loads(json.dumps(engine_state(engine))), step=1)
+        store.save(json.loads(json.dumps(engine.state.to_state())), step=1)
 
         engine2, pending, _ = recover_engine(
             rep, None, store, engine_factory=MutableQueryEngine
@@ -207,13 +273,16 @@ class TestRecovery:
         with pytest.raises(QueryError, match="reused with different"):
             engine2.ingest("s", 0, [["-", u, v]])
 
-    def test_checkpoint_version_gate(self, rep, tmp_path):
+    @pytest.mark.parametrize("version", [2, 3, 99])
+    def test_checkpoint_version_gate(self, rep, tmp_path, version):
+        # Only v4 loads: older versions were only ever written by
+        # earlier builds of this repository.
         store = CheckpointStore(tmp_path / "ckpt")
         engine = MutableQueryEngine(_dynamic(rep))
         u, v = _free_edge(rep)
         engine.ingest("s", 0, [["+", u, v]])
-        state = engine_state(engine)
-        state["v"] = 99
+        state = engine.state.to_state()
+        state["v"] = version
         store.save(state, step=1)
         with pytest.raises(ValueError, match="checkpoint version"):
             recover_engine(

@@ -83,6 +83,24 @@ class TestRotation:
             # New appends continue seamlessly after compaction.
             assert wal.append("s", 6, _mutations((1, 2))) == 7
 
+    def test_replay_cursor_skips_sealed_segments_unread(self, tmp_path):
+        """Segments that end at or below the cursor are not decoded:
+        damage planted in one after the open scan stops a full scan
+        but not a replay from past it."""
+        frame = len(encode_record(
+            WalRecord(lsn=1, stream="s", seq=0, mutations=(("+", 1, 2),))
+        ))
+        with WriteAheadLog(
+            tmp_path, fsync="never", segment_bytes=frame * 2
+        ) as wal:
+            for i in range(6):
+                wal.append("s", i, _mutations((1, 2)))
+            first = sorted(tmp_path.glob("wal-*.log"))[0]
+            first.write_bytes(b"\xff" * frame)
+            assert wal.records() == []
+            assert [r.lsn for r in wal.records(after_lsn=2)] == [3, 4, 5, 6]
+            assert [r.lsn for r in wal.records(after_lsn=5)] == [6]
+
     def test_active_segment_never_truncated(self, tmp_path):
         with WriteAheadLog(tmp_path, fsync="never") as wal:
             wal.append("s", 0, _mutations((1, 2)))

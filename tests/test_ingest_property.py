@@ -98,13 +98,13 @@ def test_online_ingest_equals_final_edge_set(scenario):
         )
         assert result["ok"], result
         assert result["epoch"] == i + 1
-    assert engine._dynamic.to_graph() == Graph(n, sorted(final_edges))
+    assert engine.state.dynamic.to_graph() == Graph(n, sorted(final_edges))
     # And the from-scratch summary of the final graph reconstructs the
     # same graph (both sides of the paper's losslessness claim).
     _, fresh_rep = _summarize(n, final_edges)
     assert Graph(
         n, sorted(fresh_rep.reconstruct_edges())
-    ) == engine._dynamic.to_graph()
+    ) == engine.state.dynamic.to_graph()
 
 
 @given(scenario=ingest_scenarios(), cut_fraction=st.floats(0.0, 1.0))
@@ -149,5 +149,5 @@ def test_wal_replay_after_torn_crash_matches_durable_prefix(
             oracle.add((u, v))
         else:
             oracle.discard((u, v))
-    assert engine2._dynamic.to_graph() == Graph(n, sorted(oracle))
+    assert engine2.state.dynamic.to_graph() == Graph(n, sorted(oracle))
     assert engine2.epoch == survived

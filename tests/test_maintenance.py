@@ -22,7 +22,6 @@ from repro.durability import (
     ResummarizeRecord,
     WalCompactor,
     WriteAheadLog,
-    engine_state,
     recover_engine,
     replay_tail,
 )
@@ -138,14 +137,14 @@ class TestMaintenancePass:
     def test_committed_pass_bumps_epoch_and_clears_dirt(self, rep):
         engine = _engine(rep)
         _ingest_all(engine, _mutation_script(rep, count=40))
-        dirty_before = engine._dynamic.dirty_supernodes()
+        dirty_before = engine.state.dynamic.dirty_supernodes()
         assert dirty_before
         epoch_before = engine.epoch
         result = engine.maintenance_pass(max_supernodes=1024)
         assert result["outcome"] == "committed"
         assert result["processed"] >= len(dirty_before)
         assert engine.epoch == epoch_before + 1
-        assert engine._dynamic.dirty_supernodes() == {}
+        assert engine.state.dynamic.dirty_supernodes() == {}
         stats = engine.maintenance_stats()
         assert stats["passes"] == 1
         assert stats["dirty_supernodes"] == 0
@@ -154,18 +153,19 @@ class TestMaintenancePass:
         engine = _engine(rep)
         script = _mutation_script(rep, count=40)
         _ingest_all(engine, script)
-        before = set(engine._dynamic.to_representation().reconstruct_edges())
+        dyn = engine.state.dynamic
+        before = set(dyn.to_representation().reconstruct_edges())
         engine.maintenance_pass(max_supernodes=1024)
-        after = set(engine._dynamic.to_representation().reconstruct_edges())
+        after = set(dyn.to_representation().reconstruct_edges())
         assert after == before
 
     def test_partial_pass_carries_remaining_dirt(self, rep):
         engine = _engine(rep)
         _ingest_all(engine, _mutation_script(rep, count=40))
-        total_before = sum(engine._dynamic.dirty_supernodes().values())
+        total_before = sum(engine.state.dynamic.dirty_supernodes().values())
         result = engine.maintenance_pass(max_supernodes=2)
         assert result["outcome"] == "committed"
-        remaining = engine._dynamic.dirty_supernodes()
+        remaining = engine.state.dynamic.dirty_supernodes()
         # Some dirt must survive the tiny pass, and no count may grow.
         assert remaining
         assert sum(remaining.values()) < total_before
@@ -179,7 +179,7 @@ class TestMaintenancePass:
             # A mutation batch lands while the scratch build runs
             # outside the lock (self is the scratch, not the live
             # overlay, so the ingest below does not deadlock).
-            if self is not engine._dynamic:
+            if self is not engine.state.dynamic:
                 engine.ingest("racer", 0, [["+", 0, 1]])
             return original(self, targets=targets, budget=budget)
 
@@ -190,10 +190,9 @@ class TestMaintenancePass:
         assert result["outcome"] == "abandoned"
         assert engine.maintenance_stats()["abandoned"] == 1
         # The interleaved mutation itself must be untouched.
-        assert (0, 1) in engine._dynamic.to_representation().additions or (
-            (0, 1) in set(
-                engine._dynamic.to_representation().reconstruct_edges()
-            )
+        live = engine.state.dynamic.to_representation()
+        assert (0, 1) in live.additions or (
+            (0, 1) in set(live.reconstruct_edges())
         )
 
     def test_skipped_while_replaying(self, rep):
@@ -235,7 +234,7 @@ class TestMaintenanceTask:
         result = task.run_once()
         assert result["outcome"] == "idle"
         assert result["passes"] >= 1
-        assert engine._dynamic.dirty_supernodes() == {}
+        assert engine.state.dynamic.dirty_supernodes() == {}
 
     def test_budget_merge_cap_recorded_per_pass(self, rep):
         with tempfile.TemporaryDirectory() as tmp:
@@ -306,17 +305,20 @@ class TestResummarizeDurability:
                 rep, wal2, None,
                 engine_factory=lambda d: MutableQueryEngine(d, wal=wal2),
             )
-            recovered._dynamic._make_summarizer = _factory
+            recovered.state.dynamic._make_summarizer = _factory
             replay_tail(recovered, pending, report)
             wal2.close()
         assert recovered.representation == engine.representation
         assert recovered.epoch == engine.epoch
         assert recovered.applied_lsn == engine.applied_lsn
         assert (
-            recovered._dynamic.dirty_supernodes()
-            == engine._dynamic.dirty_supernodes()
+            recovered.state.dynamic.dirty_supernodes()
+            == engine.state.dynamic.dirty_supernodes()
         )
-        assert recovered._dynamic.base_cost == engine._dynamic.base_cost
+        assert (
+            recovered.state.dynamic.base_cost
+            == engine.state.dynamic.base_cost
+        )
 
     def test_checkpoint_cut_mid_maintenance_tail(self, rep):
         """Recovering from a checkpoint cut anywhere in a tail that
@@ -340,7 +342,7 @@ class TestResummarizeDurability:
                     rep, None, store,
                     engine_factory=lambda d: MutableQueryEngine(d),
                 )
-                eng._dynamic._make_summarizer = _factory
+                eng.state.dynamic._make_summarizer = _factory
                 replay_tail(eng, list(tail), rpt)
                 return eng
 
@@ -349,24 +351,24 @@ class TestResummarizeDurability:
                 prefix = replayed(records[:cut])
                 store = CheckpointStore(Path(tmp) / f"cut-{cut}")
                 store.save(
-                    engine_state(prefix), step=prefix.applied_lsn
+                    prefix.state.to_state(), step=prefix.applied_lsn
                 )
                 resumed, pending, rpt = recover_engine(
                     rep, None, store,
                     engine_factory=lambda d: MutableQueryEngine(d),
                 )
-                resumed._dynamic._make_summarizer = _factory
+                resumed.state.dynamic._make_summarizer = _factory
                 replay_tail(resumed, records[cut:], rpt)
                 assert resumed.representation == straight.representation
                 assert resumed.epoch == straight.epoch
                 assert (
-                    resumed._dynamic.dirty_supernodes()
-                    == straight._dynamic.dirty_supernodes()
+                    resumed.state.dynamic.dirty_supernodes()
+                    == straight.state.dynamic.dirty_supernodes()
                 )
 
     def test_old_resummarize_records_skipped_below_checkpoint(self, rep):
         engine = _engine(rep)
-        engine.applied_lsn = 5
+        engine.state.applied_lsn = 5
         record = ResummarizeRecord(lsn=3, targets=(1,), max_merges=None)
         assert engine.replay_record(record) is False
 
@@ -389,7 +391,7 @@ class TestDedupLRU:
         engine.ingest("a", 0, [["+", 0, 1]])
         engine.ingest("b", 0, [["+", 0, 2]])
         engine.ingest("c", 0, [["+", 0, 3]])
-        assert set(engine._dedup) == {"b", "c"}
+        assert set(engine.state.dedup) == {"b", "c"}
         evictions = engine.metrics.registry.counter(
             "repro_ingest_dedup_evictions_total"
         ).value
@@ -405,20 +407,20 @@ class TestDedupLRU:
         dup = engine.ingest("a", 0, [["+", 0, 1]])
         assert dup.get("duplicate") is True
         engine.ingest("c", 0, [["+", 0, 3]])
-        assert set(engine._dedup) == {"b", "c"}
+        assert set(engine.state.dedup) == {"b", "c"}
 
     def test_unbounded_when_capacity_zero(self, empty_rep):
         engine = _engine(empty_rep, dedup_capacity=0)
         for i in range(10):
             engine.ingest(f"s{i}", 0, [["+", 0, i + 1]])
-        assert len(engine._dedup) == 10
+        assert len(engine.state.dedup) == 10
 
     def test_checkpoint_roundtrip_preserves_eviction_order(self, empty_rep):
         with tempfile.TemporaryDirectory() as tmp:
             engine = _engine(empty_rep, dedup_capacity=3)
             for i, stream in enumerate("abc"):
                 engine.ingest(stream, 0, [["+", 0, i + 1]])
-            state = engine_state(engine)
+            state = engine.state.to_state()
             assert state["v"] == 4
             store = CheckpointStore(tmp)
             store.save(state, step=1)
@@ -428,31 +430,11 @@ class TestDedupLRU:
                     d, dedup_capacity=3
                 ),
             )
-            assert isinstance(recovered._dedup, OrderedDict)
-            assert list(recovered._dedup) == list(engine._dedup)
+            assert isinstance(recovered.state.dedup, OrderedDict)
+            assert list(recovered.state.dedup) == list(engine.state.dedup)
             # One more commit past capacity evicts the oldest ("a").
             recovered.ingest("d", 0, [["+", 0, 9]])
-            assert set(recovered._dedup) == {"b", "c", "d"}
-
-    def test_v2_checkpoint_still_loads_and_derives_dirtiness(self, empty_rep):
-        with tempfile.TemporaryDirectory() as tmp:
-            engine = _engine(empty_rep)
-            _ingest_all(engine, _mutation_script(empty_rep, count=10))
-            state = engine_state(engine)
-            state["v"] = 2
-            del state["dirty"]
-            store = CheckpointStore(tmp)
-            store.save(state, step=engine.applied_lsn)
-            recovered, _, _ = recover_engine(
-                empty_rep, None, store,
-                engine_factory=lambda d: MutableQueryEngine(d),
-            )
-        derived = recovered._dynamic.dirty_supernodes()
-        # One touch per correction endpoint: enough signal for
-        # maintenance to find the drifted regions after an upgrade.
-        live = set(engine._dynamic.dirty_supernodes())
-        assert set(derived) <= live
-        assert derived
+            assert set(recovered.state.dedup) == {"b", "c", "d"}
 
 
 # ----------------------------------------------------------------------
@@ -573,7 +555,7 @@ def test_interleaved_maintenance_preserves_edge_set_at_every_epoch(
                 max_supernodes=4 + i % 5, max_merges=8 + i % 7
             )
         got = set(
-            engine._dynamic.to_representation().reconstruct_edges()
+            engine.state.dynamic.to_representation().reconstruct_edges()
         )
         assert got == oracle, f"diverged after mutation {i}"
     # Converge fully, then the summary is the optimal encoding of its
@@ -627,7 +609,7 @@ def test_recovery_at_random_cut_covers_resummarize_records(
             rep, wal2, None,
             engine_factory=lambda d: MutableQueryEngine(d, wal=wal2),
         )
-        recovered._dynamic._make_summarizer = factory
+        recovered.state.dynamic._make_summarizer = factory
         surviving = list(pending)
         replay_tail(recovered, surviving, report)
         wal2.close()
@@ -644,6 +626,6 @@ def test_recovery_at_random_cut_covers_resummarize_records(
     assert recovered.representation == oracle.representation
     assert recovered.epoch == oracle.epoch
     assert (
-        recovered._dynamic.dirty_supernodes()
-        == oracle._dynamic.dirty_supernodes()
+        recovered.state.dynamic.dirty_supernodes()
+        == oracle.state.dynamic.dirty_supernodes()
     )

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.durability import (
     WriteAheadLog,
-    engine_state,
     quorum_size,
     record_from_wire,
     record_to_wire,
@@ -104,7 +103,7 @@ def _pair(primary_engine, follower_engine, *, acks="quorum",
 def _state_bytes(engine) -> bytes:
     """One engine's full replicated state as canonical bytes."""
     with engine._state_lock:
-        state = engine_state(engine)
+        state = engine.state.to_state()
     return json.dumps(state, sort_keys=True).encode()
 
 
@@ -267,6 +266,70 @@ class TestFencingAndPromotion:
         assert _state_bytes(a) == _state_bytes(b)
         b.stop_replication()
 
+    def test_stale_primary_unshipped_suffix_is_replaced(
+        self, base_rep, tmp_path
+    ):
+        """A dead primary's unreplicated batch sits at the LSN where
+        the new primary stamped its term.  The frame that fences the
+        old primary must not be appended over that suffix: it gets a
+        snapshot and converges to the new primary's bits."""
+        a, _, _ = _make_engine(base_rep, tmp_path / "a")
+        b, _, b_store = _make_engine(base_rep, tmp_path / "b")
+        _pair(a, b, follower_store=b_store)
+        pairs = _free_pairs(base_rep, 4)
+        for seq, (u, v) in enumerate(pairs[:2]):
+            a.ingest("s", seq, [["+", u, v]])
+        a.stop_replication()
+        u, v = pairs[2]
+        a.ingest("s", 2, [["+", u, v]])  # never shipped: lsn 4 on A
+        b.apply_replicated(2, promote=True, followers=[["a", 0]])
+        b._replicator._client_factory = lambda host, port: (
+            _DirectClient(a)
+        )
+        u, v = pairs[3]
+        b.ingest("t", 0, [["+", u, v]])
+        assert a.role == "follower"
+        assert _state_bytes(a) == _state_bytes(b)
+        b.stop_replication()
+
+    def test_snapshot_install_drops_divergent_checkpoints(
+        self, base_rep, tmp_path
+    ):
+        """A stale primary checkpointed its unshipped suffix at an LSN
+        past the snapshot it is later given.  The install must discard
+        that checkpoint, or a restart recovers the divergent state."""
+        a, a_wal, a_store = _make_engine(base_rep, tmp_path / "a")
+        b, _, b_store = _make_engine(base_rep, tmp_path / "b")
+        _pair(a, b, follower_store=b_store)
+        a._checkpoint_store = a_store
+        pairs = _free_pairs(base_rep, 6)
+        for seq, (u, v) in enumerate(pairs[:2]):
+            a.ingest("s", seq, [["+", u, v]])
+        a.stop_replication()
+        for seq, (u, v) in enumerate(pairs[2:5], start=2):
+            a.ingest("s", seq, [["+", u, v]])  # never shipped
+        a_store.save(a.snapshot_state(), step=a.applied_lsn)
+        divergent_step = a.applied_lsn
+        b.apply_replicated(2, promote=True, followers=[["a", 0]])
+        b._replicator._client_factory = lambda host, port: (
+            _DirectClient(a)
+        )
+        u, v = pairs[5]
+        b.ingest("t", 0, [["+", u, v]])
+        b.stop_replication()
+        assert _state_bytes(a) == _state_bytes(b)
+        assert max(a_store.steps()) < divergent_step
+        a_wal.close()
+        wal = WriteAheadLog(tmp_path / "a")
+        revived, pending, report = recover_engine(
+            base_rep, wal, a_store,
+            engine_factory=lambda dynamic: MutableQueryEngine(
+                dynamic, wal=wal
+            ),
+        )
+        replay_tail(revived, pending, report)
+        assert _state_bytes(revived) == _state_bytes(b)
+
     def test_stale_promotion_is_fenced(self, base_rep):
         engine, _, _ = _make_engine(base_rep)
         engine.configure_replication(role="follower")
@@ -294,6 +357,118 @@ class TestFencingAndPromotion:
         assert retry["duplicate"] is True
         assert retry["applied"] == first["applied"]
         b.stop_replication()
+
+
+class TestFrameValidation:
+    """A follower validates a whole ``replicate`` frame before it logs
+    or applies any of it; every rejection is a ``bad_request`` (which
+    the primary answers with a snapshot) that changes nothing."""
+
+    def _follower(self, base_rep, tmp_path):
+        follower, wal, store = _make_engine(base_rep, tmp_path / "f")
+        follower.configure_replication(role="follower", store=store)
+        return follower, wal
+
+    @staticmethod
+    def _batch(lsn, u, v):
+        return record_to_wire(
+            WalRecord(lsn=lsn, stream="s", seq=lsn, mutations=(("+", u, v),))
+        )
+
+    def _assert_rejected(self, follower, wal_dir, match, term, **frame):
+        state, log = _state_bytes(follower), _wal_bytes(wal_dir)
+        with pytest.raises(QueryError, match=match) as excinfo:
+            follower.apply_replicated(term, **frame)
+        assert excinfo.value.kind == "bad_request"
+        assert _state_bytes(follower) == state
+        assert _wal_bytes(wal_dir) == log
+
+    def test_frame_starting_past_the_log_is_rejected(
+        self, base_rep, tmp_path
+    ):
+        follower, wal = self._follower(base_rep, tmp_path)
+        (u, v), = _free_pairs(base_rep, 1)
+        self._assert_rejected(
+            follower, tmp_path / "f", "records 1-2 are missing", 1,
+            after_lsn=None, records=[self._batch(3, u, v)],
+        )
+        assert wal.last_lsn == 0
+
+    def test_frame_skipping_an_lsn_is_rejected(self, base_rep, tmp_path):
+        follower, wal = self._follower(base_rep, tmp_path)
+        follower.apply_replicated(
+            1, after_lsn=0,
+            records=[record_to_wire(TermRecord(lsn=1, term=1))],
+        )
+        (a, b), (c, d) = _free_pairs(base_rep, 2)
+        # Resumes at the right cursor but one LSN too far ...
+        self._assert_rejected(
+            follower, tmp_path / "f", "record 2 is missing", 1,
+            after_lsn=0, records=[self._batch(3, a, b)],
+        )
+        # ... or starts right and skips an LSN mid-frame.
+        self._assert_rejected(
+            follower, tmp_path / "f", "not contiguous", 1,
+            after_lsn=1,
+            records=[self._batch(2, a, b), self._batch(4, c, d)],
+        )
+        assert wal.last_lsn == 1
+        assert follower.applied_lsn == 1
+
+    def test_frame_during_replay_is_deferred(self, base_rep, tmp_path):
+        follower, wal = self._follower(base_rep, tmp_path)
+        follower.replaying = True
+        with pytest.raises(QueryError) as excinfo:
+            follower.apply_replicated(
+                1, after_lsn=0,
+                records=[record_to_wire(TermRecord(lsn=1, term=1))],
+            )
+        assert excinfo.value.kind == "overloaded"
+        assert wal.last_lsn == 0
+
+    def test_promotion_during_replay_is_deferred(self, base_rep, tmp_path):
+        """A promotion must not stamp its term at the end of a log the
+        state has not replayed to: it is refused whole, leaving role,
+        term, replicator and WAL as they were."""
+        follower, wal = self._follower(base_rep, tmp_path)
+        follower.apply_replicated(
+            1, after_lsn=0,
+            records=[record_to_wire(TermRecord(lsn=1, term=1))],
+        )
+        follower.replaying = True
+        state, log = _state_bytes(follower), _wal_bytes(tmp_path / "f")
+        with pytest.raises(QueryError) as excinfo:
+            follower.apply_replicated(
+                2, promote=True, followers=[["a", 0]]
+            )
+        assert excinfo.value.kind == "overloaded"
+        assert (follower.role, follower.term) == ("follower", 1)
+        assert follower._replicator is None
+        assert _state_bytes(follower) == state
+        assert _wal_bytes(tmp_path / "f") == log
+
+    @pytest.mark.parametrize("defect", ["version", "missing_key"])
+    def test_malformed_snapshot_is_rejected(
+        self, base_rep, tmp_path, defect
+    ):
+        primary, _, _ = _make_engine(base_rep)
+        primary.configure_replication(role="primary")
+        (u, v), = _free_pairs(base_rep, 1)
+        primary.ingest("s", 0, [["+", u, v]])
+        snapshot = primary.snapshot_state()
+        if defect == "version":
+            snapshot["v"] = 99
+        else:
+            del snapshot["dedup"]
+        follower, _ = self._follower(base_rep, tmp_path)
+        follower.apply_replicated(
+            1, after_lsn=0,
+            records=[record_to_wire(TermRecord(lsn=1, term=1))],
+        )
+        self._assert_rejected(
+            follower, tmp_path / "f", "malformed snapshot", 1,
+            snapshot=snapshot,
+        )
 
 
 class TestCatchUp:
@@ -353,7 +528,7 @@ class TestCatchUp:
         # Compact + truncate the primary's WAL: the incremental
         # records a fresh follower would need are gone.
         with primary._state_lock:
-            state = engine_state(primary)
+            state = primary.state.to_state()
         p_store.save(state, step=primary.applied_lsn)
         p_wal.truncate_through(primary.applied_lsn)
         follower, _, f_store = _make_engine(base_rep, tmp_path / "f")

@@ -240,7 +240,7 @@ class TestMutableEngine:
         pairs = _free_edges(rep, 3)
         for i, (u, v) in enumerate(pairs):
             engine.ingest("s", i, [["+", u, v]])
-        graph = engine._dynamic.to_graph()
+        graph = engine.state.dynamic.to_graph()
         expected = set(rep.reconstruct_edges()) | set(pairs)
         assert set(graph.edges()) == expected
 

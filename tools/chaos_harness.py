@@ -479,7 +479,6 @@ def scenario_maintenance_kill9_recovery(seed: int) -> str:
     from repro.durability import (
         ResummarizeRecord,
         WriteAheadLog,
-        engine_state,
         recover_engine,
         replay_tail,
     )
@@ -666,8 +665,8 @@ def scenario_maintenance_kill9_recovery(seed: int) -> str:
         )
         assert first.epoch == second.epoch
         assert (
-            first._dynamic.dirty_supernodes()
-            == second._dynamic.dirty_supernodes()
+            first.state.dynamic.dirty_supernodes()
+            == second.state.dynamic.dirty_supernodes()
         )
         # Mid-tail checkpoint cut: replaying half, checkpointing, and
         # recovering from that checkpoint plus the rest must land on
@@ -675,7 +674,7 @@ def scenario_maintenance_kill9_recovery(seed: int) -> str:
         half = len(records) // 2
         prefix = replay_all(records[:half])
         store = CheckpointStore(tmpdir / "cut-checkpoints")
-        store.save(engine_state(prefix), step=prefix.applied_lsn)
+        store.save(prefix.state.to_state(), step=prefix.applied_lsn)
         resumed, pending, report = recover_engine(
             base, None, store,
             engine_factory=lambda d: MutableQueryEngine(d),
@@ -685,8 +684,8 @@ def scenario_maintenance_kill9_recovery(seed: int) -> str:
             "checkpoint-cut replay diverged from straight-through replay"
         )
         assert json.dumps(
-            engine_state(resumed), sort_keys=True
-        ) == json.dumps(engine_state(first), sort_keys=True)
+            resumed.state.to_state(), sort_keys=True
+        ) == json.dumps(first.state.to_state(), sort_keys=True)
         # Replayed maintenance passes are observable in metrics (each
         # engine carries its own registry).
         replayed_passes = int(
@@ -697,7 +696,7 @@ def scenario_maintenance_kill9_recovery(seed: int) -> str:
         assert replayed_passes >= len(resummarized), replayed_passes
         # Converged maintenance leaves *the* optimal encoding of its
         # partition — the full audit, waiver removed.
-        assert first._dynamic.dirty_supernodes() == {}, (
+        assert first.state.dynamic.dirty_supernodes() == {}, (
             "replay did not converge with the live run"
         )
         findings = deep_audit(
@@ -833,7 +832,6 @@ def scenario_replicated_primary_kill9_failover(seed: int) -> str:
     from repro.cluster.topology import ClusterSpec, InstanceSpec
     from repro.core.serialization import save_representation
     from repro.core.verify import deep_audit
-    from repro.durability import engine_state
     from repro.graph.graph import Graph
     from repro.service.engine import QueryError
 
@@ -976,8 +974,8 @@ def scenario_replicated_primary_kill9_failover(seed: int) -> str:
             "replicas' recovered summaries diverged"
         )
         assert json.dumps(
-            engine_state(r0), sort_keys=True
-        ) == json.dumps(engine_state(r1), sort_keys=True), (
+            r0.state.to_state(), sort_keys=True
+        ) == json.dumps(r1.state.to_state(), sort_keys=True), (
             "replicas' recovered states are not bit-identical"
         )
         findings = deep_audit(
@@ -1008,7 +1006,6 @@ def scenario_follower_kill_rejoin(seed: int) -> str:
 
     from repro.core.serialization import save_representation
     from repro.core.verify import deep_audit
-    from repro.durability import engine_state
     from repro.graph.graph import Graph
 
     graph = _graph(seed)
@@ -1073,8 +1070,8 @@ def scenario_follower_kill_rejoin(seed: int) -> str:
         assert r0.epoch == r1.epoch == len(script)
         assert r0.representation == r1.representation
         assert json.dumps(
-            engine_state(r0), sort_keys=True
-        ) == json.dumps(engine_state(r1), sort_keys=True)
+            r0.state.to_state(), sort_keys=True
+        ) == json.dumps(r1.state.to_state(), sort_keys=True)
         oracle = set(graph.edges())
         for sign, u, v in script:
             (oracle.add if sign == "+" else oracle.discard)((u, v))
