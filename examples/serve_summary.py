@@ -15,6 +15,7 @@ import threading
 from pathlib import Path
 
 from repro import MagsDMSummarizer, generators, save_representation
+from repro.obs.metrics import counter_total, worst_p99
 from repro.service import QueryEngine, SummaryQueryServer, SummaryServiceClient
 
 
@@ -71,12 +72,17 @@ def main() -> None:
             assert all(item["ok"] for item in batch)
             print(f"batch of {len(batch)} degree queries answered")
 
-            stats = client.stats()
+            # Every number is in the metrics registry snapshot.
+            registry = client.stats()["registry"]
+            hits = counter_total(registry, "service_cache_hits_total")
+            lookups = hits + counter_total(
+                registry, "service_cache_misses_total"
+            )
             print(
-                f"stats: {stats['requests_total']} requests, "
-                f"cache hit rate {stats['cache']['hit_rate']:.0%}, "
-                f"neighbors p99 "
-                f"{stats['latency_ms']['neighbors']['p99_ms']}ms"
+                f"stats: "
+                f"{counter_total(registry, 'service_requests_total'):.0f} "
+                f"requests, cache hit rate {hits / lookups:.0%}, "
+                f"worst p99 {1000.0 * worst_p99(registry):.3f}ms"
             )
 
             # 5. Graceful stop, exactly what SIGINT does in the CLI.

@@ -56,8 +56,6 @@ __all__ = [
     "fig16_k_sweep",
     "table3_pagerank",
     "neighbor_query_cost",
-    "service_throughput",
-    "mixed_ingest_throughput",
     "compactness_drift",
     "small_codes",
     "large_codes",
@@ -500,483 +498,6 @@ def neighbor_query_cost() -> tuple[str, list[dict]]:
             }
         )
     return "Section 6.6: neighbor query cost vs d_avg (bound: 1.12)", rows
-
-
-def service_throughput(
-    threads: int = 8, rounds: int = 2
-) -> tuple[str, list[dict]]:
-    """Closed-loop load test of the summary query service.
-
-    Summarizes a community graph, serves it with
-    :class:`repro.service.server.SummaryQueryServer`, and drives it
-    with ``threads`` closed-loop clients (each thread waits for its
-    response before sending the next request — the classic
-    closed-loop load model, so throughput = concurrency / latency).
-
-    Three phases over the same node set: ``cold`` (empty LRU, every
-    expansion a miss), ``warm`` (same nodes again, served from
-    cache), and ``warm-batch`` (warm cache, 64 queries per request).
-    Expected shape: warm throughput strictly above cold, batch qps
-    above single-request warm.
-    """
-    import threading as _threading
-    import time as _time
-
-    from repro.graph import generators
-    from repro.service import (
-        QueryEngine,
-        SummaryQueryServer,
-        SummaryServiceClient,
-    )
-
-    n = 400 if quick_mode() else 1200
-    graph = generators.planted_partition(
-        n, n // 30, p_in=0.4, p_out=0.004, seed=11
-    )
-    T = bench_iterations()
-    rep = MagsDMSummarizer(iterations=T, seed=0).summarize(
-        graph
-    ).representation
-
-    engine = QueryEngine(rep, cache_size=n)
-    server = SummaryQueryServer(engine, workers=threads).start()
-    host, port = server.address
-    rows: list[dict] = []
-    try:
-        shards = [list(range(t, n, threads)) for t in range(threads)]
-
-        def run_phase(send_shard, phase_rounds: int) -> dict:
-            latencies: list[list[float]] = [[] for _ in range(threads)]
-            barrier = _threading.Barrier(threads + 1)
-
-            def worker(tid: int) -> None:
-                with SummaryServiceClient(host, port) as client:
-                    barrier.wait()
-                    for _ in range(phase_rounds):
-                        send_shard(client, shards[tid], latencies[tid])
-                client_done[tid] = True
-
-            client_done = [False] * threads
-            pool = [
-                _threading.Thread(target=worker, args=(t,))
-                for t in range(threads)
-            ]
-            for thread in pool:
-                thread.start()
-            barrier.wait()
-            started = _time.perf_counter()
-            for thread in pool:
-                thread.join()
-            elapsed = _time.perf_counter() - started
-            if not all(client_done):
-                raise RuntimeError("load-generator thread died")
-            flat = sorted(x for shard in latencies for x in shard)
-            queries = len(flat)
-
-            def pct(p: float) -> float:
-                rank = max(1, -(-queries * int(p * 100) // 10000))
-                return round(1000.0 * flat[rank - 1], 3)
-
-            return {
-                "threads": threads,
-                "queries": queries,
-                "qps": round(queries / elapsed, 1),
-                "p50_ms": pct(50),
-                "p95_ms": pct(95),
-                "p99_ms": pct(99),
-            }
-
-        def send_single(client, shard, out) -> None:
-            for node in shard:
-                t0 = _time.perf_counter()
-                client.neighbors(node)
-                out.append(_time.perf_counter() - t0)
-
-        def send_batch(client, shard, out) -> None:
-            for start in range(0, len(shard), 64):
-                chunk = shard[start:start + 64]
-                requests = [
-                    {"id": i, "op": "neighbors", "node": node}
-                    for i, node in enumerate(chunk)
-                ]
-                t0 = _time.perf_counter()
-                responses = client.batch(requests)
-                per_query = (_time.perf_counter() - t0) / len(chunk)
-                if any(not r["ok"] for r in responses):
-                    raise RuntimeError("batch returned an error response")
-                out.extend(per_query for _ in chunk)
-
-        # The cold phase runs exactly one pass so every expansion is a
-        # genuine miss; warm phases repeat to accumulate samples.
-        for phase, sender, phase_rounds in (
-            ("cold", send_single, 1),
-            ("warm", send_single, rounds),
-            ("warm-batch", send_batch, rounds),
-        ):
-            stats = engine.metrics.snapshot()
-            row = {"phase": phase, **run_phase(sender, phase_rounds)}
-            after = engine.metrics.snapshot()
-            hits = after["cache"]["hits"] - stats["cache"]["hits"]
-            misses = after["cache"]["misses"] - stats["cache"]["misses"]
-            lookups = hits + misses
-            row["hit_rate"] = round(hits / lookups, 3) if lookups else 0.0
-            rows.append(row)
-    finally:
-        server.close()
-    return (
-        f"Service throughput: {threads} closed-loop clients, "
-        f"n={n} (cold vs warm LRU)",
-        rows,
-    )
-
-
-def cluster_throughput(
-    shard_counts: tuple[int, ...] = (1, 2, 4),
-    threads: int = 4,
-    rounds: int = 3,
-    batch: int = 256,
-) -> tuple[str, list[dict]]:
-    """Cluster load harness: 1 -> 2 -> 4 shards behind the router.
-
-    Every configuration runs the *same* wire path — real
-    ``repro serve`` subprocesses per shard with an in-process
-    :class:`repro.cluster.router.RouterEngine` served in front — so
-    the single-shard row is an honest baseline, not a shortcut around
-    the router.  Closed-loop clients stream seeded-shuffled
-    ``degree`` batches over the full node range after a warmup pass,
-    so every instance's LRU sits at steady state while measuring.
-
-    On a single-core box the scaling comes from *aggregate cache
-    capacity*, the same effect that motivates sharding a summary too
-    big for one node's memory: each instance holds ``cache_size``
-    expansions of a dense summary (miss/hit wire cost ratio ~11x on
-    this workload), so S shards cache S times more of the node range
-    and the miss fraction collapses as S grows.
-
-    Aggregate rows carry client-side per-query percentiles (via a
-    :class:`repro.obs.metrics.Histogram`) and the speedup over the
-    single-shard baseline; per-shard rows report each instance's own
-    server-side ``batch`` latency percentiles (per forwarded
-    sub-batch, not per query) straight from its ``stats`` snapshot.
-    """
-    import random as _random
-    import socket as _socket
-    import tempfile as _tempfile
-    import threading as _threading
-    import time as _time
-
-    from repro.cluster import ClusterManager, plan_cluster
-    from repro.cluster.topology import InstanceSpec, default_spec
-    from repro.graph import generators
-    from repro.obs.metrics import MetricsRegistry
-    from repro.service import SummaryServiceClient
-
-    # Dense two-community graph: d_avg ~ n/3.3, so a cache miss (one
-    # neighborhood expansion) costs ~11x a cache hit on the wire.
-    # cache_size is ~40% of n: 1 shard misses ~60% of a uniform scan,
-    # 2 shards ~20%, 4 shards fit their owned range entirely.
-    n = 1024 if quick_mode() else 2048
-    cache_size = n * 2 // 5
-    graph = generators.planted_partition(
-        n, 2, p_in=0.6, p_out=0.001, seed=11
-    )
-    registry = MetricsRegistry()
-    rows: list[dict] = []
-
-    def free_ports(count: int) -> list[int]:
-        sockets, ports = [], []
-        for _ in range(count):
-            sock = _socket.socket()
-            sock.bind(("127.0.0.1", 0))
-            sockets.append(sock)
-            ports.append(sock.getsockname()[1])
-        for sock in sockets:
-            sock.close()
-        return ports
-
-    def run_config(shards: int, tmp: str) -> None:
-        spec = default_spec(shards, 1, seed=0)
-        ports = free_ports(len(spec.instances) + 1)
-        spec.router_port = ports[0]
-        spec.instances = [
-            InstanceSpec(i.shard, i.replica, i.host, port)
-            for i, port in zip(spec.instances, ports[1:])
-        ]
-        plan_cluster(
-            graph, spec, tmp, lambda: MagsDMSummarizer(iterations=3, seed=0)
-        )
-        config = f"{shards}-shard"
-        hist = registry.histogram("cluster_query_seconds", shards=shards)
-        # threads+1 workers per instance: the router's pool may hold
-        # `threads` persistent connections, and the per-shard stats
-        # probe below still needs a free worker to be served.
-        manager = ClusterManager(
-            spec, workers=threads + 1, cache_size=cache_size
-        )
-        try:
-            manager.start_instances()
-            manager.start_router(workers=threads)
-            host, port = spec.router_address
-            barrier = _threading.Barrier(threads + 1)
-            failures: list[str] = []
-
-            def one_pass(client, order, record: bool) -> None:
-                for start in range(0, len(order), batch):
-                    chunk = order[start:start + batch]
-                    requests = [
-                        {"id": i, "op": "degree", "node": node}
-                        for i, node in enumerate(chunk)
-                    ]
-                    t0 = _time.perf_counter()
-                    responses = client.batch(requests)
-                    per_query = (_time.perf_counter() - t0) / len(chunk)
-                    bad = [r for r in responses if not r["ok"]]
-                    if bad:
-                        raise RuntimeError(f"batch error: {bad[0]}")
-                    if record:
-                        for _ in chunk:
-                            hist.observe(per_query)
-
-            def worker(tid: int) -> None:
-                rng = _random.Random(97 + tid)
-                order = list(range(n))
-                rng.shuffle(order)
-                try:
-                    with SummaryServiceClient(host, port) as client:
-                        one_pass(client, order, record=False)  # warmup
-                        barrier.wait()
-                        for _ in range(rounds):
-                            one_pass(client, order, record=True)
-                except Exception as exc:  # noqa: BLE001 - reported below
-                    failures.append(repr(exc))
-                    barrier.abort()
-
-            pool = [
-                _threading.Thread(target=worker, args=(t,))
-                for t in range(threads)
-            ]
-            for thread in pool:
-                thread.start()
-            barrier.wait()
-            started = _time.perf_counter()
-            for thread in pool:
-                thread.join()
-            elapsed = _time.perf_counter() - started
-            if failures:
-                raise RuntimeError(
-                    f"{config}: load generator failed: {failures[:3]}"
-                )
-
-            hits = misses = 0
-            shard_rows: list[dict] = []
-            for shard in range(shards):
-                inst = spec.instances_for(shard)[0]
-                with SummaryServiceClient(*inst.address) as client:
-                    stats = client.stats()
-                if stats["errors_total"]:
-                    raise RuntimeError(
-                        f"{config}: {inst.label} served "
-                        f"{stats['errors_total']} error(s)"
-                    )
-                hits += stats["cache"]["hits"]
-                misses += stats["cache"]["misses"]
-                latency = stats["latency_ms"].get("batch", {})
-                shard_rows.append({
-                    "config": config,
-                    "scope": inst.label,
-                    "queries": stats["batch"]["queries"],
-                    "qps": round(stats["batch"]["queries"] / elapsed, 1),
-                    "p50_ms": latency.get("p50_ms", 0.0),
-                    "p95_ms": latency.get("p95_ms", 0.0),
-                    "p99_ms": latency.get("p99_ms", 0.0),
-                    "hit_rate": stats["cache"]["hit_rate"],
-                    "speedup": "",
-                })
-            snap = hist.snapshot()
-            lookups = hits + misses
-            rows.append({
-                "config": config,
-                "scope": "aggregate",
-                "queries": int(snap["count"]),
-                "qps": round(snap["count"] / elapsed, 1),
-                "p50_ms": round(1000.0 * snap["p50"], 3),
-                "p95_ms": round(1000.0 * snap["p95"], 3),
-                "p99_ms": round(1000.0 * snap["p99"], 3),
-                "hit_rate": round(hits / lookups, 3) if lookups else 0.0,
-                "speedup": 1.0,
-            })
-            rows.extend(shard_rows)
-        finally:
-            manager.stop()
-
-    for shards in shard_counts:
-        with _tempfile.TemporaryDirectory() as tmp:
-            run_config(shards, tmp)
-
-    aggregates = [r for r in rows if r["scope"] == "aggregate"]
-    baseline = aggregates[0]["qps"]
-    for row in aggregates:
-        row["speedup"] = round(row["qps"] / baseline, 2)
-    return (
-        f"Cluster serving throughput: {threads} closed-loop clients, "
-        f"n={n}, degree batches of {batch}, shards "
-        f"{'/'.join(str(s) for s in shard_counts)}",
-        rows,
-    )
-
-
-def mixed_ingest_throughput(
-    threads: int = 8, ops_per_thread: int = 250
-) -> tuple[str, list[dict]]:
-    """Durable ingest under mixed read/write load (90/10 and 50/50).
-
-    Serves a summary through a WAL-backed (``fsync=always``)
-    :class:`repro.service.ingest.MutableQueryEngine` and drives it
-    with ``threads`` closed-loop clients, each interleaving
-    ``neighbors`` reads with acknowledged single-edge ``ingest``
-    writes at the phase's write fraction.  Each thread toggles its
-    own disjoint pool of non-edges (insert, then delete, then insert
-    again), so every mutation is valid regardless of interleaving and
-    the server-side dry-run never rejects.
-
-    Reported per mix: sustained totals, write (ack) throughput —
-    i.e. durable edges/sec, each one fsynced before the ack — and
-    separate read/write latency percentiles, so the read-latency
-    price of a write-heavy mix is visible directly.  The experiment
-    asserts no acknowledged write was lost: the final epoch must
-    equal the number of acks.
-    """
-    import tempfile
-    import threading as _threading
-    import time as _time
-
-    from repro.durability.wal import WriteAheadLog
-    from repro.dynamic.summary import DynamicGraphSummary
-    from repro.graph import generators
-    from repro.service import SummaryQueryServer, SummaryServiceClient
-    from repro.service.ingest import MutableQueryEngine
-
-    n = 400 if quick_mode() else 1200
-    if quick_mode():
-        ops_per_thread = min(ops_per_thread, 100)
-    graph = generators.planted_partition(
-        n, n // 30, p_in=0.4, p_out=0.004, seed=11
-    )
-    T = bench_iterations()
-    rep = MagsDMSummarizer(iterations=T, seed=0).summarize(
-        graph
-    ).representation
-
-    # Disjoint per-thread pools of toggleable non-edges.
-    pool_size = 32
-    edges = set(graph.edges())
-    free: list[tuple[int, int]] = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in edges:
-                free.append((u, v))
-                if len(free) >= threads * pool_size:
-                    break
-        if len(free) >= threads * pool_size:
-            break
-
-    def pct(sorted_s: list[float], p: int) -> float:
-        rank = max(1, -(-len(sorted_s) * p // 100))
-        return round(1000.0 * sorted_s[rank - 1], 3)
-
-    rows: list[dict] = []
-    for mix, write_frac in (("90/10", 0.10), ("50/50", 0.50)):
-        with tempfile.TemporaryDirectory() as tmp:
-            wal = WriteAheadLog(tmp, fsync="always")
-            engine = MutableQueryEngine(
-                DynamicGraphSummary.from_representation(rep),
-                wal=wal,
-                cache_size=n,
-                max_inflight=2 * threads,
-            )
-            server = SummaryQueryServer(engine, workers=threads).start()
-            host, port = server.address
-            read_lat: list[list[float]] = [[] for _ in range(threads)]
-            write_lat: list[list[float]] = [[] for _ in range(threads)]
-            barrier = _threading.Barrier(threads + 1)
-            problems: list[str] = []
-
-            def worker(tid: int) -> None:
-                import random as _random
-
-                rng = _random.Random(7000 + tid)
-                mine = free[tid * pool_size:(tid + 1) * pool_size]
-                present = [False] * len(mine)
-                cursor = 0
-                with SummaryServiceClient(host, port) as client:
-                    barrier.wait()
-                    for _ in range(ops_per_thread):
-                        if rng.random() < write_frac:
-                            slot = cursor % len(mine)
-                            cursor += 1
-                            u, v = mine[slot]
-                            sign = "-" if present[slot] else "+"
-                            present[slot] = not present[slot]
-                            t0 = _time.perf_counter()
-                            result = client.ingest([[sign, u, v]])
-                            write_lat[tid].append(
-                                _time.perf_counter() - t0
-                            )
-                            if result.get("applied") != 1:
-                                problems.append(f"bad ack: {result}")
-                        else:
-                            node = rng.randrange(n)
-                            t0 = _time.perf_counter()
-                            client.neighbors(node)
-                            read_lat[tid].append(
-                                _time.perf_counter() - t0
-                            )
-
-            try:
-                pool = [
-                    _threading.Thread(target=worker, args=(t,))
-                    for t in range(threads)
-                ]
-                for thread in pool:
-                    thread.start()
-                barrier.wait()
-                started = _time.perf_counter()
-                for thread in pool:
-                    thread.join()
-                elapsed = _time.perf_counter() - started
-                if problems:
-                    raise RuntimeError(problems[0])
-                reads = sorted(x for lat in read_lat for x in lat)
-                writes = sorted(x for lat in write_lat for x in lat)
-                # Zero acknowledged-but-lost: every ack is one commit.
-                if engine.epoch != len(writes):
-                    raise RuntimeError(
-                        f"{len(writes)} acks but epoch={engine.epoch}"
-                    )
-                rows.append(
-                    {
-                        "mix": mix,
-                        "threads": threads,
-                        "reads": len(reads),
-                        "writes": len(writes),
-                        "total_qps": round(
-                            (len(reads) + len(writes)) / elapsed, 1
-                        ),
-                        "writes_per_s": round(len(writes) / elapsed, 1),
-                        "read_p50_ms": pct(reads, 50),
-                        "read_p99_ms": pct(reads, 99),
-                        "write_p50_ms": pct(writes, 50),
-                        "write_p99_ms": pct(writes, 99),
-                    }
-                )
-            finally:
-                server.close()
-                wal.close()
-    return (
-        f"Durable mixed read/write serving: {threads} closed-loop "
-        f"clients, n={n}, WAL fsync=always",
-        rows,
-    )
 
 
 def compactness_drift(

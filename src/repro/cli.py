@@ -92,6 +92,41 @@ def _add_ingest_options(subparser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_maintenance_options(subparser: argparse.ArgumentParser) -> None:
+    """Background compactness-maintenance flags shared by ``serve``
+    and ``cluster start`` (which forwards them to every instance)."""
+    group = subparser.add_argument_group("background maintenance")
+    group.add_argument(
+        "--maintenance-interval", type=float, default=0.0,
+        help=(
+            "seconds between background compactness-maintenance ticks "
+            "re-summarizing the dirtiest regions (requires --wal-dir; "
+            "0 disables; default 0)"
+        ),
+    )
+    group.add_argument(
+        "--maintenance-budget-seconds", type=float, default=1.0,
+        help=(
+            "wall-clock budget per maintenance tick, checked between "
+            "passes (default 1.0; 0 = unlimited)"
+        ),
+    )
+    group.add_argument(
+        "--maintenance-budget-merges", type=int, default=None,
+        help=(
+            "deterministic merge cap per maintenance pass, recorded "
+            "in the WAL for bit-identical replay (default: uncapped)"
+        ),
+    )
+    group.add_argument(
+        "--maintenance-max-supernodes", type=int, default=64,
+        help=(
+            "super-nodes dissolved per maintenance pass — the chunk "
+            "size each epoch swap pays for (default 64)"
+        ),
+    )
+
+
 def _load_graph_from_args(args: argparse.Namespace, path: str):
     """Load ``path`` honouring the ingestion flags; print rejections.
 
@@ -362,35 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
             "commit order past this (0 = unbounded; default 4096)"
         ),
     )
-    serve.add_argument(
-        "--maintenance-interval", type=float, default=0.0,
-        help=(
-            "seconds between background compactness-maintenance ticks "
-            "re-summarizing the dirtiest regions (requires --wal-dir; "
-            "0 disables; default 0)"
-        ),
-    )
-    serve.add_argument(
-        "--maintenance-budget-seconds", type=float, default=1.0,
-        help=(
-            "wall-clock budget per maintenance tick, checked between "
-            "passes (default 1.0; 0 = unlimited)"
-        ),
-    )
-    serve.add_argument(
-        "--maintenance-budget-merges", type=int, default=None,
-        help=(
-            "deterministic merge cap per maintenance pass, recorded "
-            "in the WAL for bit-identical replay (default: uncapped)"
-        ),
-    )
-    serve.add_argument(
-        "--maintenance-max-supernodes", type=int, default=64,
-        help=(
-            "super-nodes dissolved per maintenance pass — the chunk "
-            "size each epoch swap pays for (default 64)"
-        ),
-    )
+    _add_maintenance_options(serve)
     serve.add_argument(
         "--repl-role", choices=("primary", "follower"), default=None,
         help=(
@@ -494,25 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
             "topology's 'acks' field)"
         ),
     )
-    cstart.add_argument(
-        "--maintenance-interval", type=float, default=0.0,
-        help=(
-            "forward background compactness maintenance to every "
-            "instance (requires --wal-dir; 0 disables; default 0)"
-        ),
-    )
-    cstart.add_argument(
-        "--maintenance-budget-seconds", type=float, default=1.0,
-        help="per-instance maintenance tick budget (default 1.0)",
-    )
-    cstart.add_argument(
-        "--maintenance-budget-merges", type=int, default=None,
-        help="per-instance deterministic merge cap per pass",
-    )
-    cstart.add_argument(
-        "--maintenance-max-supernodes", type=int, default=64,
-        help="per-instance super-nodes dissolved per pass (default 64)",
-    )
+    _add_maintenance_options(cstart)
 
     ctrace = cluster_sub.add_parser(
         "trace",
@@ -1283,8 +1272,6 @@ _EXPERIMENTS = {
     "fig16": "fig16_k_sweep",
     "table3": "table3_pagerank",
     "neighbor": "neighbor_query_cost",
-    "service": "service_throughput",
-    "cluster": "cluster_throughput",
 }
 
 

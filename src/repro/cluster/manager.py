@@ -25,8 +25,9 @@ import threading
 from collections import deque
 from pathlib import Path
 
-from repro.cluster.router import RouterEngine, worst_p99_ms
+from repro.cluster.router import RouterEngine
 from repro.cluster.topology import ClusterSpec, InstanceSpec, TopologyError
+from repro.obs.metrics import counter_total, worst_p99
 from repro.service.client import ServiceError, SummaryServiceClient
 from repro.service.engine import QueryEngine
 from repro.service.server import SummaryQueryServer
@@ -504,9 +505,15 @@ def probe_topology(spec: ClusterSpec, timeout: float = 3.0) -> list[dict]:
                     except (OSError, ServiceError, ValueError):
                         repl = None  # read-only instance, or mid-restart
             row["up"] = True
-            row["requests_total"] = stats.get("requests_total")
-            row["errors_total"] = stats.get("errors_total")
-            row["p99_ms"] = worst_p99_ms(stats.get("latency_ms"))
+            registry = stats.get("registry") or {}
+            row["requests_total"] = int(
+                counter_total(registry, "service_requests_total")
+            )
+            row["errors_total"] = int(
+                counter_total(registry, "service_errors_total")
+            )
+            p99 = worst_p99(registry)
+            row["p99_ms"] = None if p99 is None else 1000.0 * p99
             if isinstance(repl, dict):
                 row["role"] = repl.get("role")
                 row["term"] = repl.get("term")

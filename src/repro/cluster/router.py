@@ -88,6 +88,7 @@ import threading
 import time
 
 from repro.cluster.topology import ClusterSpec, InstanceSpec, TopologyError
+from repro.obs.metrics import counter_total, worst_p99
 from repro.obs.tracer import get_instance_label, get_tracer
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.retry import (
@@ -114,7 +115,6 @@ __all__ = [
     "ShardDownError",
     "ReplicaPool",
     "ShardPool",
-    "worst_p99_ms",
 ]
 
 logger = logging.getLogger("repro.cluster")
@@ -129,21 +129,6 @@ ROUTER_OPS = OPS + ("ingest",)
 #: Transport-level failures that trigger failover to a sibling
 #: replica (``OSError`` covers ``ConnectionError`` and timeouts).
 _FAILOVER_ERRORS = (OSError, ProtocolError)
-
-
-def worst_p99_ms(latency: dict | None) -> float | None:
-    """Worst per-op p99 from a ``stats`` snapshot's ``latency_ms``
-    section (``None`` when nothing was recorded) — the one-number
-    latency summary ``repro cluster status`` prints per instance."""
-    if not isinstance(latency, dict):
-        return None
-    values = [
-        entry["p99_ms"]
-        for entry in latency.values()
-        if isinstance(entry, dict)
-        and isinstance(entry.get("p99_ms"), (int, float))
-    ]
-    return max(values) if values else None
 
 
 class ShardDownError(QueryError):
@@ -1128,10 +1113,7 @@ class RouterEngine:
 
     # -- stats -----------------------------------------------------------
     def _stats_snapshot(self) -> dict:
-        snapshot = self.metrics.snapshot()
-        snapshot["cache"]["size"] = len(self._cache)
-        snapshot["cache"]["capacity"] = self._cache.capacity
-        snapshot["registry"] = self.metrics.registry.snapshot()
+        snapshot = self.metrics.stats(self._cache)
 
         shards = []
         up = 0
@@ -1156,9 +1138,16 @@ class RouterEngine:
                 requests = errors = p99 = None
                 repl = pool.try_repl_status() if replicated else None
                 if healthy:
-                    requests = stats.get("requests_total", 0)
-                    errors = stats.get("errors_total", 0)
-                    p99 = worst_p99_ms(stats.get("latency_ms"))
+                    registry = stats.get("registry") or {}
+                    requests = int(
+                        counter_total(registry, "service_requests_total")
+                    )
+                    errors = int(
+                        counter_total(registry, "service_errors_total")
+                    )
+                    p99 = worst_p99(registry)
+                    if p99 is not None:
+                        p99 *= 1000.0
                     agg_requests += requests
                     agg_errors += errors
                     instance_maint = stats.get("maintenance")

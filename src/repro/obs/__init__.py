@@ -7,7 +7,8 @@ The observability layer the rest of the package reports into:
   one attribute check;
 * :mod:`repro.obs.metrics` — the process-global
   :class:`MetricsRegistry` of counters, gauges and p50/p95/p99
-  histograms (the serving metrics are a façade over it);
+  histograms (the serving metrics live in one) and the snapshot
+  readers :func:`counter_total` / :func:`worst_p99`;
 * :mod:`repro.obs.exporters` — JSONL traces, rendered text trees and
   Prometheus text dumps;
 * :mod:`repro.obs.schema` — the documented span-record schema and its
@@ -54,12 +55,13 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     REGISTRY,
+    counter_total,
     get_registry,
+    worst_p99,
 )
 from repro.obs.profiled import profiled
 from repro.obs.schema import (
     SCHEMA_VERSION,
-    SCHEMA_VERSIONS,
     validate_record,
     validate_trace,
     validate_trace_file,
@@ -110,6 +112,8 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "get_registry",
+    "counter_total",
+    "worst_p99",
     # exporters
     "SpanSink",
     "write_trace_jsonl",
@@ -120,7 +124,6 @@ __all__ = [
     "registry_to_prometheus",
     # schema
     "SCHEMA_VERSION",
-    "SCHEMA_VERSIONS",
     "validate_record",
     "validate_trace",
     "validate_trace_file",

@@ -105,8 +105,9 @@ def trace_ids(records: list[dict[str, Any]]) -> list[str]:
 # Cross-process trace reassembly
 # ---------------------------------------------------------------------------
 def _record_instance(record: dict[str, Any]) -> str:
-    """Process identity of a span record (v1 records have neither
-    ``instance`` nor ``pid``; fall back gracefully)."""
+    """Process identity of a span record: its ``instance`` label,
+    else ``pid:<pid>``, else ``"?"`` for malformed input that carries
+    neither."""
     instance = record.get("instance")
     if isinstance(instance, str) and instance:
         return instance

@@ -2,9 +2,11 @@
 
 The :class:`MetricsRegistry` is the single source of truth for
 operational numbers — the serving stack's request/error/cache counters
-(:mod:`repro.service.metrics` is a thin façade over one of these) and
-the summarizers' run/merge totals all land here, keyed by metric name
-plus a small label set, Prometheus-style.
+(:mod:`repro.service.metrics` holds cached handles into one of these)
+and the summarizers' run/merge totals all land here, keyed by metric
+name plus a small label set, Prometheus-style.  :func:`counter_total`
+and :func:`worst_p99` read a :meth:`MetricsRegistry.snapshot` — local
+or shipped over the wire by the ``stats``/``telemetry`` ops.
 
 Histograms keep a bounded reservoir (most recent ``reservoir``
 samples in a deque) so memory stays constant regardless of uptime;
@@ -27,7 +29,9 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
+    "counter_total",
     "get_registry",
+    "worst_p99",
 ]
 
 #: Default histogram reservoir size (samples retained).
@@ -132,8 +136,7 @@ class Histogram:
 
     @property
     def samples(self) -> deque:
-        """The live reservoir (read-only use; the recorder shim in
-        ``repro.service.metrics`` exposes it for tests)."""
+        """The live reservoir (read-only use)."""
         return self._samples
 
     def percentile(self, percentile: float) -> float:
@@ -291,6 +294,30 @@ class MetricsRegistry:
     def __len__(self) -> int:
         with self._lock:
             return len(self._metrics)
+
+
+def counter_total(snapshot: dict[str, Any], name: str) -> float:
+    """Sum of every ``value`` in family ``name`` of a registry
+    snapshot, across all label sets (0 when the family is absent)."""
+    total = 0.0
+    for entry in snapshot.get(name) or []:
+        value = entry.get("value") if isinstance(entry, dict) else None
+        if isinstance(value, _NUMBER_T):
+            total += value
+    return total
+
+
+def worst_p99(snapshot: dict[str, Any]) -> float | None:
+    """Largest per-op p99 of ``service_request_seconds`` in a registry
+    snapshot, in seconds; ``None`` when nothing was recorded.  The
+    one-number latency summary ``repro cluster status`` prints."""
+    values = [
+        entry["p99"]
+        for entry in snapshot.get("service_request_seconds") or []
+        if isinstance(entry, dict)
+        and isinstance(entry.get("p99"), _NUMBER_T)
+    ]
+    return max(values) if values else None
 
 
 #: The process-global registry — what `python -m repro profile` dumps

@@ -5,14 +5,14 @@ Every line of a trace JSONL file is one **span record** (schema v2):
 ===========  =========  ==================================================
 field        type       meaning
 ===========  =========  ==================================================
-``v``        int        schema version (1 or 2; emitter writes 2)
+``v``        int        schema version (always 2)
 ``type``     str        record type, always ``"span"``
 ``trace``    str        trace id shared by every span of one run
 ``span``     str        unique span id
 ``parent``   str|null   parent span id (null for roots)
-``pid``      int        emitting process id (v2+)
+``pid``      int        emitting process id
 ``instance`` str        emitting instance label, e.g. ``shard0/r1``
-                        (v2+; empty when the process was not labelled)
+                        (empty when the process was not labelled)
 ``name``     str        span name, e.g. ``summarize:Mags`` /
                         ``phase:merge`` / ``service:request``
 ``start_unix``  number  wall-clock start (``time.time()``)
@@ -22,10 +22,6 @@ field        type       meaning
 ``counters`` object     name -> accumulated number
 ``events``   array      ``{"name", "at_s", "attrs"}`` point events
 ===========  =========  ==================================================
-
-v1 records (no ``pid``/``instance``) are still accepted by the
-validator — old traces stay readable; the cluster collector falls
-back to per-record defaults for them.
 
 The validator is what the CI observability job (and ``python -m repro
 trace --validate``) runs against emitted traces, so the schema above
@@ -42,15 +38,10 @@ from repro.obs.tracer import SCHEMA_VERSION
 
 __all__ = [
     "SCHEMA_VERSION",
-    "SCHEMA_VERSIONS",
     "validate_record",
     "validate_trace",
     "validate_trace_file",
 ]
-
-#: Schema versions the validator accepts (the emitter always writes
-#: the newest).
-SCHEMA_VERSIONS = (1, 2)
 
 _NUMBER = (int, float)
 
@@ -61,6 +52,8 @@ _FIELDS: dict[str, tuple] = {
     "trace": (str,),
     "span": (str,),
     "parent": (str, type(None)),
+    "pid": (int,),
+    "instance": (str,),
     "name": (str,),
     "start_unix": _NUMBER,
     "wall_s": _NUMBER,
@@ -70,26 +63,13 @@ _FIELDS: dict[str, tuple] = {
     "events": (list,),
 }
 
-#: Fields added in schema v2 (required from v2 on; optional — but
-#: still type-checked when present — in v1 records).
-_V2_FIELDS: dict[str, tuple] = {
-    "pid": (int,),
-    "instance": (str,),
-}
-
 
 def validate_record(record: Any, where: str = "record") -> list[str]:
     """Schema errors of one span record (empty list == valid)."""
     if not isinstance(record, dict):
         return [f"{where}: not a JSON object"]
     errors: list[str] = []
-    version = record.get("v")
-    fields = dict(_FIELDS)
-    v2_required = isinstance(version, int) and version >= 2
-    for field, types in _V2_FIELDS.items():
-        if v2_required or field in record:
-            fields[field] = types
-    for field, types in fields.items():
+    for field, types in _FIELDS.items():
         if field not in record:
             errors.append(f"{where}: missing field {field!r}")
             continue
@@ -101,10 +81,10 @@ def validate_record(record: Any, where: str = "record") -> list[str]:
                 f"{'/'.join(t.__name__ for t in types)}"
             )
     if not errors:
-        if record["v"] not in SCHEMA_VERSIONS:
+        if record["v"] != SCHEMA_VERSION:
             errors.append(
                 f"{where}: schema version {record['v']}, "
-                f"expected one of {list(SCHEMA_VERSIONS)}"
+                f"expected {SCHEMA_VERSION}"
             )
         if record["type"] != "span":
             errors.append(f"{where}: type {record['type']!r} != 'span'")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, counter_total
 
 __all__ = [
     "SLO",
@@ -94,15 +94,6 @@ DEFAULT_SLOS = (
 )
 
 
-def _counter_total(snapshot: dict[str, Any], name: str) -> float:
-    total = 0.0
-    for entry in snapshot.get(name) or []:
-        value = entry.get("value") if isinstance(entry, dict) else None
-        if isinstance(value, (int, float)):
-            total += value
-    return total
-
-
 def _normalise(snapshots: dict[str, Any]) -> dict[str, dict[str, Any]]:
     """Accept either raw registry snapshots or full telemetry entries
     (``{"registry": snapshot, ...}``) per instance."""
@@ -121,11 +112,11 @@ def _availability(
     slo: SLO, snapshots: dict[str, dict[str, Any]]
 ) -> SLOResult:
     requests = sum(
-        _counter_total(s, "service_requests_total")
+        counter_total(s, "service_requests_total")
         for s in snapshots.values()
     )
     errors = sum(
-        _counter_total(s, "service_errors_total") for s in snapshots.values()
+        counter_total(s, "service_errors_total") for s in snapshots.values()
     )
     if requests <= 0:
         return SLOResult(

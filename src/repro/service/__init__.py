@@ -17,11 +17,7 @@ from repro.service.engine import (
     QueryTimeout,
 )
 from repro.service.ingest import MutableQueryEngine
-from repro.service.metrics import (
-    LatencyRecorder,
-    MetricsLogger,
-    ServiceMetrics,
-)
+from repro.service.metrics import MetricsLogger, ServiceMetrics
 from repro.service.server import SummaryQueryServer
 
 __all__ = [
@@ -30,7 +26,6 @@ __all__ = [
     "QueryEngine",
     "QueryError",
     "QueryTimeout",
-    "LatencyRecorder",
     "MetricsLogger",
     "ServiceMetrics",
     "SummaryQueryServer",

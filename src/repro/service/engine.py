@@ -415,11 +415,7 @@ class QueryEngine:
         if op == "stats":
             if request.get("format") == "prometheus":
                 return self.metrics.to_prometheus()
-            snapshot = self.metrics.snapshot()
-            snapshot["cache"]["size"] = len(self._cache)
-            snapshot["cache"]["capacity"] = self._cache.capacity
-            snapshot["registry"] = self.metrics.registry.snapshot()
-            return snapshot
+            return self.metrics.stats(self._cache)
         if op == "telemetry":
             from repro.obs.tracer import get_instance_label
 

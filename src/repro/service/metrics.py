@@ -1,20 +1,16 @@
 """Observability for the summary-serving engine.
 
 A serving process is only operable if it can answer "how is it
-doing" without a debugger: this module provides thread-safe counters
-(requests per op, errors, cache hits/misses), bounded-reservoir
-latency histograms with p50/p95/p99, and a periodic one-line log
-emitted by :class:`MetricsLogger`.  A snapshot of everything is what
-the server returns for a ``stats`` request.
-
-Since the introduction of :mod:`repro.obs`, this module is a façade
-over a :class:`repro.obs.metrics.MetricsRegistry`: every counter and
-latency histogram lives in ``ServiceMetrics.registry`` under
-Prometheus-style names (``service_requests_total{op=...}``,
-``service_request_seconds{op=...}``, ...), and the legacy
-``snapshot()`` shape is assembled from it.  The registry itself is
-exported verbatim in the ``stats`` response and by
-:meth:`ServiceMetrics.to_prometheus`.
+doing" without a debugger.  Every number lives in
+``ServiceMetrics.registry``, a :class:`repro.obs.metrics.MetricsRegistry`,
+under Prometheus-style names (``service_requests_total{op=...}``,
+``service_request_seconds{op=...}``, ``service_cache_hits_total``,
+...); this module only holds cached handles into it for the hot
+paths.  The ``stats`` response carries the registry snapshot
+verbatim (read it with :func:`repro.obs.metrics.counter_total` and
+:func:`repro.obs.metrics.worst_p99`), :meth:`ServiceMetrics.to_prometheus`
+renders it, and :class:`MetricsLogger` logs a one-line summary
+periodically.
 """
 
 from __future__ import annotations
@@ -25,56 +21,15 @@ import time
 
 from repro.obs.metrics import (
     DEFAULT_RESERVOIR,
-    PERCENTILES,
+    Counter,
     Histogram,
     MetricsRegistry,
+    counter_total,
 )
 
-__all__ = ["LatencyRecorder", "ServiceMetrics", "MetricsLogger"]
+__all__ = ["ServiceMetrics", "MetricsLogger"]
 
 logger = logging.getLogger("repro.service")
-
-
-class LatencyRecorder:
-    """Bounded window of per-op latencies with percentile snapshots.
-
-    A thin shim over :class:`repro.obs.metrics.Histogram` (seconds in,
-    milliseconds out) kept for API stability; the histogram itself may
-    be shared with a :class:`~repro.obs.metrics.MetricsRegistry`.
-    """
-
-    def __init__(
-        self,
-        reservoir: int = DEFAULT_RESERVOIR,
-        histogram: Histogram | None = None,
-    ):
-        self._histogram = (
-            histogram if histogram is not None else Histogram(reservoir)
-        )
-
-    @property
-    def _samples(self):
-        """The live reservoir (second units), for tests/inspection."""
-        return self._histogram.samples
-
-    def record(self, seconds: float) -> None:
-        self._histogram.observe(seconds)
-
-    def snapshot(self) -> dict:
-        """Count, mean, max and p50/p95/p99 in milliseconds."""
-        snap = self._histogram.snapshot()
-        if not snap["count"]:
-            return {"count": 0}
-        stats = {
-            "count": snap["count"],
-            "mean_ms": round(1000.0 * snap["mean"], 3),
-            "max_ms": round(1000.0 * snap["max"], 3),
-        }
-        for percentile in PERCENTILES:
-            stats[f"p{percentile:g}_ms"] = round(
-                1000.0 * snap[f"p{percentile:g}"], 3
-            )
-        return stats
 
 
 class ServiceMetrics:
@@ -87,13 +42,13 @@ class ServiceMetrics:
     """
 
     def __init__(self, reservoir: int = DEFAULT_RESERVOIR):
-        self._lock = threading.Lock()
         self._reservoir = reservoir
         self._started = time.perf_counter()
         #: Backing store for every counter/histogram; exported by the
         #: ``stats`` op and by :meth:`to_prometheus`.
         self.registry = MetricsRegistry()
-        self._latency: dict[str, LatencyRecorder] = {}
+        #: op -> (requests counter, errors counter, latency histogram).
+        self._per_op: dict[str, tuple[Counter, Counter, Histogram]] = {}
         self._cache_hits = self.registry.counter("service_cache_hits_total")
         self._cache_misses = self.registry.counter(
             "service_cache_misses_total"
@@ -138,22 +93,24 @@ class ServiceMetrics:
     # -- server-side accounting -----------------------------------------
     def observe(self, op: str, seconds: float, ok: bool = True) -> None:
         """Record one completed request of type ``op``."""
-        self.registry.counter("service_requests_total", op=op).inc()
+        handles = self._per_op.get(op)
+        if handles is None:
+            # Get-or-create is idempotent, so a racing first request
+            # of the same op builds the same tuple.
+            handles = self._per_op[op] = (
+                self.registry.counter("service_requests_total", op=op),
+                self.registry.counter("service_errors_total", op=op),
+                self.registry.histogram(
+                    "service_request_seconds",
+                    reservoir=self._reservoir,
+                    op=op,
+                ),
+            )
+        requests, errors, latency = handles
+        requests.inc()
         if not ok:
-            self.registry.counter("service_errors_total", op=op).inc()
-        recorder = self._latency.get(op)
-        if recorder is None:
-            with self._lock:
-                recorder = self._latency.get(op)
-                if recorder is None:
-                    recorder = self._latency[op] = LatencyRecorder(
-                        histogram=self.registry.histogram(
-                            "service_request_seconds",
-                            reservoir=self._reservoir,
-                            op=op,
-                        )
-                    )
-        recorder.record(seconds)
+            errors.inc()
+        latency.observe(seconds)
 
     def connection_opened(self) -> None:
         self._conns_opened.inc()
@@ -192,51 +149,17 @@ class ServiceMetrics:
         ).inc()
 
     # -- reporting -------------------------------------------------------
-    def _by_op(self, name: str) -> dict[str, int]:
-        return {
-            labels["op"]: int(metric.value)
-            for labels, metric in self.registry.family(name)
-        }
+    @property
+    def uptime_s(self) -> float:
+        return round(time.perf_counter() - self._started, 3)
 
-    def snapshot(self) -> dict:
-        """Everything, as one JSON-serialisable dict (the ``stats``
-        response body)."""
-        requests = self._by_op("service_requests_total")
-        errors = self._by_op("service_errors_total")
-        hits = int(self._cache_hits.value)
-        misses = int(self._cache_misses.value)
-        lookups = hits + misses
+    def stats(self, cache) -> dict:
+        """The ``stats`` response body: uptime, the LRU ``cache``'s
+        occupancy, and the registry snapshot."""
         return {
-            "uptime_s": round(time.perf_counter() - self._started, 3),
-            "requests_total": sum(requests.values()),
-            "errors_total": sum(errors.values()),
-            "requests_by_op": requests,
-            "errors_by_op": errors,
-            "cache": {
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
-            },
-            "batch": {
-                "batches": int(self._batches.value),
-                "queries": int(self._batch_queries.value),
-                "unique_queries": int(self._batch_unique.value),
-            },
-            "connections": {
-                "opened": int(self._conns_opened.value),
-                "closed": int(self._conns_closed.value),
-                "active": int(self._conns_active.value),
-            },
-            "resilience": {
-                "shed": int(self._shed.value),
-                "degraded_by_op": self._by_op("service_degraded_total"),
-                "breaker_opened": int(self._breaker_opened.value),
-                "breaker_rejected": int(self._breaker_rejected.value),
-            },
-            "latency_ms": {
-                op: recorder.snapshot()
-                for op, recorder in sorted(self._latency.items())
-            },
+            "uptime_s": self.uptime_s,
+            "cache": {"size": len(cache), "capacity": cache.capacity},
+            "registry": self.registry.snapshot(),
         }
 
     def to_prometheus(self) -> str:
@@ -247,16 +170,24 @@ class ServiceMetrics:
 
     def log_line(self) -> str:
         """Compact ``key=value`` summary for the periodic log."""
-        snap = self.snapshot()
-        neighbors = snap["latency_ms"].get("neighbors", {})
+        snapshot = self.registry.snapshot()
+        hits = counter_total(snapshot, "service_cache_hits_total")
+        lookups = hits + counter_total(snapshot, "service_cache_misses_total")
+        neighbors = self._per_op.get("neighbors")
+        latency = neighbors[2].snapshot() if neighbors else {}
+        p50, p99 = (
+            round(1000.0 * latency.get(key, 0.0), 3) for key in ("p50", "p99")
+        )
+        requests = counter_total(snapshot, "service_requests_total")
+        errors = counter_total(snapshot, "service_errors_total")
         return (
-            f"uptime={snap['uptime_s']:.0f}s "
-            f"requests={snap['requests_total']} "
-            f"errors={snap['errors_total']} "
-            f"cache_hit_rate={snap['cache']['hit_rate']:.2f} "
-            f"active_conns={snap['connections']['active']} "
-            f"neighbors_p50={neighbors.get('p50_ms', 0)}ms "
-            f"neighbors_p99={neighbors.get('p99_ms', 0)}ms"
+            f"uptime={self.uptime_s:.0f}s "
+            f"requests={requests:.0f} "
+            f"errors={errors:.0f} "
+            f"cache_hit_rate={hits / lookups if lookups else 0.0:.2f} "
+            f"active_conns={int(self._conns_active.value)} "
+            f"neighbors_p50={p50}ms "
+            f"neighbors_p99={p99}ms"
         )
 
 

@@ -129,6 +129,14 @@ class TestCheckpointCLI:
         assert serve.max_pending is None
         assert serve.degraded is False
         assert serve.breaker_threshold == 0
+        cstart = build_parser().parse_args(
+            ["cluster", "start", "topology.json"]
+        )
+        for parsed in (serve, cstart):
+            assert parsed.maintenance_interval == 0.0
+            assert parsed.maintenance_budget_seconds == 1.0
+            assert parsed.maintenance_budget_merges is None
+            assert parsed.maintenance_max_supernodes == 64
 
     def test_resume_requires_checkpoint_dir(self, edge_file, capsys):
         path, __ = edge_file

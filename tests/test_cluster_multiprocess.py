@@ -16,6 +16,7 @@ from repro.cluster.topology import (
     load_topology,
 )
 from repro.graph.generators import planted_partition
+from repro.obs.metrics import counter_total
 from repro.service import SummaryServiceClient
 
 
@@ -91,9 +92,13 @@ class TestInstanceProcess:
                 t.join()
 
             with SummaryServiceClient(*a_spec.address) as client:
-                a_total = client.stats()["requests_total"]
+                a_total = counter_total(
+                    client.stats()["registry"], "service_requests_total"
+                )
             with SummaryServiceClient(*b_spec.address) as client:
-                b_total = client.stats()["requests_total"]
+                b_total = counter_total(
+                    client.stats()["registry"], "service_requests_total"
+                )
             # Each server saw its own pings (the probing stats request
             # may or may not be in its own snapshot) — nothing more.
             assert a_total in (30, 31)

@@ -8,8 +8,10 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    counter_total,
     get_registry,
     nearest_rank,
+    worst_p99,
 )
 
 
@@ -121,6 +123,47 @@ class TestRegistry:
 
     def test_global_registry_is_shared(self):
         assert get_registry() is get_registry()
+
+
+class TestSnapshotReaders:
+    def test_counter_total_sums_across_labels(self):
+        registry = MetricsRegistry()
+        registry.counter("service_requests_total", op="neighbors").inc(3)
+        registry.counter("service_requests_total", op="ping").inc(2)
+        registry.counter("service_errors_total", op="ping").inc()
+        snap = registry.snapshot()
+        assert counter_total(snap, "service_requests_total") == 5
+        assert counter_total(snap, "service_errors_total") == 1
+
+    def test_counter_total_of_absent_family_is_zero(self):
+        assert counter_total({}, "service_requests_total") == 0
+        # Malformed entries (e.g. from the wire) are skipped.
+        snap = {"x": [{"value": "7"}, "junk", {"value": 2}]}
+        assert counter_total(snap, "x") == 2
+
+    def test_worst_p99_across_ops(self):
+        registry = MetricsRegistry()
+        for ms in range(1, 101):
+            registry.histogram("service_request_seconds", op="a").observe(
+                ms / 1000.0
+            )
+        registry.histogram("service_request_seconds", op="b").observe(0.5)
+        assert worst_p99(registry.snapshot()) == 0.5
+        registry.histogram("service_request_seconds", op="b").observe(0.0)
+        # b's p99 over {0.0, 0.5} is still 0.5; a's is 0.099.
+        assert worst_p99(registry.snapshot()) == 0.5
+
+    def test_worst_p99_none_when_nothing_recorded(self):
+        registry = MetricsRegistry()
+        assert worst_p99(registry.snapshot()) is None
+        registry.histogram("service_request_seconds", op="a")  # empty
+        registry.counter("service_requests_total", op="a")
+        snap = registry.snapshot()
+        assert snap["service_request_seconds"] == [
+            {"labels": {"op": "a"}, "kind": "histogram", "count": 0}
+        ]
+        assert worst_p99(snap) is None
+        assert counter_total(snap, "service_requests_total") == 0
 
 
 class TestPrometheusExport:

@@ -228,3 +228,18 @@ class TestExport:
         errors = obs.validate_record({"v": "one"})
         assert errors
         assert obs.validate_record([]) == ["record: not a JSON object"]
+        tracer = obs.Tracer()
+        with tracer.span("root"):
+            pass
+        (record,) = tracer.records()
+        assert obs.validate_record(record) == []
+        # v1 is no longer accepted, even with every v2 field present.
+        assert obs.validate_record(dict(record, v=1)) == [
+            f"record: schema version 1, expected {obs.SCHEMA_VERSION}"
+        ]
+        # pid and instance are required fields.
+        for field in ("pid", "instance"):
+            stripped = {k: v for k, v in record.items() if k != field}
+            assert obs.validate_record(stripped) == [
+                f"record: missing field {field!r}"
+            ]

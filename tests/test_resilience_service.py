@@ -203,7 +203,8 @@ class TestLoadShedding:
             engine, workers=1, max_pending=1, request_timeout=5.0
         )
         with server:
-            shed_before = engine.metrics.snapshot()["resilience"]["shed"]
+            shed = engine.metrics.registry.counter("service_shed_total")
+            shed_before = shed.value
             # Occupy the single worker: a served connection that then
             # sits idle mid-session.
             busy = SummaryServiceClient(*server.address, timeout=10.0)
@@ -226,10 +227,7 @@ class TestLoadShedding:
                 assert response["ok"] is False
                 assert response["error"]["type"] == "overloaded"
                 assert reader.readline() is None  # then closed
-            assert (
-                engine.metrics.snapshot()["resilience"]["shed"]
-                == shed_before + 1
-            )
+            assert shed.value == shed_before + 1
             queued.close()
             busy.close()
 
@@ -316,9 +314,9 @@ class TestBreakerInServer:
         breaker = CircuitBreaker(failure_threshold=2, reset_timeout=60.0)
         server = self._server(rep, breaker)
         server.engine.query = _raise_runtime_error
-        opened_before = server.metrics.snapshot()["resilience"][
-            "breaker_opened"
-        ]
+        registry = server.metrics.registry
+        opened = registry.counter("service_breaker_open_total")
+        opened_before = opened.value
         for i in range(2):
             response, _ = server._handle_request({"id": i, "op": "ping"})
             assert response["error"]["type"] == "internal"
@@ -326,9 +324,9 @@ class TestBreakerInServer:
         response, _ = server._handle_request({"id": 3, "op": "ping"})
         assert response["error"]["type"] == "overloaded"
         assert "circuit breaker" in response["error"]["message"]
-        snapshot = server.metrics.snapshot()["resilience"]
-        assert snapshot["breaker_opened"] == opened_before + 1
-        assert snapshot["breaker_rejected"] >= 1
+        assert opened.value == opened_before + 1
+        rejected = registry.counter("service_breaker_rejected_total")
+        assert rejected.value >= 1
 
     def test_query_errors_do_not_trip_the_breaker(self, rep):
         breaker = CircuitBreaker(failure_threshold=1, reset_timeout=60.0)
@@ -368,12 +366,10 @@ class TestDegradedMode:
         assert response["ok"] is True
         assert response["degraded"] is True
         assert response["result"][str(node)] == 0  # at least the origin
-        assert (
-            engine.metrics.snapshot()["resilience"]["degraded_by_op"].get(
-                "khop", 0
-            )
-            >= 1
+        degraded = engine.metrics.registry.counter(
+            "service_degraded_total", op="khop"
         )
+        assert degraded.value >= 1
 
     def test_pagerank_estimate_flagged(self, rep):
         engine = QueryEngine(rep, cache_size=64, degraded=True)

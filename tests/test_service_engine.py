@@ -7,6 +7,7 @@ import pytest
 
 from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.core.serialization import save_representation
+from repro.obs.metrics import counter_total
 from repro.queries.neighbors import neighbor_query
 from repro.queries.pagerank import pagerank_summary
 from repro.queries.traversal import bfs_distances
@@ -47,9 +48,9 @@ class TestNeighbors:
         engine.neighbors(3)
         engine.neighbors(3)
         engine.neighbors(4)
-        cache = engine.metrics.snapshot()["cache"]
-        assert cache["misses"] == 2
-        assert cache["hits"] == 1
+        registry = engine.metrics.registry
+        assert registry.counter("service_cache_misses_total").value == 2
+        assert registry.counter("service_cache_hits_total").value == 1
 
     def test_cache_eviction_respects_capacity(self, rep):
         small = QueryEngine(rep, cache_size=8)
@@ -64,7 +65,8 @@ class TestNeighbors:
         uncached.neighbors(1)
         uncached.neighbors(1)
         assert uncached.cache_len == 0
-        assert uncached.metrics.snapshot()["cache"]["hits"] == 0
+        hits = uncached.metrics.registry.counter("service_cache_hits_total")
+        assert hits.value == 0
 
     def test_degree(self, engine, rep):
         for q in range(0, rep.n, 7):
@@ -172,18 +174,20 @@ class TestQueryDict:
         assert 'service_requests_total{op="neighbors"} 1' in text
         assert "# TYPE service_request_seconds summary" in text
 
-    def test_metrics_registry_backs_legacy_snapshot(self, engine):
+    def test_metrics_registry_counts_requests_and_errors(self, engine):
         engine.query({"op": "neighbors", "node": 2})
         with pytest.raises(QueryError):
             engine.query({"op": "neighbors", "node": -1})
-        snap = engine.metrics.snapshot()
-        assert snap["requests_total"] == 2
-        assert snap["errors_total"] == 1
-        assert snap["errors_by_op"] == {"neighbors": 1}
+        snap = engine.metrics.registry.snapshot()
+        assert counter_total(snap, "service_requests_total") == 2
+        assert counter_total(snap, "service_errors_total") == 1
         registry = engine.metrics.registry
         assert registry.counter(
             "service_requests_total", op="neighbors"
         ).value == 2
+        assert registry.counter(
+            "service_errors_total", op="neighbors"
+        ).value == 1
 
 
 class TestQueryMany:
@@ -206,11 +210,16 @@ class TestQueryMany:
             {"id": i, "op": "neighbors", "node": i % 5} for i in range(50)
         ]
         engine.query_many(requests)
-        cache = engine.metrics.snapshot()["cache"]
+        registry = engine.metrics.registry
         # 5 unique nodes -> exactly 5 expansions despite 50 queries.
-        assert cache["misses"] == 5
-        batch = engine.metrics.snapshot()["batch"]
-        assert batch == {"batches": 1, "queries": 50, "unique_queries": 5}
+        assert registry.counter("service_cache_misses_total").value == 5
+        batch = {
+            name: registry.counter(f"service_{name}_total").value
+            for name in ("batches", "batch_queries", "batch_unique_queries")
+        }
+        assert batch == {
+            "batches": 1, "batch_queries": 50, "batch_unique_queries": 5
+        }
 
     def test_batch_mixes_ops(self, engine, rep):
         requests = [

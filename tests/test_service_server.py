@@ -8,6 +8,7 @@ import pytest
 
 from repro import obs
 from repro.algorithms.mags_dm import MagsDMSummarizer
+from repro.obs.metrics import counter_total, worst_p99
 from repro.queries.neighbors import neighbor_query
 from repro.service import (
     QueryEngine,
@@ -16,7 +17,7 @@ from repro.service import (
     SummaryQueryServer,
     SummaryServiceClient,
 )
-from repro.service.metrics import LatencyRecorder
+from repro.service.engine import LRUCache
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
@@ -99,9 +100,23 @@ class TestBasicOps:
     def test_stats(self, client):
         client.neighbors(0)
         stats = client.stats()
-        assert stats["requests_total"] >= 1
-        assert "latency_ms" in stats
-        assert stats["connections"]["active"] >= 1
+        # Round trip: only the registry carries counts and latencies.
+        assert set(stats) == {"uptime_s", "cache", "registry"}
+        assert set(stats["cache"]) == {"size", "capacity"}
+        assert "latency_ms" not in stats
+        assert "requests_by_op" not in stats
+        assert "hit_rate" not in stats["cache"]
+        registry = stats["registry"]
+        requests = {
+            entry["labels"]["op"]: entry["value"]
+            for entry in registry["service_requests_total"]
+        }
+        assert requests["neighbors"] >= 1
+        assert counter_total(registry, "service_requests_total") == sum(
+            requests.values()
+        )
+        assert worst_p99(registry) > 0
+        assert counter_total(registry, "service_connections_active") >= 1
 
 
 class TestErrors:
@@ -215,8 +230,8 @@ class TestShutdown:
             server.shutdown()
             server.close()
         # Connection count balanced after close.
-        active = engine.metrics.snapshot()["connections"]["active"]
-        assert active == 0
+        active = engine.metrics.registry.gauge("service_connections_active")
+        assert active.value == 0
 
 
 class TestTracing:
@@ -246,36 +261,55 @@ class TestTracing:
 
 
 class TestMetrics:
-    def test_latency_percentiles_nearest_rank(self):
-        recorder = LatencyRecorder()
-        for ms in range(1, 101):  # 1..100 ms
-            recorder.record(ms / 1000.0)
-        snap = recorder.snapshot()
-        assert snap["count"] == 100
-        assert snap["p50_ms"] == 50.0
-        assert snap["p95_ms"] == 95.0
-        assert snap["p99_ms"] == 99.0
-        assert snap["max_ms"] == 100.0
-
-    def test_reservoir_bounds_memory(self):
-        recorder = LatencyRecorder(reservoir=10)
-        for _ in range(1000):
-            recorder.record(0.001)
-        snap = recorder.snapshot()
-        assert snap["count"] == 1000  # total count survives
-        assert len(recorder._samples) == 10  # window bounded
-
     def test_snapshot_shape(self):
         metrics = ServiceMetrics()
         metrics.observe("neighbors", 0.002)
         metrics.observe("neighbors", 0.004, ok=False)
         metrics.cache_hit()
         metrics.cache_miss()
-        snap = metrics.snapshot()
-        assert snap["requests_total"] == 2
-        assert snap["errors_total"] == 1
-        assert snap["cache"]["hit_rate"] == 0.5
-        assert snap["latency_ms"]["neighbors"]["count"] == 2
+        stats = metrics.stats(LRUCache(4))
+        assert stats["cache"] == {"size": 0, "capacity": 4}
+        registry = stats["registry"]
+        assert counter_total(registry, "service_requests_total") == 2
+        assert counter_total(registry, "service_errors_total") == 1
+        assert counter_total(registry, "service_cache_hits_total") == 1
+        (latency,) = registry["service_request_seconds"]
+        assert latency["labels"] == {"op": "neighbors"}
+        assert latency["count"] == 2
+
+    def test_concurrent_first_observe_loses_no_counts(self):
+        # Threads race to build the cached per-op handles; every one
+        # must land on the same registry counters and histogram.
+        import sys
+
+        metrics = ServiceMetrics()
+        threads, per_thread = 16, 500
+        start = threading.Barrier(threads)
+
+        def hammer():
+            start.wait(timeout=10)
+            for _ in range(per_thread):
+                metrics.observe("neighbors", 0.001, ok=False)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=hammer) for _ in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        registry = metrics.registry.snapshot()
+        total = threads * per_thread
+        assert counter_total(registry, "service_requests_total") == total
+        assert counter_total(registry, "service_errors_total") == total
+        (latency,) = registry["service_request_seconds"]
+        assert latency["count"] == total
 
     def test_log_line_mentions_key_numbers(self):
         metrics = ServiceMetrics()
@@ -286,6 +320,6 @@ class TestMetrics:
 
     def test_uptime_advances(self):
         metrics = ServiceMetrics()
-        first = metrics.snapshot()["uptime_s"]
+        first = metrics.uptime_s
         time.sleep(0.01)
-        assert metrics.snapshot()["uptime_s"] >= first
+        assert metrics.uptime_s >= first

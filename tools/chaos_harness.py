@@ -238,8 +238,11 @@ def scenario_degraded_serving(seed: int) -> str:
     )
     assert response["ok"] and response.get("degraded") is True, response
     assert isinstance(response["result"], float)
-    degraded = engine.metrics.snapshot()["resilience"]["degraded_by_op"]
-    assert degraded.get("khop", 0) >= 1 and degraded.get("pagerank", 0) >= 1
+    for op in ("khop", "pagerank"):
+        degraded = engine.metrics.registry.counter(
+            "service_degraded_total", op=op
+        )
+        assert degraded.value >= 1, op
     return "zero-deadline khop/pagerank served degraded, flagged, counted"
 
 

@@ -46,6 +46,7 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.algorithms.mags_dm import MagsDMSummarizer  # noqa: E402
 from repro.core.serialization import save_representation  # noqa: E402
 from repro.graph import generators  # noqa: E402
+from repro.obs.metrics import counter_total  # noqa: E402
 from repro.queries.neighbors import neighbor_query  # noqa: E402
 from repro.service import SummaryServiceClient  # noqa: E402
 
@@ -155,16 +156,17 @@ def _hammer(rep, port: int) -> None:
         raise SystemExit(f"query failures: {failures[:5]}")
 
     with SummaryServiceClient("127.0.0.1", port) as client:
-        stats = client.stats()
-        expected = rep.n + 2 * CLIENT_THREADS  # neighbors + ping/pagerank
-        if stats["requests_total"] < expected:
-            raise SystemExit(
-                f"stats undercount: {stats['requests_total']} < {expected}"
-            )
-        print(
-            f"stats: {stats['requests_total']} requests, "
-            f"hit rate {stats['cache']['hit_rate']:.0%}"
-        )
+        registry = client.stats()["registry"]
+    requests = counter_total(registry, "service_requests_total")
+    expected = rep.n + 2 * CLIENT_THREADS  # neighbors + ping/pagerank
+    if requests < expected:
+        raise SystemExit(f"stats undercount: {requests:.0f} < {expected}")
+    hits = counter_total(registry, "service_cache_hits_total")
+    lookups = hits + counter_total(registry, "service_cache_misses_total")
+    print(
+        f"stats: {requests:.0f} requests, "
+        f"hit rate {hits / lookups if lookups else 0.0:.0%}"
+    )
 
 
 def _free_ports(count: int) -> list[int]:
