@@ -73,7 +73,7 @@ def main() -> None:
             print(f"batch of {len(batch)} degree queries answered")
 
             # Every number is in the metrics registry snapshot.
-            registry = client.stats()["registry"]
+            registry = client.telemetry()["registry"]
             hits = counter_total(registry, "service_cache_hits_total")
             lookups = hits + counter_total(
                 registry, "service_cache_misses_total"

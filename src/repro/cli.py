@@ -1200,7 +1200,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         return 0
 
     if args.cluster_command == "status":
-        rows = probe_topology(spec, timeout=args.timeout)
+        from repro.obs.collect import pull_cluster_telemetry
+
+        rows = probe_topology(
+            spec, pull_cluster_telemetry(spec, timeout=args.timeout)
+        )
         all_up = True
         for row in rows:
             if row["up"]:

@@ -27,8 +27,7 @@ from pathlib import Path
 
 from repro.cluster.router import RouterEngine
 from repro.cluster.topology import ClusterSpec, InstanceSpec, TopologyError
-from repro.obs.metrics import counter_total, worst_p99
-from repro.service.client import ServiceError, SummaryServiceClient
+from repro.obs.metrics import counter_total, series_value, worst_p99
 from repro.service.engine import QueryEngine
 from repro.service.server import SummaryQueryServer
 
@@ -467,6 +466,8 @@ def start_local_cluster(
         router_server = SummaryQueryServer(
             router_engine, port=0, workers=workers
         ).start()
+        # The spec names real addresses only, so collectors can read it.
+        spec.router_port = router_server.address[1]
     except BaseException:
         for engine in engines.values():
             stop_replication = getattr(engine, "stop_replication", None)
@@ -480,52 +481,49 @@ def start_local_cluster(
     )
 
 
-def probe_topology(spec: ClusterSpec, timeout: float = 3.0) -> list[dict]:
-    """Ping the router and every instance; one status row each.
+def probe_topology(spec: ClusterSpec, telemetry: dict) -> list[dict]:
+    """One ``repro cluster status`` row per target — the router, then
+    every instance — from a
+    :func:`repro.obs.collect.pull_cluster_telemetry` result, so status
+    costs one ``telemetry`` call per target and this function none.
 
-    Used by ``repro cluster status`` — never raises for a down
-    process, it reports it.
+    A row is ``{"target", "address", "up"}`` plus ``error`` when the
+    target is down, or ``requests_total``, ``errors_total`` and
+    ``p99_ms`` when it is up.  On a replicated topology an instance
+    that reports the replication gauges adds ``role`` and ``term``,
+    and a primary with followers ``max_follower_lag``.
     """
+    targets = [("router", spec.router_host, spec.router_port)]
+    targets += [(i.label, i.host, i.port) for i in spec.instances]
     rows: list[dict] = []
-    targets: list[tuple[str, str, int]] = [
-        ("router", spec.router_host, spec.router_port)
-    ]
-    targets += [
-        (i.label, i.host, i.port) for i in spec.instances
-    ]
     for label, host, port in targets:
         row = {"target": label, "address": f"{host}:{port}"}
-        try:
-            with SummaryServiceClient(host, port, timeout=timeout) as client:
-                stats = client.stats()
-                repl = None
-                if label != "router" and spec.replicas > 1:
-                    try:
-                        repl = client.repl_status()
-                    except (OSError, ServiceError, ValueError):
-                        repl = None  # read-only instance, or mid-restart
-            row["up"] = True
-            registry = stats.get("registry") or {}
-            row["requests_total"] = int(
-                counter_total(registry, "service_requests_total")
-            )
-            row["errors_total"] = int(
-                counter_total(registry, "service_errors_total")
-            )
-            p99 = worst_p99(registry)
-            row["p99_ms"] = None if p99 is None else 1000.0 * p99
-            if isinstance(repl, dict):
-                row["role"] = repl.get("role")
-                row["term"] = repl.get("term")
-                followers = repl.get("followers")
-                if isinstance(followers, list) and followers:
-                    row["max_follower_lag"] = max(
-                        int(f.get("lag", 0) or 0)
-                        for f in followers
-                        if isinstance(f, dict)
-                    )
-        except (OSError, ServiceError, ValueError) as exc:
-            row["up"] = False
-            row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
+        entry = telemetry.get(label) or {}
+        registry = entry.get("registry")
+        if not isinstance(registry, dict):
+            row["up"] = False
+            row["error"] = entry.get("error", "no telemetry")
+            continue
+        p99 = worst_p99(registry)
+        row.update(
+            up=True,
+            requests_total=int(
+                counter_total(registry, "service_requests_total")
+            ),
+            errors_total=int(counter_total(registry, "service_errors_total")),
+            p99_ms=None if p99 is None else 1000.0 * p99,
+        )
+        role = series_value(registry, "repro_replication_role")
+        if label == "router" or spec.replicas == 1 or role is None:
+            continue
+        row["role"] = "primary" if role else "follower"
+        term = series_value(registry, "repro_replication_term")
+        row["term"] = int(term or 0)
+        lags = [
+            series["value"]
+            for series in registry.get("repro_replication_lag_lsns") or []
+        ]
+        if role and lags:
+            row["max_follower_lag"] = int(max(lags))
     return rows

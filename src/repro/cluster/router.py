@@ -45,11 +45,11 @@ Routing semantics
   on the new primary, so a batch acked just before the failover is
   answered ``duplicate: true`` instead of double-applied.  See
   docs/resilience.md ("Replication & failover").
-* ``stats`` — the router's own counters plus a ``cluster`` section
-  aggregated from a best-effort ``stats`` probe of every instance.
-* ``telemetry`` — the router's identity and registry snapshot; the
-  cluster collector (:mod:`repro.obs.collect`) pairs it with each
-  instance's own ``telemetry`` answer to build the merged registry.
+* ``telemetry`` — the router's identity and registry snapshot, with
+  one ``router_breaker_state{instance}`` gauge per instance; it makes
+  no outbound call.  The cluster collector (:mod:`repro.obs.collect`)
+  pairs it with each instance's own ``telemetry`` answer to build the
+  cluster-wide view.
 
 When tracing is on, every outbound shard call runs under a
 ``router:fanout`` span whose context rides the wire (the ``trace``
@@ -82,14 +82,12 @@ from __future__ import annotations
 
 import contextlib
 import logging
-import os
 import random
 import threading
 import time
 
 from repro.cluster.topology import ClusterSpec, InstanceSpec, TopologyError
-from repro.obs.metrics import counter_total, worst_p99
-from repro.obs.tracer import get_instance_label, get_tracer
+from repro.obs.tracer import get_tracer
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.retry import (
     Deadline,
@@ -102,7 +100,6 @@ from repro.service.client import ServiceError, SummaryServiceClient
 from repro.service.engine import (
     LRUCache,
     OPS,
-    TELEMETRY_SAMPLES,
     QueryError,
     QueryTimeout,
     error_response,
@@ -111,6 +108,7 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import MAX_BATCH_REQUESTS, ProtocolError
 
 __all__ = [
+    "BREAKER_STATES",
     "RouterEngine",
     "ShardDownError",
     "ReplicaPool",
@@ -125,6 +123,12 @@ _SINGLE_SHARD_OPS = ("neighbors", "degree", "pagerank")
 #: Everything the router answers: the read ops plus ``ingest``
 #: (accepted only when the backing shards run mutable engines).
 ROUTER_OPS = OPS + ("ingest",)
+
+#: ``router_breaker_state{instance}`` gauge values: the index of the
+#: instance breaker's state in this tuple.
+BREAKER_STATES = (
+    CircuitBreaker.CLOSED, CircuitBreaker.HALF_OPEN, CircuitBreaker.OPEN,
+)
 
 #: Transport-level failures that trigger failover to a sibling
 #: replica (``OSError`` covers ``ConnectionError`` and timeouts).
@@ -252,20 +256,11 @@ class ReplicaPool:
         self._release(client)
         return result
 
-    def try_stats(self) -> dict | None:
-        """Best-effort ``stats`` probe; breaker-neutral so
-        observability never fights the failover state machine."""
-        try:
-            snap = self.request("stats")
-            return snap if isinstance(snap, dict) else None
-        except (ServiceError, *_FAILOVER_ERRORS):
-            return None
-
     def try_repl_status(self) -> dict | None:
         """Best-effort ``repl_status`` probe (``None`` for dead or
-        read-only instances); breaker-neutral, like :meth:`try_stats`,
-        and deliberately *not* gated on the breaker — promotion must
-        be able to probe an ejected replica."""
+        read-only instances); breaker-neutral, and deliberately *not*
+        gated on the breaker — promotion must be able to probe an
+        ejected replica."""
         try:
             snap = self.request("repl_status")
             return snap if isinstance(snap, dict) else None
@@ -757,7 +752,7 @@ class RouterEngine:
     # -- dispatch --------------------------------------------------------
     def _classify(self, request) -> int | None:
         """Owning shard for direct fan-out, ``None`` for local
-        handling (khop/stats/ping, malformed items, range errors —
+        handling (khop/telemetry/ping, malformed items, range errors —
         the local path reproduces the engine's inline errors)."""
         if not isinstance(request, dict):
             return None
@@ -780,18 +775,14 @@ class RouterEngine:
     ):
         if op == "ping":
             return "pong"
-        if op == "stats":
-            if request.get("format") == "prometheus":
-                return self.metrics.to_prometheus()
-            return self._stats_snapshot()
         if op == "telemetry":
-            return {
-                "instance": get_instance_label() or "router",
-                "pid": os.getpid(),
-                "registry": self.metrics.registry.snapshot(
-                    samples=TELEMETRY_SAMPLES
-                ),
-            }
+            registry = self.metrics.registry
+            for shard_pool in self._shards:
+                for pool in shard_pool.replicas:
+                    registry.gauge(
+                        "router_breaker_state", instance=pool.instance.label
+                    ).set(BREAKER_STATES.index(pool.breaker.state))
+            return self.metrics.telemetry(self._cache, "router")
         if op == "ingest":
             return self._ingest(request)
         node = request.get("node")
@@ -1110,106 +1101,6 @@ class RouterEngine:
                 break
             frontier = next_frontier
         return distances
-
-    # -- stats -----------------------------------------------------------
-    def _stats_snapshot(self) -> dict:
-        snapshot = self.metrics.stats(self._cache)
-
-        shards = []
-        up = 0
-        agg_requests = 0
-        agg_errors = 0
-        maint = {
-            "passes": 0,
-            "abandoned": 0,
-            "supernodes_processed": 0,
-            "cost_reclaimed": 0,
-            "dirty_supernodes": 0,
-            "dirty_corrections": 0,
-        }
-        maint_reported = 0
-        replicated = self.spec.replicas > 1
-        for shard_pool in self._shards:
-            instances = []
-            for pool in shard_pool.replicas:
-                stats = pool.try_stats()
-                healthy = stats is not None
-                up += int(healthy)
-                requests = errors = p99 = None
-                repl = pool.try_repl_status() if replicated else None
-                if healthy:
-                    registry = stats.get("registry") or {}
-                    requests = int(
-                        counter_total(registry, "service_requests_total")
-                    )
-                    errors = int(
-                        counter_total(registry, "service_errors_total")
-                    )
-                    p99 = worst_p99(registry)
-                    if p99 is not None:
-                        p99 *= 1000.0
-                    agg_requests += requests
-                    agg_errors += errors
-                    instance_maint = stats.get("maintenance")
-                    if isinstance(instance_maint, dict):
-                        maint_reported += 1
-                        for key in maint:
-                            maint[key] += int(
-                                instance_maint.get(key, 0) or 0
-                            )
-                entry = {
-                    "instance": pool.instance.label,
-                    "host": pool.instance.host,
-                    "port": pool.instance.port,
-                    "healthy": healthy,
-                    "breaker": pool.breaker.state,
-                    # Per-instance traffic summary inline so
-                    # `repro cluster status` is useful without
-                    # the telemetry collector.
-                    "requests": requests,
-                    "errors": errors,
-                    "p99_ms": p99,
-                    "stats": stats,
-                }
-                if replicated:
-                    entry["replication"] = (
-                        {
-                            "role": repl.get("role"),
-                            "term": repl.get("term"),
-                            "applied_lsn": repl.get("applied_lsn"),
-                            "last_lsn": repl.get("last_lsn"),
-                            "followers": repl.get("followers"),
-                        }
-                        if repl is not None
-                        else None
-                    )
-                instances.append(entry)
-            shard_entry = {
-                "shard": shard_pool.shard, "instances": instances,
-            }
-            if replicated:
-                # The router's own view of the shard's write path.
-                shard_entry["primary"] = shard_pool.replicas[
-                    shard_pool.primary
-                ].instance.label
-                shard_entry["term"] = shard_pool.term
-            shards.append(shard_entry)
-        total = len(self.spec.instances)
-        snapshot["cluster"] = {
-            "shards": shards,
-            "aggregate": {
-                "instances_total": total,
-                "instances_up": up,
-                "shard_requests_total": agg_requests,
-                "shard_errors_total": agg_errors,
-                # Summed over every instance that reports a
-                # ``maintenance`` section (durable-ingest servers).
-                "maintenance": dict(
-                    maint, instances_reporting=maint_reported
-                ),
-            },
-        }
-        return snapshot
 
     # -- plumbing --------------------------------------------------------
     @staticmethod

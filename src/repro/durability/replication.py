@@ -435,7 +435,6 @@ class ReplicationManager:
             if "records" in payload:
                 self._count("records_shipped", len(payload["records"]))
             link.acked_lsn = acked
-        self._gauge_lag(link)
         return True
 
     # -- background catch-up ---------------------------------------------
@@ -491,8 +490,3 @@ class ReplicationManager:
         self._registry.counter(
             "repro_replication_ship_total", event=event
         ).inc(n)
-
-    def _gauge_lag(self, link: ReplicaLink) -> None:
-        self._registry.gauge(
-            "repro_replication_lag_lsns", follower=link.label
-        ).set(max(0, self._high_water() - link.acked_lsn))

@@ -98,10 +98,8 @@ class Applied:
     #: Dedup rows evicted past the capacity.
     evicted: int = 0
     #: A maintenance record's super-nodes processed (``None`` for
-    #: any other record) ...
+    #: any other record).
     processed: int | None = None
-    #: ... and the representation cost it reclaimed.
-    reclaimed: int = 0
 
 
 class EngineState:
@@ -199,7 +197,6 @@ class EngineState:
 
     def _resummarize(self, record, built) -> Applied:
         dyn = self.dynamic
-        cost_before = dyn.cost
         touched = {
             node
             for sid in record.targets
@@ -221,11 +218,7 @@ class EngineState:
             touched.update(edge)
         self.epoch += 1
         self.applied_lsn = record.lsn
-        return Applied(
-            touched,
-            processed=processed,
-            reclaimed=cost_before - dyn.cost,
-        )
+        return Applied(touched, processed=processed)
 
     # -- checkpoint state ------------------------------------------------
     def to_state(self) -> dict:

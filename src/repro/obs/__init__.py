@@ -8,7 +8,8 @@ The observability layer the rest of the package reports into:
 * :mod:`repro.obs.metrics` — the process-global
   :class:`MetricsRegistry` of counters, gauges and p50/p95/p99
   histograms (the serving metrics live in one) and the snapshot
-  readers :func:`counter_total` / :func:`worst_p99`;
+  readers :func:`counter_total` / :func:`series_value` /
+  :func:`worst_p99`;
 * :mod:`repro.obs.exporters` — JSONL traces, rendered text trees and
   Prometheus text dumps;
 * :mod:`repro.obs.schema` — the documented span-record schema and its
@@ -57,6 +58,7 @@ from repro.obs.metrics import (
     REGISTRY,
     counter_total,
     get_registry,
+    series_value,
     worst_p99,
 )
 from repro.obs.profiled import profiled
@@ -113,6 +115,7 @@ __all__ = [
     "REGISTRY",
     "get_registry",
     "counter_total",
+    "series_value",
     "worst_p99",
     # exporters
     "SpanSink",

@@ -277,7 +277,8 @@ def pull_cluster_telemetry(
 
     Returns ``label -> {"pid", "instance", "registry"}``; unreachable
     targets get ``{"error": ...}`` instead (never raises for a down
-    process — mirrors ``probe_topology``).
+    process).  ``repro cluster status``, ``repro cluster telemetry``
+    and ``repro slo`` all read this one pull.
     """
     from repro.service.client import ServiceError, SummaryServiceClient
 

@@ -11,8 +11,8 @@ Three consumers, three formats:
   their parents with wall/CPU time and counters;
 * **Prometheus text format** — a ``/metrics``-style dump of a
   :class:`~repro.obs.metrics.MetricsRegistry` (histograms rendered as
-  summaries with quantiles), served by the TCP service's ``stats`` op
-  with ``"format": "prometheus"``.
+  summaries with quantiles), which ``repro cluster telemetry`` prints
+  for the registries the ``telemetry`` op ships.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ The :class:`MetricsRegistry` is the single source of truth for
 operational numbers — the serving stack's request/error/cache counters
 (:mod:`repro.service.metrics` holds cached handles into one of these)
 and the summarizers' run/merge totals all land here, keyed by metric
-name plus a small label set, Prometheus-style.  :func:`counter_total`
-and :func:`worst_p99` read a :meth:`MetricsRegistry.snapshot` — local
-or shipped over the wire by the ``stats``/``telemetry`` ops.
+name plus a small label set, Prometheus-style.  :func:`counter_total`,
+:func:`series_value` and :func:`worst_p99` read a
+:meth:`MetricsRegistry.snapshot` — local or shipped over the wire by
+the ``telemetry`` op.
 
 Histograms keep a bounded reservoir (most recent ``reservoir``
 samples in a deque) so memory stays constant regardless of uptime;
@@ -31,6 +32,7 @@ __all__ = [
     "REGISTRY",
     "counter_total",
     "get_registry",
+    "series_value",
     "worst_p99",
 ]
 
@@ -252,6 +254,12 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get(Histogram, name, labels, reservoir=reservoir)
 
+    def remove(self, name: str, **labels: Any) -> None:
+        """Drop one series (a gauge whose value stopped being defined
+        must vanish from the snapshot, not linger at its last value)."""
+        with self._lock:
+            self._metrics.pop((name, _label_key(labels)), None)
+
     # -- enumeration ------------------------------------------------------
     def family(self, name: str) -> list[tuple[dict[str, str], Any]]:
         """Every (labels, metric) registered under ``name``."""
@@ -305,6 +313,19 @@ def counter_total(snapshot: dict[str, Any], name: str) -> float:
         if isinstance(value, _NUMBER_T):
             total += value
     return total
+
+
+def series_value(
+    snapshot: dict[str, Any], name: str, **labels: Any
+) -> float | None:
+    """Value of the one counter or gauge series ``name{labels}`` in a
+    registry snapshot; ``None`` when the series is absent."""
+    wanted = {k: str(v) for k, v in labels.items()}
+    for entry in snapshot.get(name) or []:
+        if isinstance(entry, dict) and entry.get("labels") == wanted:
+            value = entry.get("value")
+            return value if isinstance(value, _NUMBER_T) else None
+    return None
 
 
 def worst_p99(snapshot: dict[str, Any]) -> float | None:

@@ -317,9 +317,6 @@ class SummaryServiceClient:
     def pagerank_score(self, node: int) -> float:
         return self.request("pagerank", node=node)
 
-    def stats(self) -> dict:
-        return self.request("stats")
-
     def telemetry(self) -> dict:
         """The server's identity + full registry snapshot
         (``{"instance", "pid", "registry"}``) — what the cluster

@@ -35,7 +35,6 @@ dedicated lock.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -53,18 +52,10 @@ __all__ = [
     "QueryTimeout",
     "LRUCache",
     "OPS",
-    "TELEMETRY_SAMPLES",
 ]
 
 #: Request types the engine understands (the protocol's ``op`` field).
-OPS = (
-    "neighbors", "degree", "khop", "pagerank", "stats", "telemetry", "ping",
-)
-
-#: Reservoir samples per histogram carried in a ``telemetry`` reply —
-#: mirrors :data:`repro.obs.collect.TELEMETRY_SAMPLES`; keeps a full
-#: registry snapshot well under the 1 MiB wire line cap.
-TELEMETRY_SAMPLES = 1024
+OPS = ("neighbors", "degree", "khop", "pagerank", "telemetry", "ping")
 
 
 class QueryError(ValueError):
@@ -412,20 +403,8 @@ class QueryEngine:
     ):
         if op == "ping":
             return "pong"
-        if op == "stats":
-            if request.get("format") == "prometheus":
-                return self.metrics.to_prometheus()
-            return self.metrics.stats(self._cache)
         if op == "telemetry":
-            from repro.obs.tracer import get_instance_label
-
-            return {
-                "instance": get_instance_label(),
-                "pid": os.getpid(),
-                "registry": self.metrics.registry.snapshot(
-                    samples=TELEMETRY_SAMPLES
-                ),
-            }
+            return self.metrics.telemetry(self._cache)
         node = request.get("node")
         if not isinstance(node, int) or isinstance(node, bool):
             raise QueryError(

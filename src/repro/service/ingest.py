@@ -56,6 +56,7 @@ serving bookkeeping (caches, metrics, replication).
 
 from __future__ import annotations
 
+import math
 import threading
 
 from repro.durability.replication import record_from_wire
@@ -136,13 +137,6 @@ class MutableQueryEngine(QueryEngine):
         #: ``representation`` of the current state; every apply and
         #: restore drops it.
         self._rep_snapshot = None
-        #: Background-maintenance bookkeeping (the ``stats`` section).
-        self._maintenance = {
-            "passes": 0,
-            "abandoned": 0,
-            "supernodes_processed": 0,
-            "cost_reclaimed": 0,
-        }
         #: Replication role.  An unreplicated engine is a "primary"
         #: with term 0 and no manager — every legacy path unchanged.
         self.role = "primary"
@@ -278,10 +272,9 @@ class MutableQueryEngine(QueryEngine):
             )
         if op == "repl_status":
             return self.repl_status()
-        result = super()._dispatch(op, request, deadline, degraded_sink)
-        if op == "stats" and isinstance(result, dict):
-            result["maintenance"] = self.maintenance_stats()
-        return result
+        if op == "telemetry":
+            self._telemetry_gauges()
+        return super()._dispatch(op, request, deadline, degraded_sink)
 
     # -- the ingest op ---------------------------------------------------
     def ingest(self, stream, seq, mutations, *, dry_run=False) -> dict:
@@ -689,26 +682,35 @@ class MutableQueryEngine(QueryEngine):
             1 if self.role == "primary" else 0
         )
 
-    # -- background maintenance ------------------------------------------
-    def maintenance_stats(self) -> dict:
-        """The ``maintenance`` section of the ``stats`` op."""
-        import math
-
+    def _telemetry_gauges(self) -> None:
+        """Set the gauges only ``telemetry`` reports — the served
+        summary's dirt and compactness (the paper's (|E|+|C|)/m), and
+        each follower's lag on a primary — so no request pays for
+        them.  ``repro_summary_relative_size`` is absent while the
+        ratio is not finite."""
+        registry = self.metrics.registry
         with self._state_lock:
             dyn = self.state.dynamic
             dirty = dyn.dirty_supernodes()
-            ratio = dyn.relative_size
-            return {
-                **self._maintenance,
-                "dirty_supernodes": len(dirty),
-                "dirty_corrections": sum(dirty.values()),
-                "cost": dyn.cost,
-                "base_cost": dyn.base_cost,
-                "relative_size": (
-                    ratio if math.isfinite(ratio) else None
-                ),
-            }
+            cost, base_cost, ratio = dyn.cost, dyn.base_cost, dyn.relative_size
+            replicator = self._replicator
+        registry.gauge("repro_maintenance_dirty_supernodes").set(len(dirty))
+        registry.gauge("repro_maintenance_dirty_corrections").set(
+            sum(dirty.values())
+        )
+        registry.gauge("repro_summary_cost").set(cost)
+        registry.gauge("repro_summary_base_cost").set(base_cost)
+        if math.isfinite(ratio):
+            registry.gauge("repro_summary_relative_size").set(ratio)
+        else:
+            registry.remove("repro_summary_relative_size")
+        if replicator is not None:
+            for follower in replicator.status()["followers"]:
+                registry.gauge(
+                    "repro_replication_lag_lsns", follower=follower["label"]
+                ).set(follower["lag"])
 
+    # -- background maintenance ------------------------------------------
     def maintenance_pass(
         self,
         *,
@@ -767,7 +769,6 @@ class MutableQueryEngine(QueryEngine):
 
         with self._state_lock:
             if self.epoch != built_at:
-                self._maintenance["abandoned"] += 1
                 self._count_pass("abandoned")
                 return {
                     "outcome": "abandoned",
@@ -944,16 +945,9 @@ class MutableQueryEngine(QueryEngine):
                     "repro_ingest_dedup_evictions_total"
                 ).inc(applied.evicted)
         elif applied.processed is not None:
-            maintenance = self._maintenance
-            maintenance["passes"] += 1
-            maintenance["supernodes_processed"] += applied.processed
-            maintenance["cost_reclaimed"] += applied.reclaimed
             self._count_pass("committed")
             registry.counter("repro_maintenance_supernodes_total").inc(
                 applied.processed
-            )
-            registry.gauge("repro_maintenance_dirty_supernodes").set(
-                len(state.dynamic.dirty_supernodes())
             )
         if state.term != term:
             self._repl_gauges()

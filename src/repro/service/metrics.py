@@ -6,19 +6,23 @@ doing" without a debugger.  Every number lives in
 under Prometheus-style names (``service_requests_total{op=...}``,
 ``service_request_seconds{op=...}``, ``service_cache_hits_total``,
 ...); this module only holds cached handles into it for the hot
-paths.  The ``stats`` response carries the registry snapshot
-verbatim (read it with :func:`repro.obs.metrics.counter_total` and
-:func:`repro.obs.metrics.worst_p99`), :meth:`ServiceMetrics.to_prometheus`
-renders it, and :class:`MetricsLogger` logs a one-line summary
-periodically.
+paths.  The ``telemetry`` response (:meth:`ServiceMetrics.telemetry`)
+carries the registry snapshot verbatim (read it with
+:func:`repro.obs.metrics.counter_total`,
+:func:`~repro.obs.metrics.series_value` and
+:func:`~repro.obs.metrics.worst_p99`; render it with
+:func:`repro.obs.exporters.registry_to_prometheus`), and
+:class:`MetricsLogger` logs a one-line summary periodically.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import threading
 import time
 
+from repro.obs.collect import TELEMETRY_SAMPLES
 from repro.obs.metrics import (
     DEFAULT_RESERVOIR,
     Counter,
@@ -26,6 +30,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     counter_total,
 )
+from repro.obs.tracer import get_instance_label
 
 __all__ = ["ServiceMetrics", "MetricsLogger"]
 
@@ -44,8 +49,8 @@ class ServiceMetrics:
     def __init__(self, reservoir: int = DEFAULT_RESERVOIR):
         self._reservoir = reservoir
         self._started = time.perf_counter()
-        #: Backing store for every counter/histogram; exported by the
-        #: ``stats`` op and by :meth:`to_prometheus`.
+        #: Backing store for every counter/gauge/histogram; exported
+        #: by the ``telemetry`` op (:meth:`telemetry`).
         self.registry = MetricsRegistry()
         #: op -> (requests counter, errors counter, latency histogram).
         self._per_op: dict[str, tuple[Counter, Counter, Histogram]] = {}
@@ -153,20 +158,23 @@ class ServiceMetrics:
     def uptime_s(self) -> float:
         return round(time.perf_counter() - self._started, 3)
 
-    def stats(self, cache) -> dict:
-        """The ``stats`` response body: uptime, the LRU ``cache``'s
-        occupancy, and the registry snapshot."""
+    def telemetry(self, cache, instance: str = "") -> dict:
+        """The ``telemetry`` response body, for engine and router
+        alike: ``{"instance", "pid", "registry"}``.
+
+        Uptime and the LRU ``cache``'s occupancy and capacity become
+        gauges here, so they cost nothing per request.  ``instance``
+        names the process when no instance label was set.
+        """
+        registry = self.registry
+        registry.gauge("service_uptime_seconds").set(self.uptime_s)
+        registry.gauge("service_cache_entries").set(len(cache))
+        registry.gauge("service_cache_capacity").set(cache.capacity)
         return {
-            "uptime_s": self.uptime_s,
-            "cache": {"size": len(cache), "capacity": cache.capacity},
-            "registry": self.registry.snapshot(),
+            "instance": get_instance_label() or instance,
+            "pid": os.getpid(),
+            "registry": registry.snapshot(samples=TELEMETRY_SAMPLES),
         }
-
-    def to_prometheus(self) -> str:
-        """The registry in Prometheus text exposition format."""
-        from repro.obs.exporters import registry_to_prometheus
-
-        return registry_to_prometheus(self.registry)
 
     def log_line(self) -> str:
         """Compact ``key=value`` summary for the periodic log."""

@@ -13,7 +13,6 @@ degree     ``node``                    integer degree
 khop       ``node``, ``k``             ``{node: hop_distance}`` (string keys)
 pagerank   ``node``                    PageRank score (float)
 batch      ``requests`` (list of ops)  list of per-request responses
-stats      —                           metrics snapshot
 telemetry  —                           ``{"instance", "pid", "registry"}``
 ping       —                           ``"pong"``
 ingest     ``stream``, ``seq``,        ``{"applied", "lsn"[, "duplicate"]}``
@@ -126,7 +125,6 @@ KNOWN_OPS = (
     "khop",
     "pagerank",
     "batch",
-    "stats",
     "telemetry",
     "ping",
     "ingest",
@@ -148,7 +146,6 @@ _ALLOWED_FIELDS: dict[str, frozenset[str]] = {
     "khop": frozenset({"id", "op", "node", "k", "trace"}),
     "pagerank": frozenset({"id", "op", "node", "trace"}),
     "batch": frozenset({"id", "op", "requests", "trace"}),
-    "stats": frozenset({"id", "op", "format", "trace"}),
     "telemetry": frozenset({"id", "op", "trace"}),
     "ping": frozenset({"id", "op", "trace"}),
     "ingest": frozenset(
@@ -213,8 +210,7 @@ def validate_request(request: dict) -> dict:
     echoable without interpretation), a missing/unknown ``op``, any
     field outside the op's whitelist, a non-integer ``node``, a ``k``
     outside ``[0, MAX_KHOP_K]``, a ``batch`` whose ``requests`` is not
-    a list of at most :data:`MAX_BATCH_REQUESTS` objects, a
-    ``stats`` ``format`` other than ``"prometheus"``, a malformed
+    a list of at most :data:`MAX_BATCH_REQUESTS` objects, a malformed
     ``ingest`` body (bad ``stream``/``seq`` types, a mutation that is
     not ``["+"|"-", u, v]``, an oversized batch), or a malformed
     ``trace`` context (non-object, missing/over-long ids, unknown
@@ -268,12 +264,6 @@ def validate_request(request: dict) -> dict:
                 raise ProtocolError(
                     f"batch request #{index} is not a JSON object"
                 )
-    elif op == "stats":
-        fmt = request.get("format")
-        if fmt is not None and fmt != "prometheus":
-            raise ProtocolError(
-                f"unknown stats format {fmt!r}; supported: 'prometheus'"
-            )
     elif op == "ingest":
         _check_ingest_fields(request)
     elif op == "replicate":

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import ALGORITHMS, build_parser, main
@@ -242,3 +244,135 @@ class TestClusterCLI:
         ])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+def _snapshot(requests=0, errors=0, p99=None, role=None, term=0, lags=()):
+    """A hand-built ``telemetry`` registry snapshot."""
+    from repro.obs.metrics import MetricsRegistry
+
+    registry = MetricsRegistry()
+    registry.counter("service_requests_total", op="neighbors").inc(requests)
+    registry.counter("service_errors_total", op="neighbors").inc(errors)
+    if p99 is not None:
+        registry.histogram(
+            "service_request_seconds", op="neighbors"
+        ).observe(p99)
+    if role is not None:
+        registry.gauge("repro_replication_role").set(role == "primary")
+        registry.gauge("repro_replication_term").set(term)
+    for index, lag in enumerate(lags):
+        registry.gauge(
+            "repro_replication_lag_lsns", follower=f"f{index}"
+        ).set(lag)
+    return {"instance": "", "pid": 1, "registry": registry.snapshot()}
+
+
+class TestClusterStatus:
+    """``repro cluster status`` rows come from one telemetry pull."""
+
+    def test_up_target_reports_traffic(self):
+        from repro.cluster import default_spec, probe_topology
+
+        spec = default_spec(1, 1)
+        telemetry = {
+            "router": _snapshot(requests=7, errors=2, p99=0.25),
+            "shard0/r0": _snapshot(requests=3),
+        }
+        router, instance = probe_topology(spec, telemetry)
+        assert router == {
+            "target": "router",
+            "address": f"{spec.router_host}:{spec.router_port}",
+            "up": True,
+            "requests_total": 7,
+            "errors_total": 2,
+            "p99_ms": 250.0,
+        }
+        assert instance["up"] and instance["requests_total"] == 3
+        assert instance["p99_ms"] is None
+        assert "role" not in instance
+
+    def test_down_target_carries_the_error(self):
+        from repro.cluster import default_spec, probe_topology
+
+        spec = default_spec(1, 1)
+        telemetry = {
+            "router": {"error": "ConnectionRefusedError: refused"},
+        }
+        router, instance = probe_topology(spec, telemetry)
+        assert router["up"] is False
+        assert router["error"] == "ConnectionRefusedError: refused"
+        assert instance["up"] is False
+        assert "requests_total" not in instance
+
+    def test_replicated_roles_terms_and_lag(self):
+        from repro.cluster import default_spec, probe_topology
+
+        spec = default_spec(1, 3)
+        telemetry = {
+            "router": _snapshot(),
+            "shard0/r0": _snapshot(role="primary", term=2, lags=(0, 5, 3)),
+            "shard0/r1": _snapshot(role="follower", term=2),
+            # A demoted primary keeps its old lag gauges: not reported.
+            "shard0/r2": _snapshot(role="follower", term=2, lags=(9,)),
+        }
+        rows = {row["target"]: row for row in probe_topology(spec, telemetry)}
+        assert "role" not in rows["router"]
+        assert rows["shard0/r0"]["role"] == "primary"
+        assert rows["shard0/r0"]["term"] == 2
+        assert rows["shard0/r0"]["max_follower_lag"] == 5
+        for label in ("shard0/r1", "shard0/r2"):
+            assert rows[label]["role"] == "follower"
+            assert rows[label]["term"] == 2
+            assert "max_follower_lag" not in rows[label]
+
+    def test_live_replicated_cluster(self, tmp_path, capsys):
+        from repro.algorithms.mags_dm import MagsDMSummarizer
+        from repro.cluster import save_topology, shard_graph
+        from repro.cluster.manager import start_local_cluster
+        from repro.obs.metrics import series_value
+
+        graph = planted_partition(80, 5, 0.7, 0.05, seed=2)
+        reps = [
+            MagsDMSummarizer(iterations=4, seed=1).summarize(sub)
+            .representation
+            for sub in shard_graph(graph, 2, seed=0)
+        ]
+        with start_local_cluster(
+            reps, replicas=2, mutable=True, n=graph.n
+        ) as local:
+            topology = tmp_path / "topology.json"
+            save_topology(topology, local.spec)
+
+            def calls(op):
+                return {
+                    label: series_value(
+                        engine.metrics.registry.snapshot(),
+                        "service_requests_total", op=op,
+                    ) or 0
+                    for label, engine in local.engines.items()
+                }
+
+            telemetry_before = calls("telemetry")
+            repl_status_before = calls("repl_status")
+            assert main(["cluster", "status", str(topology)]) == 0
+            # One telemetry call per target, and no other probe.
+            assert calls("telemetry") == {
+                label: count + 1 for label, count in telemetry_before.items()
+            }
+            assert calls("repl_status") == repl_status_before
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5  # router + 2 shards x 2 replicas
+        for line in lines:
+            assert " up  requests=" in line and "p99_ms=" in line
+        for shard in (0, 1):
+            primary, follower = (
+                next(line for line in lines if line.startswith(label))
+                for label in (f"shard{shard}/r0", f"shard{shard}/r1")
+            )
+            # Whether the term record has shipped yet is up to the
+            # background shipper, so follower term and lag vary.
+            assert re.search(
+                r"role=primary term=1 lag=\d+ lsn\(s\)$", primary
+            )
+            assert re.search(r"role=follower term=\d+$", follower)
+            assert "lag=" not in follower

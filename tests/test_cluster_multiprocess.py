@@ -16,6 +16,7 @@ from repro.cluster.topology import (
     load_topology,
 )
 from repro.graph.generators import planted_partition
+from repro.obs.collect import pull_cluster_telemetry
 from repro.obs.metrics import counter_total
 from repro.service import SummaryServiceClient
 
@@ -93,13 +94,13 @@ class TestInstanceProcess:
 
             with SummaryServiceClient(*a_spec.address) as client:
                 a_total = counter_total(
-                    client.stats()["registry"], "service_requests_total"
+                    client.telemetry()["registry"], "service_requests_total"
                 )
             with SummaryServiceClient(*b_spec.address) as client:
                 b_total = counter_total(
-                    client.stats()["registry"], "service_requests_total"
+                    client.telemetry()["registry"], "service_requests_total"
                 )
-            # Each server saw its own pings (the probing stats request
+            # Each server saw its own pings (the probing telemetry request
             # may or may not be in its own snapshot) — nothing more.
             assert a_total in (30, 31)
             assert b_total in (50, 51)
@@ -145,9 +146,9 @@ class TestClusterManager:
                     assert client.neighbors(node) == sorted(
                         graph.neighbors(node)
                     )
-                stats = client.stats()
-                agg = stats["cluster"]["aggregate"]
-                assert agg["instances_up"] == 2
+            telemetry = pull_cluster_telemetry(spec)
+            assert all("registry" in entry for entry in telemetry.values())
+            assert len(telemetry) == 3  # router + 2 instances
         # Context exit stops everything; codes are recorded by stop()
         # (idempotent second call returns the same codes).
         codes = manager.stop()

@@ -9,10 +9,11 @@ import pytest
 
 from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.cluster.manager import start_local_cluster
-from repro.cluster.router import RouterEngine, ShardDownError
+from repro.cluster.router import BREAKER_STATES, RouterEngine, ShardDownError
 from repro.cluster.sharder import shard_graph
 from repro.cluster.topology import TopologyError, default_spec
 from repro.graph.generators import planted_partition
+from repro.obs.metrics import counter_total, series_value
 from repro.resilience.retry import RetryPolicy
 from repro.service import (
     QueryEngine,
@@ -164,12 +165,33 @@ class TestBitIdentity:
             router_client.request("frobnicate")
         assert got.value.message == want.value.message
 
-    def test_stats_has_cluster_section(self, router_client):
-        stats = router_client.stats()
-        agg = stats["cluster"]["aggregate"]
-        assert agg["instances_total"] == SHARDS
-        assert agg["instances_up"] == SHARDS
-        assert len(stats["cluster"]["shards"]) == SHARDS
+    def test_telemetry_reports_breaker_gauges(self, router_client, cluster):
+        telemetry = router_client.telemetry()
+        assert telemetry["instance"] == "router"
+        registry = telemetry["registry"]
+        for instance in cluster.spec.instances:
+            state = series_value(
+                registry, "router_breaker_state", instance=instance.label
+            )
+            assert BREAKER_STATES[int(state)] == "closed"
+
+    def test_telemetry_makes_no_instance_calls(self, router_client, cluster):
+        # The router reports only itself; the cluster-wide view is
+        # the collector's, one telemetry call per target.
+        def served():
+            return {
+                label: counter_total(
+                    engine.metrics.registry.snapshot(),
+                    "service_requests_total",
+                )
+                for label, engine in cluster.engines.items()
+            }
+
+        router_client.degree(0)
+        before = served()
+        assert len(before) == SHARDS
+        router_client.telemetry()
+        assert served() == before
 
 
 class TestBatchFanOut:

@@ -46,3 +46,38 @@ def test_referenced_paths_exist(doc):
         if not (REPO / path).exists()
     ]
     assert not missing, f"{doc.name} names missing files: {missing}"
+
+
+def op_table_names(text: str) -> list[str]:
+    """Every backticked name in the first column of the markdown
+    tables whose first header cell is ``op``."""
+    names: list[str] = []
+    in_op_table = False
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            in_op_table = False
+            continue
+        first = line.strip().strip("|").split("|")[0].strip()
+        if first == "op":
+            in_op_table = True
+        elif in_op_table:
+            names += re.findall(r"`([^`]+)`", first)
+    return names
+
+
+def test_op_table_pattern():
+    text = (
+        "| op | result |\n|----|----|\n| `ping`, `x` | `pong` |\n\n"
+        "| flag | meaning |\n|---|---|\n| `--y` | z |\n"
+    )
+    assert op_table_names(text) == ["ping", "x"]
+
+
+def test_serving_op_tables_name_only_wire_ops():
+    from repro.service.protocol import KNOWN_OPS
+
+    names = op_table_names(
+        (REPO / "docs" / "serving.md").read_text(encoding="utf-8")
+    )
+    assert "neighbors" in names
+    assert [name for name in names if name not in KNOWN_OPS] == []

@@ -29,6 +29,7 @@ from repro.dynamic.maintenance import MaintenanceTask, select_targets
 from repro.dynamic.summary import DynamicGraphSummary
 from repro.graph import generators
 from repro.graph.graph import Graph
+from repro.obs.metrics import series_value
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.guard import ResourceBudget
 from repro.service.ingest import MutableQueryEngine
@@ -84,6 +85,10 @@ def _mutation_script(rep, count=40, seed=11):
             edges.add(edge)
             script.append(("+", *edge))
     return script
+
+
+def _telemetry(engine):
+    return engine.query({"op": "telemetry"})["result"]["registry"]
 
 
 def _ingest_all(engine, script, batch=5, stream="s"):
@@ -145,9 +150,13 @@ class TestMaintenancePass:
         assert result["processed"] >= len(dirty_before)
         assert engine.epoch == epoch_before + 1
         assert engine.state.dynamic.dirty_supernodes() == {}
-        stats = engine.maintenance_stats()
-        assert stats["passes"] == 1
-        assert stats["dirty_supernodes"] == 0
+        registry = _telemetry(engine)
+        assert series_value(
+            registry, "repro_maintenance_passes_total", outcome="committed"
+        ) == 1
+        assert series_value(
+            registry, "repro_maintenance_dirty_supernodes"
+        ) == 0
 
     def test_pass_preserves_exact_edge_set(self, rep):
         engine = _engine(rep)
@@ -188,7 +197,10 @@ class TestMaintenancePass:
         )
         result = engine.maintenance_pass()
         assert result["outcome"] == "abandoned"
-        assert engine.maintenance_stats()["abandoned"] == 1
+        assert series_value(
+            _telemetry(engine), "repro_maintenance_passes_total",
+            outcome="abandoned",
+        ) == 1
         # The interleaved mutation itself must be untouched.
         live = engine.state.dynamic.to_representation()
         assert (0, 1) in live.additions or (
@@ -211,14 +223,54 @@ class TestMaintenancePass:
         for node in range(rep.n):
             assert engine.neighbors(node) == cached[node]
 
-    def test_stats_op_reports_maintenance_section(self, rep):
+    def test_telemetry_reports_maintenance_gauges(self, rep):
         engine = _engine(rep)
-        response = engine.query({"id": 1, "op": "stats"})
-        assert response["ok"], response
-        section = response["result"]["maintenance"]
-        assert section["passes"] == 0
-        assert "dirty_supernodes" in section
-        assert "relative_size" in section
+        registry = _telemetry(engine)
+        dyn = engine.state.dynamic
+        assert "repro_maintenance_passes_total" not in registry
+        assert series_value(
+            registry, "repro_maintenance_dirty_supernodes"
+        ) == 0
+        assert series_value(
+            registry, "repro_maintenance_dirty_corrections"
+        ) == 0
+        assert series_value(registry, "repro_summary_cost") == dyn.cost
+        assert series_value(
+            registry, "repro_summary_base_cost"
+        ) == dyn.base_cost
+        assert series_value(
+            registry, "repro_summary_relative_size"
+        ) == pytest.approx(dyn.relative_size)
+
+    def test_dirty_gauge_tracks_live_dirt(self, rep):
+        # The gauge is recomputed on every telemetry call: it is
+        # present before any pass and current after pass + ingest.
+        engine = _engine(rep)
+        script = _mutation_script(rep, count=30)
+        _ingest_all(engine, script[:20])
+        dirty = engine.state.dynamic.dirty_supernodes()
+        assert dirty
+        registry = _telemetry(engine)
+        assert series_value(
+            registry, "repro_maintenance_dirty_supernodes"
+        ) == len(dirty)
+        assert series_value(
+            registry, "repro_maintenance_dirty_corrections"
+        ) == sum(dirty.values())
+        assert engine.maintenance_pass(max_supernodes=2)["outcome"] == (
+            "committed"
+        )
+        _ingest_all(engine, script[20:], stream="t")
+        dirty = engine.state.dynamic.dirty_supernodes()
+        assert series_value(
+            _telemetry(engine), "repro_maintenance_dirty_supernodes"
+        ) == len(dirty)
+
+    def test_relative_size_absent_when_not_finite(self, rep):
+        engine = _engine(rep)
+        assert "repro_summary_relative_size" in _telemetry(engine)
+        engine.state.dynamic._m = 0  # an emptied graph still paying cost
+        assert "repro_summary_relative_size" not in _telemetry(engine)
 
 
 # ----------------------------------------------------------------------

@@ -71,8 +71,8 @@ class TestValidateRequest:
             {"id": 3, "op": "degree", "node": 0},
             {"id": 4, "op": "khop", "node": 1, "k": MAX_KHOP_K},
             {"id": 5, "op": "pagerank", "node": 2},
-            {"id": 6, "op": "stats"},
-            {"id": 7, "op": "stats", "format": "prometheus"},
+            {"id": 6, "op": "telemetry"},
+            {"id": 7, "op": "telemetry", "trace": {"id": "ab" * 8}},
             {"id": 8, "op": "batch", "requests": [{"op": "ping"}]},
             {"op": "shutdown"},
         ):
@@ -153,6 +153,20 @@ class TestServerSchemaErrors:
         assert response["ok"] is False
         assert response["id"] == 99
         assert response["error"]["type"] == "bad_request"
+
+    def test_retired_stats_frames_are_bad_requests(self, server):
+        # ``stats`` and its ``format`` field are gone: both must get a
+        # structured bad_request, never an internal error.
+        for request in (
+            {"id": 5, "op": "stats"},
+            {"id": 6, "op": "telemetry", "format": "prometheus"},
+        ):
+            response = _raw_exchange(
+                server, json.dumps(request).encode() + b"\n"
+            )
+            assert response["ok"] is False
+            assert response["id"] == request["id"]
+            assert response["error"]["type"] == "bad_request"
 
     def test_unechoable_id_not_reflected(self, server):
         response = _raw_exchange(

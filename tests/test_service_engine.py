@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.core.serialization import save_representation
-from repro.obs.metrics import counter_total
+from repro.obs.metrics import counter_total, series_value
 from repro.queries.neighbors import neighbor_query
 from repro.queries.pagerank import pagerank_summary
 from repro.queries.traversal import bfs_distances
@@ -118,8 +118,7 @@ class TestPageRank:
 class TestQueryDict:
     def test_all_ops_listed(self):
         assert set(OPS) == {
-            "neighbors", "degree", "khop", "pagerank", "stats",
-            "telemetry", "ping",
+            "neighbors", "degree", "khop", "pagerank", "telemetry", "ping",
         }
 
     def test_query_response_shape(self, engine, rep):
@@ -138,14 +137,14 @@ class TestQueryDict:
 
     def test_stats_includes_cache_occupancy(self, engine):
         engine.neighbors(1)
-        result = engine.query({"op": "stats"})["result"]
-        assert result["cache"]["size"] == 1
-        assert result["cache"]["capacity"] == 64
+        registry = engine.query({"op": "telemetry"})["result"]["registry"]
+        assert series_value(registry, "service_cache_entries") == 1
+        assert series_value(registry, "service_cache_capacity") == 64
 
     def test_stats_includes_registry_snapshot(self, engine):
         engine.query({"op": "neighbors", "node": 2})
         engine.query({"op": "ping"})
-        result = engine.query({"op": "stats"})["result"]
+        result = engine.query({"op": "telemetry"})["result"]
         registry = result["registry"]
         requests = {
             entry["labels"]["op"]: entry["value"]
@@ -162,17 +161,7 @@ class TestQueryDict:
         assert latency["count"] == 1
         import json
 
-        json.dumps(result)  # the stats body must stay JSON-serialisable
-
-    def test_stats_prometheus_format(self, engine):
-        engine.query({"op": "neighbors", "node": 2})
-        text = engine.query({"op": "stats", "format": "prometheus"})[
-            "result"
-        ]
-        assert isinstance(text, str)
-        assert "# TYPE service_requests_total counter" in text
-        assert 'service_requests_total{op="neighbors"} 1' in text
-        assert "# TYPE service_request_seconds summary" in text
+        json.dumps(result)  # the telemetry body must stay JSON-serialisable
 
     def test_metrics_registry_counts_requests_and_errors(self, engine):
         engine.query({"op": "neighbors", "node": 2})

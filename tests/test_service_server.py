@@ -8,7 +8,8 @@ import pytest
 
 from repro import obs
 from repro.algorithms.mags_dm import MagsDMSummarizer
-from repro.obs.metrics import counter_total, worst_p99
+from repro.obs import merge_registry_snapshots, registry_to_prometheus
+from repro.obs.metrics import counter_total, series_value, worst_p99
 from repro.queries.neighbors import neighbor_query
 from repro.service import (
     QueryEngine,
@@ -99,14 +100,13 @@ class TestBasicOps:
 
     def test_stats(self, client):
         client.neighbors(0)
-        stats = client.stats()
-        # Round trip: only the registry carries counts and latencies.
-        assert set(stats) == {"uptime_s", "cache", "registry"}
-        assert set(stats["cache"]) == {"size", "capacity"}
-        assert "latency_ms" not in stats
-        assert "requests_by_op" not in stats
-        assert "hit_rate" not in stats["cache"]
-        registry = stats["registry"]
+        telemetry = client.telemetry()
+        # Round trip: every number is a registry series.
+        assert set(telemetry) == {"instance", "pid", "registry"}
+        registry = telemetry["registry"]
+        assert series_value(registry, "service_uptime_seconds") >= 0
+        assert series_value(registry, "service_cache_entries") >= 1
+        assert series_value(registry, "service_cache_capacity") > 0
         requests = {
             entry["labels"]["op"]: entry["value"]
             for entry in registry["service_requests_total"]
@@ -174,7 +174,7 @@ class TestConcurrency:
                     ])
                     if not all(r["ok"] for r in responses):
                         mismatches.append(("batch", tid))
-                    cli.stats()
+                    cli.telemetry()
             except Exception as exc:  # pragma: no cover
                 crashes.append((tid, repr(exc)))
 
@@ -252,12 +252,18 @@ class TestTracing:
         client.ping()
         assert not obs.get_tracer().enabled
 
-    def test_stats_prometheus_over_the_wire(self, client):
+    def test_prometheus_text_from_telemetry(self, client):
         client.neighbors(0)
-        text = client.request("stats", format="prometheus")
-        assert isinstance(text, str)
+        snapshot = client.telemetry()["registry"]
+        text = registry_to_prometheus(
+            merge_registry_snapshots({"server": snapshot})
+        )
         assert "# TYPE service_requests_total counter" in text
-        assert 'service_requests_total{op="neighbors"}' in text
+        assert (
+            'service_requests_total{instance="server",op="neighbors"}'
+            in text
+        )
+        assert "# TYPE service_cache_entries gauge" in text
 
 
 class TestMetrics:
@@ -267,9 +273,9 @@ class TestMetrics:
         metrics.observe("neighbors", 0.004, ok=False)
         metrics.cache_hit()
         metrics.cache_miss()
-        stats = metrics.stats(LRUCache(4))
-        assert stats["cache"] == {"size": 0, "capacity": 4}
-        registry = stats["registry"]
+        registry = metrics.telemetry(LRUCache(4))["registry"]
+        assert series_value(registry, "service_cache_entries") == 0
+        assert series_value(registry, "service_cache_capacity") == 4
         assert counter_total(registry, "service_requests_total") == 2
         assert counter_total(registry, "service_errors_total") == 1
         assert counter_total(registry, "service_cache_hits_total") == 1

@@ -486,6 +486,7 @@ def scenario_maintenance_kill9_recovery(seed: int) -> str:
         replay_tail,
     )
     from repro.graph.graph import Graph
+    from repro.obs.metrics import series_value
     from repro.resilience.checkpoint import CheckpointStore
     from repro.service.client import ServiceError
     from repro.service.ingest import MutableQueryEngine
@@ -552,6 +553,13 @@ def scenario_maintenance_kill9_recovery(seed: int) -> str:
                 assert time.monotonic() < deadline, "replay stuck"
                 time.sleep(0.02)
 
+        def committed_passes(client) -> int:
+            registry = client.telemetry()["registry"]
+            return int(series_value(
+                registry, "repro_maintenance_passes_total",
+                outcome="committed",
+            ) or 0)
+
         # Life 1: acknowledged ingest + maintenance ticking, kill -9.
         server, port = spawn()
         acked = 0
@@ -597,11 +605,10 @@ def scenario_maintenance_kill9_recovery(seed: int) -> str:
                 assert retry.get("duplicate") is True, retry
                 deadline = time.monotonic() + 60.0
                 while True:
-                    maint = client.stats()["maintenance"]
-                    if maint["passes"] >= 1:
+                    if committed_passes(client) >= 1:
                         break
                     assert time.monotonic() < deadline, (
-                        f"maintenance never committed a pass: {maint}"
+                        "maintenance never committed a pass"
                     )
                     time.sleep(0.01)
         finally:
@@ -614,14 +621,18 @@ def scenario_maintenance_kill9_recovery(seed: int) -> str:
                 wait_replayed(client)
                 deadline = time.monotonic() + 120.0
                 while True:
-                    maint = client.stats()["maintenance"]
-                    if maint["dirty_supernodes"] == 0:
+                    registry = client.telemetry()["registry"]
+                    dirty = series_value(
+                        registry, "repro_maintenance_dirty_supernodes"
+                    )
+                    if dirty == 0:
                         break
                     assert time.monotonic() < deadline, (
-                        f"maintenance never converged: {maint}"
+                        f"maintenance never converged: {dirty} dirty "
+                        "super-nodes"
                     )
                     time.sleep(0.02)
-                converged_passes = maint["passes"]
+                converged_passes = committed_passes(client)
                 # The served graph is still the oracle of the durable
                 # mutation prefix (re-encoding must never change it).
                 got = set()

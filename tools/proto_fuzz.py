@@ -99,7 +99,10 @@ def _missing_op(rng: random.Random) -> bytes:
 
 
 def _unknown_op(rng: random.Random) -> bytes:
-    op = rng.choice(["eval", "exec", "drop", "PING", "neighbours", ""])
+    # "stats" is a retired op name: it must get a schema rejection.
+    op = rng.choice(
+        ["eval", "exec", "drop", "PING", "neighbours", "", "stats"]
+    )
     return json.dumps({"id": 1, "op": op}).encode() + b"\n"
 
 
@@ -205,7 +208,8 @@ def _telemetry_valid(rng: random.Random) -> bytes:
 
 
 def _telemetry_bad_field(rng: random.Random) -> bytes:
-    extra = rng.choice(["node", "k", "requests", "registry"])
+    # "format" is a retired field: no op accepts it.
+    extra = rng.choice(["node", "k", "requests", "registry", "format"])
     return (
         json.dumps({"id": 25, "op": "telemetry", extra: 1}).encode()
         + b"\n"
@@ -301,7 +305,7 @@ def _valid(rng: random.Random) -> bytes:
             {"id": 8, "op": "neighbors", "node": rng.randrange(60)},
             {"id": 9, "op": "degree", "node": rng.randrange(60)},
             {"id": 10, "op": "khop", "node": rng.randrange(60), "k": 2},
-            {"id": 11, "op": "stats"},
+            {"id": 11, "op": "telemetry"},
             {
                 "id": 12,
                 "op": "batch",

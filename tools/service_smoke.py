@@ -46,7 +46,8 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.algorithms.mags_dm import MagsDMSummarizer  # noqa: E402
 from repro.core.serialization import save_representation  # noqa: E402
 from repro.graph import generators  # noqa: E402
-from repro.obs.metrics import counter_total  # noqa: E402
+from repro.cluster.router import BREAKER_STATES  # noqa: E402
+from repro.obs.metrics import counter_total, series_value  # noqa: E402
 from repro.queries.neighbors import neighbor_query  # noqa: E402
 from repro.service import SummaryServiceClient  # noqa: E402
 
@@ -156,7 +157,7 @@ def _hammer(rep, port: int) -> None:
         raise SystemExit(f"query failures: {failures[:5]}")
 
     with SummaryServiceClient("127.0.0.1", port) as client:
-        registry = client.stats()["registry"]
+        registry = client.telemetry()["registry"]
     requests = counter_total(registry, "service_requests_total")
     expected = rep.n + 2 * CLIENT_THREADS  # neighbors + ping/pagerank
     if requests < expected:
@@ -291,12 +292,13 @@ def _verify_readmission(manager, port: int) -> None:
     restart once the breaker's reset window elapses."""
     def breaker_state() -> str:
         with SummaryServiceClient("127.0.0.1", port) as client:
-            stats = client.stats()
-        for shard in stats["cluster"]["shards"]:
-            for inst in shard["instances"]:
-                if inst["instance"] == CHAOS_VICTIM:
-                    return inst["breaker"]
-        raise SystemExit(f"{CHAOS_VICTIM} missing from router stats")
+            registry = client.telemetry()["registry"]
+        state = series_value(
+            registry, "router_breaker_state", instance=CHAOS_VICTIM
+        )
+        if state is None:
+            raise SystemExit(f"{CHAOS_VICTIM} missing from router telemetry")
+        return BREAKER_STATES[int(state)]
 
     state = breaker_state()
     if state == "closed":
