@@ -43,6 +43,7 @@ from repro.core.serialization import (
     save_representation,
 )
 from repro.core.verify import deep_audit, verify_lossless
+from repro.durability.replication import ACKS_MODES, REPLICATION_ROLES
 from repro.durability.wal import FSYNC_POLICIES
 from repro.graph.datasets import dataset_codes, load_dataset
 from repro.graph.graph import GraphError
@@ -399,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_maintenance_options(serve)
     serve.add_argument(
-        "--repl-role", choices=("primary", "follower"), default=None,
+        "--repl-role", choices=REPLICATION_ROLES, default=None,
         help=(
             "join a per-shard replication group as this role "
             "(requires --wal-dir): a primary WAL-ships every commit "
@@ -416,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--repl-acks", choices=("leader", "quorum"), default="quorum",
+        "--repl-acks", choices=ACKS_MODES, default="quorum",
         help=(
             "when to acknowledge a write: 'quorum' — once a majority "
             "of the replica set holds it; 'leader' — once the local "
@@ -452,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="router port; instances get consecutive ports above it",
     )
     cplan.add_argument(
-        "--acks", choices=("leader", "quorum"), default="quorum",
+        "--acks", choices=ACKS_MODES, default="quorum",
         help=(
             "replication ack mode recorded in the topology for "
             "replicated durable ingest (default quorum)"

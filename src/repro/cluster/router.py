@@ -87,6 +87,7 @@ import threading
 import time
 
 from repro.cluster.topology import ClusterSpec, InstanceSpec, TopologyError
+from repro.durability import replication
 from repro.obs.tracer import get_tracer
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.retry import (
@@ -176,7 +177,6 @@ class ReplicaPool:
         *,
         breaker_threshold: int,
         breaker_reset_s: float,
-        connect_timeout: float = 10.0,
         max_connections: int = 4,
     ):
         self.instance = instance
@@ -184,7 +184,13 @@ class ReplicaPool:
             failure_threshold=breaker_threshold,
             reset_timeout=breaker_reset_s,
         )
-        self._timeout = connect_timeout
+        # Outlasts a primary's whole quorum wait plus one ship round:
+        # a socket timeout that fired first would turn its structured
+        # ``unavailable`` into a transport failure — a charged
+        # breaker, a re-election, and a resend into a second wait.
+        self._timeout = (
+            replication.QUORUM_TIMEOUT_S + replication.FOLLOWER_TIMEOUT_S
+        )
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._max = max(1, max_connections)
@@ -286,8 +292,9 @@ class ShardPool:
     on a dead or demoted primary runs the promotion protocol —
     probe live replicas' ``repl_status``, adopt an existing primary at
     a higher term, or promote the most-caught-up follower with a
-    strictly higher term (the engines fence stale terms server-side,
-    so two racing routers cannot split the shard's write stream).
+    strictly higher term.  One router per shard is assumed: two
+    routers probing the same replicas compute the same new term and
+    may promote different replicas, and equal terms fence neither.
     """
 
     def __init__(
@@ -448,13 +455,10 @@ class ShardPool:
         """Re-elect the shard's primary; returns whether one is known.
 
         Probes every replica's ``repl_status`` (breaker-neutral — a
-        just-ejected survivor must still be electable).  A live
-        replica already claiming ``primary`` at the highest term is
-        adopted as-is (another router — or the instance's own static
-        wiring — won the race).  Otherwise the most-caught-up live
-        replica, by ``(term, last_lsn)``, is promoted with a strictly
-        higher term; the engines' fencing makes the losing side of
-        any promotion race step down.
+        just-ejected survivor must still be electable) and lets
+        :func:`~repro.durability.replication.elect` adopt a live
+        primary or pick a replica to promote; a promotion is one
+        ``replicate {promote: true}`` frame to that replica.
         """
         with self._promote_lock:
             statuses = [
@@ -462,31 +466,19 @@ class ShardPool:
                 for index, pool in enumerate(self.replicas)
                 if (status := pool.try_repl_status()) is not None
             ]
-            if not statuses:
+            verdict = replication.elect(
+                statuses,
+                known_term=self.term,
+                replicas=len(self.replicas),
+                acks=self._acks,
+            )
+            if verdict is None:
                 return False
-            live_primary = None
-            for index, status in statuses:
-                if status.get("role") == "primary":
-                    term = int(status.get("term", 0))
-                    if live_primary is None or term > live_primary[1]:
-                        live_primary = (index, term)
-            if live_primary is not None and live_primary[1] >= self.term:
-                self.primary, self.term = live_primary
+            if verdict.action == "adopt":
+                self.primary, self.term = verdict.index, verdict.term
                 self._gauge_term()
                 return True
-
-            def caught_up(item):
-                _, status = item
-                return (
-                    int(status.get("term", 0)),
-                    int(status.get("last_lsn", 0) or 0),
-                    int(status.get("applied_lsn", 0) or 0),
-                )
-
-            candidate, status = max(statuses, key=caught_up)
-            new_term = (
-                max(int(s.get("term", 0)) for _, s in statuses) + 1
-            )
+            candidate, new_term = verdict.index, verdict.term
             followers = [
                 [pool.instance.host, pool.instance.port]
                 for index, pool in enumerate(self.replicas)
@@ -553,8 +545,6 @@ class RouterEngine:
     retry_policy:
         Governs failover sweeps per shard (default: 2 attempts with a
         short backoff between full-rotation sweeps).
-    connect_timeout:
-        Per-socket-operation timeout for backend connections.
     max_connections_per_replica:
         Cap on pooled connections per instance.  Must not exceed the
         instance server's ``workers`` count (see
@@ -570,7 +560,6 @@ class RouterEngine:
         metrics: ServiceMetrics | None = None,
         cache_size: int = 4096,
         retry_policy: RetryPolicy | None = None,
-        connect_timeout: float = 10.0,
         max_connections_per_replica: int = 4,
     ):
         if spec.n is None:
@@ -604,7 +593,6 @@ class RouterEngine:
                         instance,
                         breaker_threshold=spec.breaker_threshold,
                         breaker_reset_s=spec.breaker_reset_s,
-                        connect_timeout=connect_timeout,
                         max_connections=max_connections_per_replica,
                     )
                     for instance in spec.instances_for(shard)

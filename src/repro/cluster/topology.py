@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.distributed.partitioning import shard_for_node
+from repro.durability.replication import ACKS_MODES
 
 __all__ = [
     "TopologyError",
@@ -121,9 +122,10 @@ class ClusterSpec:
             raise TopologyError(
                 f"replicas must be >= 1, got {self.replicas}"
             )
-        if self.acks not in ("leader", "quorum"):
+        if self.acks not in ACKS_MODES:
             raise TopologyError(
-                f"acks must be 'leader' or 'quorum', got {self.acks!r}"
+                f"acks must be {' or '.join(map(repr, ACKS_MODES))}, "
+                f"got {self.acks!r}"
             )
         if self.breaker_threshold < 1:
             raise TopologyError("breaker_threshold must be >= 1")

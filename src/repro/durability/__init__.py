@@ -16,6 +16,7 @@ replicated — reaches the state through one pure state machine,
 from repro.durability.compactor import WalCompactor
 from repro.durability.replication import (
     ACKS_MODES,
+    REPLICATION_ROLES,
     ReplicaLink,
     ReplicationError,
     ReplicationManager,
@@ -48,6 +49,7 @@ __all__ = [
     "EngineState",
     "FSYNC_POLICIES",
     "MUTATION_OPS",
+    "REPLICATION_ROLES",
     "RecoveryReport",
     "ReplicaLink",
     "ReplicationError",

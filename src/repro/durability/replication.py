@@ -20,7 +20,9 @@ Leadership is fenced by a monotonic *term* stamped into the WAL
 frame carries the sender's term; a receiver whose term is higher
 rejects the frame with a structured ``fenced`` error, so a revived
 stale primary cannot overwrite a promoted follower — it steps down
-instead, and catches up like any other rejoiner.
+instead, and catches up like any other rejoiner.  Every such rule is
+a pure function over plain values — :func:`admit_frame` for a replica,
+:func:`elect` for the router — whose verdicts the callers carry out.
 
 Catch-up
 --------
@@ -47,7 +49,9 @@ from __future__ import annotations
 
 import threading
 import time
+from typing import NamedTuple
 
+from repro.durability.state import check_lsn
 from repro.durability.wal import (
     MUTATION_OPS,
     ResummarizeRecord,
@@ -58,11 +62,18 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 
 __all__ = [
     "ACKS_MODES",
+    "Election",
+    "FIRST_TERM",
+    "FrameRejected",
+    "REPLICATION_ROLES",
     "REPL_MAX_RECORDS",
     "REPL_MAX_MUTATIONS",
+    "ReplicaView",
     "ReplicationError",
     "ReplicaLink",
     "ReplicationManager",
+    "admit_frame",
+    "elect",
     "quorum_size",
     "record_to_wire",
     "record_from_wire",
@@ -70,10 +81,24 @@ __all__ = [
 
 ACKS_MODES = ("leader", "quorum")
 
+#: A replica is exactly one of these at any time; promotion and
+#: fencing move it between them (docs/resilience.md).
+REPLICATION_ROLES = ("primary", "follower")
+
+#: The term a fresh replicated log opens at, with no election: every
+#: promotion must exceed it, even when no responder reports it.
+FIRST_TERM = 1
+
 #: Caps per ``replicate`` frame, keeping it far below the protocol's
 #: MAX_LINE_BYTES even at worst-case mutation density.
 REPL_MAX_RECORDS = 256
 REPL_MAX_MUTATIONS = 4096
+
+#: Quorum-mode ``publish`` wait before answering ``unavailable``.
+QUORUM_TIMEOUT_S = 10.0
+FOLLOWER_TIMEOUT_S = 5.0  # primary -> follower socket timeout
+POLL_INTERVAL_S = 0.5  # background shipper's idle period
+BUFFER_RECORDS = 1024  # committed records kept in memory for shipping
 
 
 class ReplicationError(RuntimeError):
@@ -84,6 +109,164 @@ class ReplicationError(RuntimeError):
 def quorum_size(replicas: int) -> int:
     """Majority of a replica set (leader included): ``floor(n/2)+1``."""
     return replicas // 2 + 1
+
+
+class ReplicaView(NamedTuple):
+    """What frame admission reads of a replica."""
+
+    role: str
+    term: int
+    last_lsn: int  # durable high-water mark
+    applied_lsn: int
+    replaying: bool
+
+
+class FrameRejected(Exception):
+    """A ``replicate`` frame refused whole, as wire error ``kind``
+    (``fenced``, ``bad_request`` or ``overloaded``); ``role`` is a
+    transition made even so — a primary that saw a higher term steps
+    down although the frame was bad."""
+
+    def __init__(self, kind: str, message: str, role: str | None = None):
+        super().__init__(message)
+        self.kind = kind
+        self.role = role
+
+
+def admit_frame(
+    view: ReplicaView,
+    term,
+    *,
+    after_lsn=None,
+    records=None,
+    snapshot=None,
+    promote=False,
+) -> tuple:
+    """Decide what a replica in state ``view`` does with a ``replicate``
+    frame from ``term``: returns ``(role, records)`` — the role to move
+    to first (``None`` keeps it) and the decoded records — or raises
+    :class:`FrameRejected`.
+
+    A frame below the local term is ``fenced`` (its sender must step
+    down), and so is a promotion not past it.  A frame above it
+    demotes a primary.  Records must continue the local log, or the
+    frame is a ``bad_request`` the sender answers with a snapshot.
+    """
+    if not isinstance(term, int) or isinstance(term, bool) or term < 1:
+        raise FrameRejected("bad_request", "'term' must be a positive integer")
+    if view.replaying:
+        # A frame or a promotion applies at the end of the log, which
+        # the state reaches only when replay is done.
+        raise FrameRejected(
+            "overloaded", "recovery replay in progress; retry shortly"
+        )
+    if promote:
+        if term <= view.term:
+            raise FrameRejected(
+                "fenced",
+                f"stale promotion: term {term} is not past "
+                f"local term {view.term}",
+            )
+        return "primary", ()
+    if term < view.term:
+        raise FrameRejected(
+            "fenced",
+            f"replicate from term {term} rejected: "
+            f"local term is {view.term}",
+        )
+    role = "follower" if term > view.term and view.role == "primary" else None
+    if snapshot is not None:
+        return role, ()
+    try:
+        frame = tuple(record_from_wire(obj) for obj in records or ())
+        if frame:
+            _check_continues(view, term, after_lsn, frame)
+    except ValueError as exc:
+        raise FrameRejected("bad_request", str(exc), role) from None
+    return role, frame
+
+
+def _check_continues(view: ReplicaView, term: int, after_lsn, frame):
+    """Raise ``ValueError`` unless ``frame`` continues the local log."""
+    local_last = view.last_lsn
+    if isinstance(after_lsn, int) and after_lsn > local_last:
+        raise ValueError(
+            f"replication gap: stream resumes after lsn "
+            f"{after_lsn} but the local log ends at {local_last}"
+        )
+    if term > view.term and isinstance(after_lsn, int) and (
+        local_last > after_lsn
+    ):
+        # Within one term a follower log is always a prefix of the
+        # primary's, so overlap is just a re-ship — but across a term
+        # change our suffix may be a dead primary's unreplicated tail,
+        # and appending over it would silently diverge.  ``view.term``
+        # is the term before this frame demoted anyone, so a stale
+        # primary fenced by the frame itself still gets the snapshot.
+        raise ValueError(
+            f"possible divergence across term change: local log "
+            f"ends at {local_last}, past the stream cursor "
+            f"{after_lsn}; snapshot required"
+        )
+    for offset, record in enumerate(frame):
+        if record.lsn != frame[0].lsn + offset:
+            raise ValueError(
+                f"replicate frame is not contiguous: lsn "
+                f"{record.lsn} at position {offset} after "
+                f"lsn {frame[0].lsn}"
+            )
+    try:
+        check_lsn(view.applied_lsn, frame[0].lsn)
+    except ValueError as exc:
+        raise ValueError(f"replication {exc}") from None
+
+
+class Election(NamedTuple):
+    """``adopt`` the replica at ``index`` as primary at ``term``, or
+    ``promote`` it to ``term``."""
+
+    action: str
+    index: int
+    term: int
+
+
+def elect(statuses, *, known_term: int, replicas: int, acks: str):
+    """Pick a shard's primary from the ``(index, repl_status)`` pairs
+    of the replicas that answered a probe, or ``None``.
+
+    A live primary at the highest claimed term is adopted unless the
+    caller already knows a higher term.  Otherwise the most caught-up
+    responder (greatest ``(term, last_lsn, applied_lsn)``, first on
+    ties) is promoted past every observed term, ``known_term`` and
+    :data:`FIRST_TERM`.
+    Under ``quorum`` acks that needs ``replicas - quorum_size(replicas)
+    + 1`` responders, so every ack quorum overlaps them (Raft's
+    overlapping-quorum rule, Ongaro & Ousterhout 2014).
+    """
+
+    def rank(status):
+        return tuple(
+            int(status.get(key, 0) or 0)
+            for key in ("term", "last_lsn", "applied_lsn")
+        )
+
+    claims = [
+        (index, rank(status)[0])
+        for index, status in statuses
+        if status.get("role") == "primary"
+    ]
+    if claims:
+        index, term = max(claims, key=lambda claim: claim[1])
+        if term >= known_term:
+            return Election("adopt", index, term)
+    if not statuses or acks == "quorum" and len(statuses) < (
+        replicas - quorum_size(replicas) + 1
+    ):
+        return None
+    candidate = max(statuses, key=lambda item: rank(item[1]))[0]
+    observed = max(rank(status)[0] for _, status in statuses)
+    new_term = max(observed, known_term, FIRST_TERM) + 1
+    return Election("promote", candidate, new_term)
 
 
 # ----------------------------------------------------------------------
@@ -227,10 +410,6 @@ class ReplicationManager:
         acks: str = "quorum",
         wal=None,
         client_factory=None,
-        timeout: float = 5.0,
-        quorum_timeout: float = 10.0,
-        poll_interval: float = 0.5,
-        buffer_records: int = 1024,
         registry: MetricsRegistry | None = None,
     ):
         if acks not in ACKS_MODES:
@@ -241,9 +420,6 @@ class ReplicationManager:
         self._engine = engine
         self._wal = wal
         self.acks = acks
-        self._timeout = timeout
-        self._quorum_timeout = quorum_timeout
-        self._poll_interval = poll_interval
         self._client_factory = client_factory or self._connect
         self._registry = (
             registry if registry is not None else get_registry()
@@ -255,7 +431,6 @@ class ReplicationManager:
         # read without touching disk (and the only source when the
         # engine runs without a WAL, e.g. in-process local clusters).
         self._buffer: list = []
-        self._buffer_cap = buffer_records
         self._buffer_floor = engine.applied_lsn
         self._buffer_lock = threading.Lock()
         # Serializes shipping so records leave in LSN order even when
@@ -290,7 +465,7 @@ class ReplicationManager:
     def _connect(self, host: str, port: int):
         from repro.service.client import SummaryServiceClient
 
-        return SummaryServiceClient(host, port, timeout=self._timeout)
+        return SummaryServiceClient(host, port, timeout=FOLLOWER_TIMEOUT_S)
 
     def _drop_client(self, link: ReplicaLink) -> None:
         client, link.client = link.client, None
@@ -306,7 +481,7 @@ class ReplicationManager:
         locally committed record — keeps the hot buffer in LSN order."""
         with self._buffer_lock:
             self._buffer.append(record)
-            while len(self._buffer) > self._buffer_cap:
+            while len(self._buffer) > BUFFER_RECORDS:
                 evicted = self._buffer.pop(0)
                 self._buffer_floor = evicted.lsn
 
@@ -344,7 +519,7 @@ class ReplicationManager:
         needed = quorum_size(len(self.links) + 1) - 1
         if needed <= 0:
             return
-        deadline = time.monotonic() + self._quorum_timeout
+        deadline = time.monotonic() + QUORUM_TIMEOUT_S
         while not self._stop.is_set():
             with self._ship_lock:
                 acked = 0
@@ -355,7 +530,7 @@ class ReplicationManager:
                         return
             if time.monotonic() >= deadline:
                 break
-            time.sleep(min(0.05, self._poll_interval))
+            time.sleep(min(0.05, POLL_INTERVAL_S))
         from repro.service.engine import QueryError
 
         self._count("quorum_timeouts")
@@ -441,11 +616,11 @@ class ReplicationManager:
     def _run(self) -> None:
         try:
             while not self._stop.is_set():
-                self._wake.wait(timeout=self._poll_interval)
+                self._wake.wait(timeout=POLL_INTERVAL_S)
                 self._wake.clear()
                 if self._stop.is_set():
                     return
-                target = self._high_water()
+                target = self._engine.durable_lsn()
                 with self._ship_lock:
                     for link in self.links:
                         if self._stop.is_set():
@@ -459,14 +634,9 @@ class ReplicationManager:
                 for link in self.links:
                     self._drop_client(link)
 
-    def _high_water(self) -> int:
-        if self._wal is not None:
-            return self._wal.last_lsn
-        return self._engine.applied_lsn
-
     # -- introspection ---------------------------------------------------
     def status(self) -> dict:
-        high = self._high_water()
+        high = self._engine.durable_lsn()
         return {
             "acks": self.acks,
             "quorum": quorum_size(len(self.links) + 1),

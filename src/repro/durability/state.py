@@ -31,6 +31,7 @@ __all__ = [
     "Applied",
     "EngineState",
     "STATE_VERSION",
+    "check_lsn",
     "merge_budget",
     "representation_to_state",
     "state_to_representation",
@@ -41,6 +42,25 @@ __all__ = [
 #: commit-recency order, per-super-node dirtiness counters, and the
 #: replication ``term``.
 STATE_VERSION = 4
+
+
+def check_lsn(applied_lsn: int, lsn: int) -> bool:
+    """Whether ``lsn`` is the next record after ``applied_lsn``:
+    ``False`` when it is already applied; raises :class:`ValueError`
+    naming the missing range when records before it are absent."""
+    if lsn <= applied_lsn:
+        return False
+    first = applied_lsn + 1
+    if lsn != first:
+        missing = (
+            f"record {first} is" if lsn == first + 1
+            else f"records {first}-{lsn - 1} are"
+        )
+        raise ValueError(
+            f"log gap: next lsn is {first} but got {lsn}; "
+            f"{missing} missing"
+        )
+    return True
 
 
 def representation_to_state(rep: Representation) -> dict:
@@ -134,22 +154,8 @@ class EngineState:
 
     # -- the one apply path ----------------------------------------------
     def check_lsn(self, lsn: int) -> bool:
-        """Whether ``lsn`` is the next record to apply: ``False`` when
-        it is already applied; raises :class:`ValueError` naming the
-        missing range when records before it are absent."""
-        if lsn <= self.applied_lsn:
-            return False
-        first = self.applied_lsn + 1
-        if lsn != first:
-            missing = (
-                f"record {first} is" if lsn == first + 1
-                else f"records {first}-{lsn - 1} are"
-            )
-            raise ValueError(
-                f"log gap: next lsn is {first} but got {lsn}; "
-                f"{missing} missing"
-            )
-        return True
+        """:func:`check_lsn` against this state's ``applied_lsn``."""
+        return check_lsn(self.applied_lsn, lsn)
 
     def apply(self, record, built=None) -> Applied | None:
         """Apply one WAL record; ``None`` when it is already applied.

@@ -59,7 +59,14 @@ from __future__ import annotations
 import math
 import threading
 
-from repro.durability.replication import record_from_wire
+from repro.durability.replication import (
+    FIRST_TERM,
+    REPLICATION_ROLES,
+    FrameRejected,
+    ReplicaView,
+    ReplicationManager,
+    admit_frame,
+)
 from repro.durability.state import EngineState, merge_budget
 from repro.durability.wal import ResummarizeRecord, TermRecord, WalRecord
 from repro.dynamic.summary import DynamicGraphSummary
@@ -67,13 +74,16 @@ from repro.queries.pagerank import SummaryPageRank
 from repro.service.engine import OPS, QueryEngine, QueryError
 from repro.service.protocol import MAX_INGEST_MUTATIONS, MAX_STREAM_LEN
 
-__all__ = ["MutableQueryEngine", "REPLICATION_ROLES"]
-
-#: A replica is exactly one of these at any time; promotion and
-#: fencing move it between them (docs/resilience.md).
-REPLICATION_ROLES = ("primary", "follower")
+__all__ = ["MutableQueryEngine"]
 
 _SIGNS = ("+", "-")
+
+
+def _stop(replicator) -> None:
+    """Stop a retired shipper; callers hold no engine lock, since its
+    thread may be waiting on one."""
+    if replicator is not None and not replicator.stopped:
+        replicator.stop()
 
 
 class MutableQueryEngine(QueryEngine):
@@ -103,6 +113,10 @@ class MutableQueryEngine(QueryEngine):
         on commit — never on a duplicate-read hit — so eviction order
         is a pure function of the WAL and replay stays deterministic.
     """
+
+    #: Replication role, changed only by :meth:`_transition`.  An
+    #: unreplicated engine is a "primary" with term 0 and no manager.
+    role = "primary"
 
     def __init__(
         self,
@@ -137,11 +151,10 @@ class MutableQueryEngine(QueryEngine):
         #: ``representation`` of the current state; every apply and
         #: restore drops it.
         self._rep_snapshot = None
-        #: Replication role.  An unreplicated engine is a "primary"
-        #: with term 0 and no manager — every legacy path unchanged.
-        self.role = "primary"
         self._replicator = None
-        self._repl_config: dict | None = None
+        #: Acks mode and follower-client factory a primary ships with.
+        self.acks = "quorum"
+        self.client_factory = None
         self._checkpoint_store = None
 
     @property
@@ -383,7 +396,6 @@ class MutableQueryEngine(QueryEngine):
         acks: str = "quorum",
         client_factory=None,
         store=None,
-        quorum_timeout: float = 10.0,
     ) -> None:
         """Wire this engine into a replicated shard.
 
@@ -400,59 +412,60 @@ class MutableQueryEngine(QueryEngine):
                 f"choose from {', '.join(REPLICATION_ROLES)}"
             )
         self._checkpoint_store = store
-        self._repl_config = {
-            "acks": acks,
-            "client_factory": client_factory,
-            "quorum_timeout": quorum_timeout,
-        }
+        self.acks = acks
+        self.client_factory = client_factory
         with self._state_lock:
+            retired = self._transition(role, followers=followers, count=False)
+            if role == "primary" and self.term == 0:
+                # A recovered term (checkpoint/WAL) is kept as-is.
+                self._apply_locked(
+                    TermRecord(lsn=self._next_lsn(), term=FIRST_TERM)
+                )
+        _stop(retired)
+
+    def _transition(self, role=None, *, term=None, followers=(), count=True):
+        """The one place role, replicator, and any term not carried by
+        a log record change; caller holds the state lock.  A new role
+        retires the replicator (returned, for the caller to stop off
+        the lock); a primary with ``followers`` starts a fresh one.
+        ``count`` is false for a configured, not an elected, role."""
+        retired = None
+        if term is not None:
+            self.state.term = max(self.state.term, term)
+        if role is not None:
+            retired, self._replicator = self._replicator, None
             self.role = role
-            if role == "primary":
-                if followers:
-                    self._start_replicator(followers)
-                if self.term == 0:
-                    # A fresh replicated log opens at term 1; a
-                    # recovered term (checkpoint/WAL) is kept as-is.
-                    self._apply_locked(
-                        TermRecord(lsn=self._next_lsn(), term=1)
-                    )
-            self._repl_gauges()
-
-    def _start_replicator(self, followers) -> None:
-        """Caller holds the state lock (or is single-threaded setup)."""
-        from repro.durability.replication import ReplicationManager
-
-        cfg = self._repl_config or {}
-        manager = ReplicationManager(
-            self,
-            [(host, int(port)) for host, port in followers],
-            acks=cfg.get("acks", "quorum"),
-            wal=self._wal,
-            client_factory=cfg.get("client_factory"),
-            quorum_timeout=cfg.get("quorum_timeout", 10.0),
-            registry=self.metrics.registry,
+            if role == "primary" and followers:
+                self._replicator = ReplicationManager(
+                    self,
+                    [(host, int(port)) for host, port in followers],
+                    acks=self.acks,
+                    wal=self._wal,
+                    client_factory=self.client_factory,
+                    registry=self.metrics.registry,
+                ).start()
+            if count:
+                self.metrics.registry.counter(
+                    "repro_replication_role_changes_total", role=role
+                ).inc()
+        registry = self.metrics.registry
+        registry.gauge("repro_replication_term").set(self.term)
+        registry.gauge("repro_replication_role").set(
+            1 if self.role == "primary" else 0
         )
-        self._replicator = manager.start()
+        return retired
 
     def snapshot_state(self) -> dict:
         """One consistent checkpoint cut (the replication snapshot)."""
         with self._state_lock:
             return self.state.to_state()
 
-    def step_down(self, term: int | None = None) -> None:
-        """Demote to follower — this replica observed a higher term
-        (it was fenced, or a newer primary replicated to it)."""
+    def step_down(self) -> None:
+        """Demote to follower: a follower fenced this primary's
+        frame, so a higher term exists."""
         with self._state_lock:
-            self.role = "follower"
-            if term is not None and term > self.term:
-                self.state.term = term
-            replicator, self._replicator = self._replicator, None
-            self._repl_gauges()
-        self.metrics.registry.counter(
-            "repro_replication_role_changes_total", role="follower"
-        ).inc()
-        if replicator is not None and not replicator.stopped:
-            replicator.stop()
+            retired = self._transition("follower")
+        _stop(retired)
 
     def apply_replicated(
         self,
@@ -465,110 +478,64 @@ class MutableQueryEngine(QueryEngine):
         followers=None,
         acks=None,
     ) -> dict:
-        """Handle one ``replicate`` frame from a (claimed) primary.
-
-        Fencing first: a frame from a term below ours is rejected with
-        a structured ``fenced`` error — the stale sender must step
-        down.  A frame from a higher term demotes *us* if we thought
-        we were primary, and is otherwise adopted.  Then either a
-        checkpoint ``snapshot`` is installed (wiping the local log —
-        the tail across a term change or compaction gap cannot be
-        trusted), or ``records`` are appended to the local WAL and
-        applied in LSN order through the apply path live ingest uses,
-        which is what keeps follower summaries — epochs, dedup state,
-        bytes — identical to the primary's.  A frame that does not
-        continue the local log is a ``bad_request`` that changes
-        nothing; the primary answers it with a snapshot.
-        """
-        if not isinstance(term, int) or isinstance(term, bool) or term < 1:
-            raise QueryError(
-                "bad_request", "'term' must be a positive integer"
-            )
-        if self.replaying:
-            # A frame or a promotion applies at the end of the log,
-            # which the state reaches only when replay is done.
-            raise QueryError(
-                "overloaded", "recovery replay in progress; retry shortly"
-            )
-        if promote:
-            return self._promote(term, followers or (), acks)
-        prior_term = self.term
-        if term > prior_term and self.role == "primary":
-            # A newer primary exists; stop competing before applying.
-            self.step_down(term)
-        with self._state_lock:
-            if term < self.term:
-                self.metrics.registry.counter(
-                    "repro_replication_fenced_total"
-                ).inc()
-                raise QueryError(
-                    "fenced",
-                    f"replicate from term {term} rejected: "
-                    f"local term is {self.term}",
-                )
-            # The whole frame is validated before anything is logged
-            # or applied: a rejected frame changes nothing.
-            if snapshot is not None:
-                self._install_snapshot_locked(snapshot, term)
-                applied = 1
-            else:
-                frame = self._parse_frame(
-                    records or (), after_lsn, term > prior_term
-                )
-                applied = sum(
-                    self._apply_locked(record) is not None
-                    for record in frame
-                )
-            if term > self.term:
-                self.state.term = term
-                self._repl_gauges()
-            return self._repl_ack(applied=applied)
-
-    def _parse_frame(self, records, after_lsn, new_term: bool) -> list:
-        """Decode a ``replicate`` frame's records and check that they
-        continue the local log; caller holds the state lock.  The
-        primary answers any ``bad_request`` here with a snapshot."""
+        """Carry out :func:`~repro.durability.replication.admit_frame`'s
+        verdict on one ``replicate`` frame.  A promotion stamps its
+        term and ships to ``followers``; a ``snapshot`` replaces state
+        and log; records are logged and applied in LSN order through
+        the apply path live ingest uses, which keeps follower state
+        byte-identical to the primary's."""
+        retired = None
         try:
-            frame = [record_from_wire(obj) for obj in records]
-        except ValueError as exc:
-            raise QueryError("bad_request", str(exc))
-        if not frame:
-            return frame
-        local_last = self._durable_lsn()
-        if isinstance(after_lsn, int) and after_lsn > local_last:
-            raise QueryError(
-                "bad_request",
-                f"replication gap: stream resumes after lsn "
-                f"{after_lsn} but the local log ends at {local_last}",
-            )
-        if new_term and isinstance(after_lsn, int) and local_last > after_lsn:
-            # First frame of a new term, and our log extends past the
-            # primary's cursor.  Within one term a follower log is
-            # always a prefix of the primary's, so overlap is just a
-            # re-ship — but across a term change our suffix may be a
-            # dead primary's unreplicated tail, and appending over it
-            # would silently diverge.  Demand a snapshot.
-            raise QueryError(
-                "bad_request",
-                f"possible divergence across term change: local log "
-                f"ends at {local_last}, past the stream cursor "
-                f"{after_lsn}; snapshot required",
-            )
-        for offset, record in enumerate(frame):
-            if record.lsn != frame[0].lsn + offset:
-                raise QueryError(
-                    "bad_request",
-                    f"replicate frame is not contiguous: lsn "
-                    f"{record.lsn} at position {offset} after "
-                    f"lsn {frame[0].lsn}",
-                )
-        try:
-            self.state.check_lsn(frame[0].lsn)
-        except ValueError as exc:
-            raise QueryError("bad_request", f"replication {exc}")
-        return frame
+            with self._state_lock:
+                try:
+                    role, frame = admit_frame(
+                        self._view(), term, after_lsn=after_lsn,
+                        records=records, snapshot=snapshot, promote=promote,
+                    )
+                except FrameRejected as exc:
+                    if exc.role is not None:
+                        retired = self._transition(exc.role, term=term)
+                    if exc.kind == "fenced" and not promote:
+                        self.metrics.registry.counter(
+                            "repro_replication_fenced_total"
+                        ).inc()
+                    raise QueryError(exc.kind, str(exc)) from None
+                if promote and acks:
+                    self.acks = acks
+                if role is not None:
+                    retired = self._transition(
+                        role, term=term, followers=followers or ()
+                    )
+                if promote:
+                    # The term record rides the replication stream
+                    # like any committed record, so follower logs stay
+                    # byte-identical.
+                    self._apply_locked(
+                        TermRecord(lsn=self._next_lsn(), term=term)
+                    )
+                    applied = 0
+                elif snapshot is not None:
+                    self._install_snapshot_locked(snapshot, term)
+                    applied = 1
+                else:
+                    applied = sum(
+                        self._apply_locked(record) is not None
+                        for record in frame
+                    )
+                self._transition(term=term)
+                return self._repl_ack(applied=applied)
+        finally:
+            _stop(retired)
 
-    def _durable_lsn(self) -> int:
+    def _view(self) -> ReplicaView:
+        """What the replication rules read of this replica; caller
+        holds the state lock."""
+        return ReplicaView(
+            self.role, self.term, self.durable_lsn(), self.applied_lsn,
+            self.replaying,
+        )
+
+    def durable_lsn(self) -> int:
         """The local durable high-water mark (the primary's cursor)."""
         if self._wal is not None:
             return self._wal.last_lsn
@@ -578,7 +545,7 @@ class MutableQueryEngine(QueryEngine):
         """Caller holds the state lock."""
         return {
             "applied": applied,
-            "last_lsn": self._durable_lsn(),
+            "last_lsn": self.durable_lsn(),
             "applied_lsn": self.applied_lsn,
             "term": self.term,
             "role": self.role,
@@ -586,9 +553,9 @@ class MutableQueryEngine(QueryEngine):
 
     def _install_snapshot_locked(self, snapshot, term: int) -> None:
         """Replace the whole local state with the primary's checkpoint
-        cut (loaded through :meth:`EngineState.from_state`, so a bad
-        version or malformed state is a ``bad_request`` that changes
-        nothing); caller holds the state lock.
+        cut at ``term`` (loaded through :meth:`EngineState.from_state`,
+        so a bad version or malformed state is a ``bad_request`` that
+        changes nothing); caller holds the state lock.
 
         The local WAL is wiped (`reset`) — across a term change or a
         compaction gap nothing in it can be trusted — and the
@@ -603,8 +570,8 @@ class MutableQueryEngine(QueryEngine):
             )
         except ValueError as exc:
             raise QueryError("bad_request", f"malformed snapshot: {exc}")
-        state.term = max(state.term, term)
         self.restore(state)
+        self._transition(term=term)
         store = self._checkpoint_store
         if store is not None:
             # Checkpoints past the snapshot were cut from this node's
@@ -617,52 +584,15 @@ class MutableQueryEngine(QueryEngine):
             self._wal.reset(state.applied_lsn, term=state.term)
         if store is not None:
             store.save(state.to_state(), step=state.applied_lsn)
-        self._repl_gauges()
         self.metrics.registry.counter(
             "repro_replication_snapshots_installed_total"
         ).inc()
-
-    def _promote(self, term, followers, acks) -> dict:
-        """Take over as the shard's primary at ``term`` (the router
-        picked this replica as the most caught-up survivor)."""
-        with self._state_lock:
-            if term <= self.term:
-                raise QueryError(
-                    "fenced",
-                    f"stale promotion: term {term} is not past "
-                    f"local term {self.term}",
-                )
-            old, self._replicator = self._replicator, None
-            self.role = "primary"
-            if acks:
-                self._repl_config = {
-                    **(self._repl_config or {}), "acks": acks,
-                }
-            if followers:
-                self._start_replicator(followers)
-            # The term record rides the replication stream like any
-            # committed record, so follower logs stay byte-identical.
-            self._apply_locked(TermRecord(lsn=self._next_lsn(), term=term))
-            status = self._repl_ack(applied=0)
-        self.metrics.registry.counter(
-            "repro_replication_role_changes_total", role="primary"
-        ).inc()
-        if old is not None and not old.stopped:
-            old.stop()
-        return status
 
     def repl_status(self) -> dict:
         """The ``repl_status`` op: role, term, durable and applied
         high-water marks, plus per-follower cursors on a primary."""
         with self._state_lock:
-            status = {
-                "role": self.role,
-                "term": self.term,
-                "epoch": self.epoch,
-                "applied_lsn": self.applied_lsn,
-                "last_lsn": self._durable_lsn(),
-                "replaying": self.replaying,
-            }
+            status = {**self._view()._asdict(), "epoch": self.epoch}
             replicator = self._replicator
         if replicator is not None:
             status.update(replicator.status())
@@ -671,16 +601,7 @@ class MutableQueryEngine(QueryEngine):
     def stop_replication(self) -> None:
         """Shutdown hook: stop the shipper thread, if any."""
         replicator, self._replicator = self._replicator, None
-        if replicator is not None and not replicator.stopped:
-            replicator.stop()
-
-    def _repl_gauges(self) -> None:
-        self.metrics.registry.gauge("repro_replication_term").set(
-            self.term
-        )
-        self.metrics.registry.gauge("repro_replication_role").set(
-            1 if self.role == "primary" else 0
-        )
+        _stop(replicator)
 
     def _telemetry_gauges(self) -> None:
         """Set the gauges only ``telemetry`` reports — the served
@@ -950,7 +871,7 @@ class MutableQueryEngine(QueryEngine):
                 applied.processed
             )
         if state.term != term:
-            self._repl_gauges()
+            self._transition()  # a logged term record: refresh gauges
         if self._replicator is not None:
             self._replicator.record_committed(record)
         return applied

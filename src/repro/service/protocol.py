@@ -82,6 +82,7 @@ from __future__ import annotations
 import json
 import socket
 
+from repro.durability.replication import ACKS_MODES
 from repro.obs.context import validate_trace_field
 
 __all__ = [
@@ -292,9 +293,10 @@ def _check_replicate_fields(request: dict) -> None:
     if not isinstance(request.get("promote", False), bool):
         raise ProtocolError("'promote' must be a boolean")
     acks = request.get("acks")
-    if acks is not None and acks not in ("leader", "quorum"):
+    if acks is not None and acks not in ACKS_MODES:
         raise ProtocolError(
-            f"unknown acks mode {acks!r}; supported: 'leader', 'quorum'"
+            f"unknown acks mode {acks!r}; supported: "
+            + ", ".join(map(repr, ACKS_MODES))
         )
     records = request.get("records")
     if records is not None:

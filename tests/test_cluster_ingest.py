@@ -9,9 +9,11 @@ import pytest
 from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.cluster.manager import start_local_cluster
 from repro.cluster.sharder import shard_graph
+from repro.durability import replication
 from repro.graph import generators
 from repro.resilience.retry import RetryPolicy
 from repro.service import ServiceError, SummaryServiceClient
+from repro.service.engine import QueryError
 
 
 def _wait_for_edge(engine, u, v, timeout=5.0) -> bool:
@@ -270,3 +272,41 @@ class TestReplicatedIngest:
             assert pool.replicas[pool.primary].instance.replica == 1
             assert follower.role == "primary"
             assert pool.term == follower.term >= 2
+
+    def test_quorum_timeout_is_relayed_after_one_wait(
+        self, graph, shard_reps, monkeypatch
+    ):
+        """With one of two replicas dead a ``quorum`` write cannot
+        commit.  The router's backend timeout outlasts the survivor's
+        quorum wait, so its structured ``unavailable`` is relayed
+        after one wait — not mistaken for a dead primary, charged to
+        its breaker, and resent into a second wait."""
+        wait = 1.0
+        monkeypatch.setattr(replication, "QUORUM_TIMEOUT_S", wait)
+        with start_local_cluster(
+            shard_reps, replicas=2, seed=0, n=graph.n, mutable=True,
+            acks="quorum",
+        ) as local:
+            u, v = _free_pair_on_shard(local, graph, 0)
+            local.kill_instance("shard0/r0")
+            started = time.monotonic()
+            with pytest.raises(QueryError) as excinfo:
+                local.router_engine.query({
+                    "op": "ingest", "stream": "s", "seq": 0,
+                    "mutations": [["+", u, v]],
+                })
+            elapsed = time.monotonic() - started
+            assert excinfo.value.kind == "unavailable"
+            assert elapsed < 1.5 * wait
+            survivor = local.engines["shard0/r1"]
+            # Past the dead primary's term 1, even when the survivor
+            # never received that opening term record.
+            assert (survivor.role, survivor.term) == ("primary", 2)
+            assert survivor.metrics.registry.counter(
+                "repro_replication_ship_total", event="quorum_timeouts"
+            ).value == 1
+            pool = local.router_engine._shards[0]
+            assert pool.replicas[1].breaker.state == "closed"
+            assert local.router_engine.metrics.registry.counter(
+                "router_failover_total", shard="0"
+            ).value == 1

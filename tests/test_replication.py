@@ -11,12 +11,15 @@ The socket path is covered by ``tests/test_cluster_ingest.py``
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.mags_dm import MagsDMSummarizer
+from repro.cluster.router import ReplicaPool, ShardPool
+from repro.cluster.topology import InstanceSpec
 from repro.durability import (
     WriteAheadLog,
     quorum_size,
@@ -29,9 +32,11 @@ from repro.durability.wal import ResummarizeRecord, TermRecord, WalRecord
 from repro.dynamic.summary import DynamicGraphSummary
 from repro.graph import generators
 from repro.resilience import CheckpointStore
+from repro.resilience.retry import RetryPolicy
 from repro.service.client import ServiceError
 from repro.service.engine import QueryError
 from repro.service.ingest import MutableQueryEngine
+from repro.service.metrics import ServiceMetrics
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +49,8 @@ def base_rep():
 
 class _DirectClient:
     """Stand-in for ``SummaryServiceClient`` wired straight into a
-    follower engine — what the primary's ``client_factory`` returns."""
+    follower engine's wire dispatch — what the primary's
+    ``client_factory`` returns."""
 
     def __init__(self, engine):
         self._engine = engine
@@ -52,21 +58,9 @@ class _DirectClient:
 
     def request(self, op, **params):
         try:
-            if op == "replicate":
-                return self._engine.apply_replicated(
-                    params.get("term"),
-                    after_lsn=params.get("after_lsn"),
-                    records=params.get("records"),
-                    snapshot=params.get("snapshot"),
-                    promote=params.get("promote", False),
-                    followers=params.get("followers"),
-                    acks=params.get("acks"),
-                )
-            if op == "repl_status":
-                return self._engine.repl_status()
+            return self._engine.query({"op": op, **params})["result"]
         except QueryError as exc:
             raise ServiceError({"type": exc.kind, "message": str(exc)})
-        raise AssertionError(f"unexpected op {op!r}")
 
     def close(self):
         self.closed = True
@@ -606,3 +600,95 @@ class TestDeterminismProperty:
                 assert _state_bytes(primary) == _state_bytes(follower)
         finally:
             primary.stop_replication()
+
+
+class _Network:
+    """In-process replica addresses: ``client(host, port)`` reaches the
+    engine registered under ``host`` through its wire dispatch, and
+    refuses the connection while ``host`` is in :attr:`down`."""
+
+    def __init__(self, engines):
+        self.engines = engines
+        self.down: set[str] = set()
+
+    def client(self, host, port):
+        if host in self.down:
+            raise ConnectionRefusedError(f"{host} is unreachable")
+        return _DirectClient(self.engines[host])
+
+
+class _InProcessPool(ReplicaPool):
+    """A router-side replica pool whose requests cross a
+    :class:`_Network` instead of a socket."""
+
+    def __init__(self, network, host, replica):
+        super().__init__(
+            InstanceSpec(shard=0, replica=replica, host=host, port=0),
+            breaker_threshold=2,
+            breaker_reset_s=5.0,
+        )
+        self._network = network
+
+    def request(self, op, **params):
+        return self._network.client(self.instance.host, 0).request(
+            op, **params
+        )
+
+
+class TestElectionFromMinorityView:
+    def test_lagging_replica_alone_is_not_promoted(self, base_rep):
+        """Three replicas, ``acks=quorum``: ``a`` acks W with ``b``
+        while ``c`` lags, then ``a`` and ``b`` go unreachable.  ``c``
+        alone is a minority view — promoting it would open a second
+        term-1 primary without W.  Once ``b`` answers, ``b`` (which
+        holds W) is promoted and W survives on every replica."""
+        engines = {name: _make_engine(base_rep)[0] for name in "abc"}
+        a, b, c = engines["a"], engines["b"], engines["c"]
+        network = _Network(engines)
+        network.down = {"c"}
+        for follower in (b, c):
+            follower.configure_replication(
+                role="follower", client_factory=network.client
+            )
+        a.configure_replication(
+            role="primary",
+            followers=[("b", 0), ("c", 0)],
+            acks="quorum",
+            client_factory=network.client,
+        )
+        shard = ShardPool(
+            0,
+            [_InProcessPool(network, name, i) for i, name in enumerate("abc")],
+            retry_policy=RetryPolicy(max_attempts=1),
+            metrics=ServiceMetrics(),
+        )
+        (u, v), (x, y) = _free_pairs(base_rep, 2)
+        try:
+            a.ingest("s", 0, [["+", u, v]])  # W: quorum {a, b}
+            assert v in b.neighbors(u) and v not in c.neighbors(u)
+            a.stop_replication()
+            network.down = {"a", "b"}
+            assert shard.ensure_primary() is False
+            assert (c.role, c.term) == ("follower", 0)
+
+            network.down = {"a"}
+            assert shard.ensure_primary() is True
+            assert shard.primary == 1
+            assert (b.role, b.term) == ("primary", 2)
+            shard.ingest_request(
+                stream="t", seq=0, mutations=[["+", x, y]]
+            )
+            network.down = set()
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and not (
+                _state_bytes(a) == _state_bytes(b) == _state_bytes(c)
+            ):
+                time.sleep(0.05)
+            assert _state_bytes(a) == _state_bytes(b) == _state_bytes(c)
+            for engine in (a, b, c):
+                assert v in engine.neighbors(u)
+                assert y in engine.neighbors(x)
+            assert a.role == c.role == "follower"
+        finally:
+            for engine in engines.values():
+                engine.stop_replication()
