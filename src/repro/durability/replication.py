@@ -438,6 +438,8 @@ class ReplicationManager:
         self._ship_lock = threading.Lock()
         self._wake = threading.Event()
         self._stop = threading.Event()
+        #: Set when a follower fenced a frame: a newer primary exists.
+        self._fenced = False
         self._thread: threading.Thread | None = None
 
     # -- lifecycle -------------------------------------------------------
@@ -510,7 +512,11 @@ class ReplicationManager:
         quorum timeout — the caller must *not* acknowledge the batch.
         (It stays committed locally and in the WAL; a client retry of
         the same ``(stream, seq)`` dedups and re-awaits the quorum.)
+        Once a follower fences this primary it raises ``not_primary``
+        instead, as a follower answers ``ingest``: the batch belongs
+        on the shard's new primary.
         """
+        self._check_fenced(lsn)
         if self._stop.is_set():
             return
         if self.acks == "leader":
@@ -531,6 +537,7 @@ class ReplicationManager:
             if time.monotonic() >= deadline:
                 break
             time.sleep(min(0.05, POLL_INTERVAL_S))
+        self._check_fenced(lsn)
         from repro.service.engine import QueryError
 
         self._count("quorum_timeouts")
@@ -540,6 +547,16 @@ class ReplicationManager:
             f"{needed} follower ack(s) required "
             f"({len(self.links)} follower(s) configured)",
         )
+
+    def _check_fenced(self, lsn: int) -> None:
+        if self._fenced:
+            from repro.service.engine import QueryError
+
+            raise QueryError(
+                "not_primary",
+                f"primary fenced by a newer term before lsn {lsn} "
+                "reached a quorum; ingest goes to the shard's primary",
+            )
 
     def _ship(self, link: ReplicaLink, target_lsn: int) -> bool:
         """Push records to one follower until its cursor reaches
@@ -591,6 +608,7 @@ class ReplicationManager:
                 # A higher term exists: this primary is stale.  Step
                 # down; the new primary will catch us up.
                 self._count("fenced")
+                self._fenced = True
                 self._engine.step_down()
                 self._stop.set()
             elif exc.type == "bad_request":

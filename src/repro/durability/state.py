@@ -204,12 +204,9 @@ class EngineState:
     def _resummarize(self, record, built) -> Applied:
         dyn = self.dynamic
         touched = {
-            node
-            for sid in record.targets
-            if sid in dyn._supernodes
-            for node in dyn._supernodes[sid]
+            node for sid in record.targets for node in dyn.members(sid)
         }
-        old_corrections = dyn._additions | dyn._removals
+        old_corrections = dyn.corrections()
         if built is None:
             processed = dyn.resummarize_local(
                 targets=record.targets,
@@ -217,10 +214,8 @@ class EngineState:
             )
         else:
             rep, dirtiness, processed = built
-            dyn._install(rep)
-            dyn._dirty = dict(dirtiness)
-            dyn.num_rebuilds += 1
-        for edge in (dyn._additions | dyn._removals) ^ old_corrections:
+            dyn.adopt(rep, dirtiness)
+        for edge in dyn.corrections() ^ old_corrections:
             touched.update(edge)
         self.epoch += 1
         self.applied_lsn = record.lsn

@@ -23,19 +23,29 @@ verify after arbitrary update sequences.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Callable
 
 from repro.algorithms.base import Summarizer
 from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.core.encoding import Representation
 from repro.graph.graph import Graph
+from repro.queries.neighbors import SummaryNeighborIndex
 
 __all__ = ["DynamicGraphSummary"]
 
 
-def _ordered(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
+def _copy(rep: Representation) -> Representation:
+    return Representation(
+        n=rep.n,
+        m=rep.m,
+        supernodes={
+            sid: list(members) for sid, members in rep.supernodes.items()
+        },
+        node_to_supernode=dict(rep.node_to_supernode),
+        summary_edges=set(rep.summary_edges),
+        additions=set(rep.additions),
+        removals=set(rep.removals),
+    )
 
 
 class DynamicGraphSummary:
@@ -108,7 +118,7 @@ class DynamicGraphSummary:
             self._dirty = {
                 int(sid): int(count)
                 for sid, count in dirtiness.items()
-                if int(sid) in self._supernodes and int(count) > 0
+                if int(sid) in self._rep.supernodes and int(count) > 0
             }
         return self
 
@@ -118,6 +128,11 @@ class DynamicGraphSummary:
         reference point of the rebuild trigger."""
         return self._base_cost
 
+    @property
+    def summarizer_factory(self) -> Callable[[], Summarizer]:
+        """Builds the summarizer used for (re)builds."""
+        return self._make_summarizer
+
     # ------------------------------------------------------------------
     # State management
     # ------------------------------------------------------------------
@@ -125,33 +140,10 @@ class DynamicGraphSummary:
         return self._make_summarizer().summarize(graph).representation
 
     def _install(self, rep: Representation) -> None:
-        self._n = rep.n
-        self._supernodes = {
-            sid: list(members) for sid, members in rep.supernodes.items()
-        }
-        self._node_to_supernode = dict(rep.node_to_supernode)
-        self._summary_edges = set(rep.summary_edges)
-        self._additions = set(rep.additions)
-        self._removals = set(rep.removals)
-        self._m = rep.m
-        # Per-super-node adjacency and per-node correction buckets for
-        # O(answer) neighbor queries between rebuilds.
-        self._super_adj: dict[int, set[int]] = defaultdict(set)
-        self._self_edge: set[int] = set()
-        for su, sv in self._summary_edges:
-            if su == sv:
-                self._self_edge.add(su)
-            else:
-                self._super_adj[su].add(sv)
-                self._super_adj[sv].add(su)
-        self._add_of: dict[int, set[int]] = defaultdict(set)
-        for x, y in self._additions:
-            self._add_of[x].add(y)
-            self._add_of[y].add(x)
-        self._remove_of: dict[int, set[int]] = defaultdict(set)
-        for x, y in self._removals:
-            self._remove_of[x].add(y)
-            self._remove_of[y].add(x)
+        # A private copy, served and updated in place by the one
+        # Algorithm 6 index between rebuilds.
+        self._index = SummaryNeighborIndex(_copy(rep))
+        self._rep = self._index.representation
         self._base_cost = max(1, self.cost)
         # Per-super-node dirtiness: cumulative count of correction
         # toggles that touched the super-node since it was last
@@ -164,21 +156,17 @@ class DynamicGraphSummary:
     @property
     def n(self) -> int:
         """Current node count."""
-        return self._n
+        return self._rep.n
 
     @property
     def m(self) -> int:
         """Current edge count."""
-        return self._m
+        return self._rep.m
 
     @property
     def cost(self) -> int:
         """Live representation cost ``|E| + |C|``."""
-        return (
-            len(self._summary_edges)
-            + len(self._additions)
-            + len(self._removals)
-        )
+        return self._rep.cost
 
     @property
     def relative_size(self) -> float:
@@ -189,9 +177,9 @@ class DynamicGraphSummary:
         ``m == 0`` with ``cost > 0`` reports ``inf`` so drift on an
         emptied graph cannot masquerade as the best possible ratio.
         """
-        if self._m == 0:
+        if self.m == 0:
             return 0.0 if self.cost == 0 else float("inf")
-        return self.cost / self._m
+        return self.cost / self.m
 
     def dirty_supernodes(self) -> dict[int, int]:
         """Per-super-node dirtiness counters (a copy).
@@ -202,70 +190,41 @@ class DynamicGraphSummary:
         """
         return dict(self._dirty)
 
-    def _covered_by_superedge(self, u: int, v: int) -> bool:
-        su = self._node_to_supernode[u]
-        sv = self._node_to_supernode[v]
-        if su == sv:
-            return su in self._self_edge
-        return sv in self._super_adj.get(su, ())
+    def members(self, sid: int) -> list[int]:
+        """Member nodes of super-node ``sid`` (empty when unknown)."""
+        return self._rep.supernodes.get(sid, [])
+
+    def corrections(self) -> set[tuple[int, int]]:
+        """The live corrections of both signs, as a new set."""
+        return self._rep.additions | self._rep.removals
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the edge exists in the *current* graph."""
-        if u == v:
-            return False
-        if not (0 <= u < self._n and 0 <= v < self._n):
-            return False
-        key = _ordered(u, v)
-        if key in self._additions:
-            return True
-        if key in self._removals:
-            return False
-        return self._covered_by_superedge(u, v)
+        return self._index.has_edge(u, v)
 
     def neighbors(self, q: int) -> set[int]:
-        """Exact current neighbor set of ``q`` (Algorithm 6 style)."""
-        if not 0 <= q < self._n:
-            raise IndexError(f"node {q} out of range")
-        supernode = self._node_to_supernode[q]
-        result: set[int] = set()
-        for sv in self._super_adj.get(supernode, ()):
-            result.update(self._supernodes[sv])
-        if supernode in self._self_edge:
-            result.update(self._supernodes[supernode])
-        result |= self._add_of.get(q, set())
-        result -= self._remove_of.get(q, set())
-        result.discard(q)
-        return result
+        """Exact current neighbor set of ``q`` (Algorithm 6)."""
+        return self._index.neighbors(q)
 
     def to_representation(self) -> Representation:
         """Snapshot the live state as a :class:`Representation`."""
-        return Representation(
-            n=self._n,
-            m=self._m,
-            supernodes={
-                sid: list(members)
-                for sid, members in self._supernodes.items()
-            },
-            node_to_supernode=dict(self._node_to_supernode),
-            summary_edges=set(self._summary_edges),
-            additions=set(self._additions),
-            removals=set(self._removals),
-        )
+        return _copy(self._rep)
 
     def to_graph(self) -> Graph:
         """Materialise the current graph."""
-        return Graph(self._n, sorted(self.to_representation().reconstruct_edges()))
+        return Graph(self.n, sorted(self._rep.reconstruct_edges()))
 
     # ------------------------------------------------------------------
     # Update API
     # ------------------------------------------------------------------
     def add_node(self) -> int:
         """Append an isolated node; returns its id."""
-        node = self._n
-        self._n += 1
-        sid = self._fresh_supernode_id()
-        self._supernodes[sid] = [node]
-        self._node_to_supernode[node] = sid
+        rep = self._rep
+        node = rep.n
+        rep.n += 1
+        sid = max(rep.supernodes, default=-1) + 1
+        rep.supernodes[sid] = [node]
+        rep.node_to_supernode[node] = sid
         return node
 
     def insert_edge(self, u: int, v: int) -> None:
@@ -273,41 +232,26 @@ class DynamicGraphSummary:
         self._check_pair(u, v)
         if self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) already exists")
-        key = _ordered(u, v)
-        if key in self._removals:
-            self._removals.discard(key)
-            self._remove_of[u].discard(v)
-            self._remove_of[v].discard(u)
-        else:
-            self._additions.add(key)
-            self._add_of[u].add(v)
-            self._add_of[v].add(u)
-        self._m += 1
-        self._mark_dirty(u, v)
-        self._after_update()
+        self._toggle(u, v)
 
     def delete_edge(self, u: int, v: int) -> None:
         """Delete edge ``(u, v)``; raises if it does not exist."""
         self._check_pair(u, v)
         if not self.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) does not exist")
-        key = _ordered(u, v)
-        if key in self._additions:
-            self._additions.discard(key)
-            self._add_of[u].discard(v)
-            self._add_of[v].discard(u)
-        else:
-            self._removals.add(key)
-            self._remove_of[u].add(v)
-            self._remove_of[v].add(u)
-        self._m -= 1
-        self._mark_dirty(u, v)
-        self._after_update()
+        self._toggle(u, v)
 
     def resummarize(self) -> None:
         """Rebuild the super-node structure from the current graph."""
-        rep = self._summarize(self.to_graph())
+        self.adopt(self._summarize(self.to_graph()), {})
+
+    def adopt(self, rep: Representation, dirtiness: dict[int, int]) -> None:
+        """Install a rebuilt structure ``rep`` (a copy is kept) with its
+        per-super-node ``dirtiness``, counting one rebuild — how every
+        rebuild, local or from scratch, lands, including a maintenance
+        pass built off-line on a scratch copy."""
         self._install(rep)
+        self._dirty = dict(dirtiness)
         self.num_rebuilds += 1
 
     def resummarize_local(self, targets=None, budget=None) -> int:
@@ -346,15 +290,16 @@ class DynamicGraphSummary:
         from repro.core.encoding import encode
         from repro.core.supernodes import SuperNodePartition
 
+        supernodes = self._rep.supernodes
         if targets is None:
-            processed: set[int] = set()
-            for x, y in list(self._additions) + list(self._removals):
-                processed.add(self._node_to_supernode[x])
-                processed.add(self._node_to_supernode[y])
+            processed = {
+                self._rep.node_to_supernode[node]
+                for edge in self.corrections()
+                for node in edge
+            }
         else:
             processed = {
-                int(sid) for sid in targets
-                if int(sid) in self._supernodes
+                int(sid) for sid in targets if int(sid) in supernodes
             }
         if not processed:
             return 0
@@ -366,7 +311,7 @@ class DynamicGraphSummary:
         # the re-encoded super-node ids — depend on merge order, and
         # crash recovery must reproduce this pass bit-identically from
         # a checkpoint whose dict order is its own (sorted) one.
-        for sid, members in sorted(self._supernodes.items()):
+        for sid, members in sorted(supernodes.items()):
             if sid in processed or len(members) < 2:
                 continue
             root = partition.find(members[0])
@@ -374,7 +319,7 @@ class DynamicGraphSummary:
                 root = partition.merge(root, partition.find(node))
         # Re-summarize the processed region and replay its grouping.
         region = sorted(
-            node for sid in processed for node in self._supernodes[sid]
+            node for sid in processed for node in supernodes[sid]
         )
         if len(region) >= 2:
             subgraph = graph.subgraph(region)
@@ -393,15 +338,12 @@ class DynamicGraphSummary:
         # member sets (the partition never cross-merges them), so
         # their dirtiness carries over to their fresh super-node ids;
         # processed regions start clean.
-        carried = [
-            (self._supernodes[sid][0], count)
+        rebuilt = encode(partition)
+        self.adopt(rebuilt, {
+            rebuilt.node_to_supernode[supernodes[sid][0]]: count
             for sid, count in self._dirty.items()
             if sid not in processed
-        ]
-        self._install(encode(partition))
-        for probe, count in carried:
-            self._dirty[self._node_to_supernode[probe]] = count
-        self.num_rebuilds += 1
+        })
         return len(processed)
 
     # ------------------------------------------------------------------
@@ -410,18 +352,16 @@ class DynamicGraphSummary:
     def _check_pair(self, u: int, v: int) -> None:
         if u == v:
             raise ValueError("self-loops are not allowed")
-        if not (0 <= u < self._n and 0 <= v < self._n):
-            raise IndexError(f"edge ({u}, {v}) out of range for n={self._n}")
+        n = self._rep.n
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexError(f"edge ({u}, {v}) out of range for n={n}")
 
-    def _fresh_supernode_id(self) -> int:
-        return max(self._supernodes, default=-1) + 1
-
-    def _mark_dirty(self, u: int, v: int) -> None:
+    def _toggle(self, u: int, v: int) -> None:
+        self._index.toggle(u, v)
+        to_super, dirty = self._rep.node_to_supernode, self._dirty
         for node in (u, v):
-            sid = self._node_to_supernode[node]
-            self._dirty[sid] = self._dirty.get(sid, 0) + 1
-
-    def _after_update(self) -> None:
+            sid = to_super[node]
+            dirty[sid] = dirty.get(sid, 0) + 1
         self.num_updates += 1
         if (
             self.rebuild_factor is not None

@@ -8,7 +8,9 @@ negative corrections are at most 6% of ``m`` in practice.
 
 :class:`SummaryNeighborIndex` pre-buckets the corrections per node so
 repeated queries run in time proportional to the answer, which is how
-a deployed summary store would serve adjacency.
+a deployed summary store would serve adjacency — read-only, and under
+the live corrections overlay of
+:class:`~repro.dynamic.summary.DynamicGraphSummary`.
 """
 
 from __future__ import annotations
@@ -59,6 +61,13 @@ class SummaryNeighborIndex:
     after which :meth:`neighbors` costs
     ``O(|answer| + |C^-_q|)`` — the expected ``1.12 * d_avg`` bound of
     Section 6.6.
+
+    The index serves the representation it was given *in place*:
+    :meth:`toggle` flips one edge by toggling one correction, keeping
+    ``additions``/``removals``, ``m`` and the per-node buckets in step,
+    which is how :class:`~repro.dynamic.summary.DynamicGraphSummary`
+    absorbs updates between rebuilds.  The super-edges are frozen;
+    a new super-node structure means a new index.
     """
 
     def __init__(self, representation: Representation):
@@ -70,10 +79,10 @@ class SummaryNeighborIndex:
         self._self_edge: set[int] = {
             su for su, sv in representation.summary_edges if su == sv
         }
-        self._add: dict[int, list[int]] = defaultdict(list)
+        self._add: dict[int, set[int]] = defaultdict(set)
         for x, y in representation.additions:
-            self._add[x].append(y)
-            self._add[y].append(x)
+            self._add[x].add(y)
+            self._add[y].add(x)
         self._remove: dict[int, set[int]] = defaultdict(set)
         for x, y in representation.removals:
             self._remove[x].add(y)
@@ -83,6 +92,16 @@ class SummaryNeighborIndex:
     def representation(self) -> Representation:
         """The representation being served."""
         return self._representation
+
+    @property
+    def n(self) -> int:
+        """Node count."""
+        return self._representation.n
+
+    @property
+    def m(self) -> int:
+        """Edge count."""
+        return self._representation.m
 
     def neighbors(self, q: int) -> set[int]:
         """The exact neighbor set of node ``q`` in the original graph."""
@@ -95,11 +114,51 @@ class SummaryNeighborIndex:
             result.update(rep.supernodes[sv])
         if supernode in self._self_edge:
             result.update(rep.supernodes[supernode])
-            result.discard(q)
         result.update(self._add.get(q, ()))
         result -= self._remove.get(q, set())
         result.discard(q)
         return result
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether edge ``(u, v)`` exists (``False`` for self-loops
+        and out-of-range endpoints)."""
+        rep = self._representation
+        if u == v or not (0 <= u < rep.n and 0 <= v < rep.n):
+            return False
+        key = _ordered(u, v)
+        if key in rep.additions:
+            return True
+        return key not in rep.removals and self._covered(u, v)
+
+    def toggle(self, u: int, v: int) -> None:
+        """Flip whether edge ``(u, v)`` exists by toggling the one
+        correction that decides it: drop ``+e``/``-e`` when present,
+        else add ``-e`` under a super-edge and ``+e`` outside one.
+        The caller validates the endpoints."""
+        rep = self._representation
+        key = _ordered(u, v)
+        corrected = key in rep.additions or key in rep.removals
+        if corrected:
+            plus = present = key in rep.additions
+        else:
+            present = self._covered(u, v)
+            plus = not present
+        corrections, buckets = (
+            (rep.additions, self._add) if plus
+            else (rep.removals, self._remove)
+        )
+        flip = set.discard if corrected else set.add
+        flip(corrections, key)
+        flip(buckets[u], v)
+        flip(buckets[v], u)
+        rep.m += -1 if present else 1
+
+    def _covered(self, u: int, v: int) -> bool:
+        """Whether a super-edge spans ``(u, v)``."""
+        to_super = self._representation.node_to_supernode
+        return _ordered(
+            to_super[u], to_super[v]
+        ) in self._representation.summary_edges
 
     def degree(self, q: int) -> int:
         """Degree of node ``q``."""
@@ -121,3 +180,7 @@ class SummaryNeighborIndex:
             expanded += len(rep.supernodes[supernode]) - 1
         expanded += len(self._add.get(q, ()))
         return expanded + 2 * len(self._remove.get(q, ()))
+
+
+def _ordered(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u <= v else (v, u)

@@ -28,9 +28,10 @@ Degraded answers are counted under
 ``service_degraded_total{op=...}``.
 
 All public methods are safe to call from any number of threads: the
-cache has its own lock, the underlying index is immutable after
-construction, and the PageRank vector is built at most once behind a
-dedicated lock.
+cache has its own lock, a cache miss expands and fills the cache under
+the engine's reentrant read lock (so a writer holding it — the mutable
+engine's commit — never interleaves with a fill), and the PageRank
+vector is built at most once per epoch behind a dedicated lock.
 """
 
 from __future__ import annotations
@@ -127,6 +128,12 @@ LRUCache = _LRUCache
 class QueryEngine:
     """Serve adjacency and analytics queries from one representation.
 
+    Every read goes through :attr:`summary` — anything with ``n``,
+    ``m`` and ``neighbors(node)``: here a
+    :class:`~repro.queries.neighbors.SummaryNeighborIndex`, in
+    :class:`~repro.service.ingest.MutableQueryEngine` the live
+    :class:`~repro.dynamic.summary.DynamicGraphSummary`.
+
     Parameters
     ----------
     representation:
@@ -145,22 +152,28 @@ class QueryEngine:
         instead of raising :class:`QueryTimeout`.
     """
 
-    def __init__(
+    def __init__(self, representation: Representation, **options):
+        self.summary = SummaryNeighborIndex(representation)
+        self._init_serving(**options)
+
+    def _init_serving(
         self,
-        representation: Representation,
         *,
         cache_size: int = 4096,
         metrics: ServiceMetrics | None = None,
         damping: float = 0.85,
         pagerank_iterations: int = 20,
         degraded: bool = False,
-    ):
+    ) -> None:
+        """Everything but the summary, shared with the mutable engine."""
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         #: Ops this engine instance answers; a mutable engine
         #: (:class:`repro.service.ingest.MutableQueryEngine`) extends
         #: this with ``ingest``.
         self.ops: tuple[str, ...] = OPS
-        self._index = SummaryNeighborIndex(representation)
+        #: Guards the summary; reads take it only on a cache miss, a
+        #: mutable engine's writes for the whole commit.
+        self._state_lock = threading.RLock()
         self._cache = _LRUCache(cache_size)
         self._damping = damping
         self._pagerank_iterations = pagerank_iterations
@@ -176,7 +189,12 @@ class QueryEngine:
 
     @property
     def representation(self) -> Representation:
-        return self._index.representation
+        return self.summary.representation
+
+    @property
+    def epoch(self) -> int:
+        """Read-consistency epoch; constant on a read-only engine."""
+        return 0
 
     @property
     def cache_len(self) -> int:
@@ -195,8 +213,13 @@ class QueryEngine:
             self.metrics.cache_hit()
             return cached
         self.metrics.cache_miss()
-        result = frozenset(self._index.neighbors(node))
-        self._cache.put(node, result)
+        # Expansion and cache fill happen under the lock so a
+        # concurrent commit can never interleave between computing a
+        # neighbor set and caching it (which would cache a stale set
+        # right past its invalidation).
+        with self._state_lock:
+            result = frozenset(self.summary.neighbors(node))
+            self._cache.put(node, result)
         return result
 
     def degree(self, node: int) -> int:
@@ -250,11 +273,15 @@ class QueryEngine:
     ) -> float:
         """PageRank score of ``node`` from the Algorithm 7 vector.
 
-        The full vector is computed on the summary once (first
-        request) and then served as array lookups.  With a
-        ``degraded_sink``, a request whose deadline is already spent
-        while the vector is *still unbuilt* gets the cheap
-        degree-proportional estimate
+        The full vector is computed on an epoch-consistent snapshot of
+        the summary (first request) and then served as array lookups.
+        A commit drops the vector; if the epoch moves *while* a build
+        is running, the just-built (self-consistent but already stale)
+        vector answers this request without being installed, so no
+        request sees a torn state and a sustained write load cannot
+        livelock the build.  With a ``degraded_sink``, a request whose
+        deadline is already spent while the vector is *still unbuilt*
+        gets the cheap degree-proportional estimate
         ``(1 - d)/n + d * deg(node) / 2m`` (one cached neighborhood
         expansion) instead of blocking on the full build — the sink
         records the degradation.  Once the vector exists every answer
@@ -269,18 +296,27 @@ class QueryEngine:
                 and time.monotonic() >= deadline
             ):
                 degraded_sink.append("pagerank")
-                rep = self.representation
-                degree = len(self.neighbors(node))
-                return (1.0 - self._damping) / max(1, rep.n) + (
-                    self._damping * degree / max(1, 2 * rep.m)
+                # n, m and the degree come from one lock acquisition,
+                # so a concurrent commit cannot mix two epochs into
+                # one estimate.
+                with self._state_lock:
+                    n, m = self.summary.n, self.summary.m
+                    degree = len(self.neighbors(node))
+                return (1.0 - self._damping) / max(1, n) + (
+                    self._damping * degree / max(1, 2 * m)
                 )
             with self._pagerank_lock:
-                if self._pagerank_scores is None:
-                    engine = SummaryPageRank(self.representation)
-                    self._pagerank_scores = engine.run(
+                scores = self._pagerank_scores
+                if scores is None:
+                    with self._state_lock:
+                        built_at = self.epoch
+                        rep = self.representation
+                    scores = SummaryPageRank(rep).run(
                         self._damping, self._pagerank_iterations
                     )
-                scores = self._pagerank_scores
+                    with self._state_lock:
+                        if self.epoch == built_at:
+                            self._pagerank_scores = scores
         return float(scores[node])
 
     # -- request-dict interface (what the server speaks) -----------------
@@ -427,10 +463,10 @@ class QueryEngine:
     def _check_node(self, node: int) -> None:
         if not isinstance(node, int) or isinstance(node, bool):
             raise QueryError("bad_request", "'node' must be an integer")
-        if not 0 <= node < self.representation.n:
+        n = self.summary.n
+        if not 0 <= node < n:
             raise QueryError(
-                "bad_request",
-                f"node {node} out of range [0, {self.representation.n})",
+                "bad_request", f"node {node} out of range [0, {n})"
             )
 
     def verify_against(self, node: int) -> bool:

@@ -70,7 +70,6 @@ from repro.durability.replication import (
 from repro.durability.state import EngineState, merge_budget
 from repro.durability.wal import ResummarizeRecord, TermRecord, WalRecord
 from repro.dynamic.summary import DynamicGraphSummary
-from repro.queries.pagerank import SummaryPageRank
 from repro.service.engine import OPS, QueryEngine, QueryError
 from repro.service.protocol import MAX_INGEST_MUTATIONS, MAX_STREAM_LEN
 
@@ -128,16 +127,13 @@ class MutableQueryEngine(QueryEngine):
         dedup_capacity: int = 4096,
         **kwargs,
     ):
-        super().__init__(dynamic.to_representation(), **kwargs)
+        self._init_serving(**kwargs)
         self.ops = OPS + ("ingest", "replicate", "repl_status")
         self._wal = wal
         self._budget = budget
         self._max_inflight = max_inflight
         self._inflight = 0
         self._inflight_lock = threading.Lock()
-        #: Guards ``state``; reads take it only on a cache miss,
-        #: writes for the whole commit.
-        self._state_lock = threading.RLock()
         #: The summary, epoch, LSN, term, and dedup map.  The dedup
         #: mutation tuple is the fingerprint: a replay of the last seq
         #: must carry the same batch to count as a duplicate.
@@ -173,7 +169,11 @@ class MutableQueryEngine(QueryEngine):
         """Highest replication term this replica has observed."""
         return self.state.term
 
-    # -- read path overrides ---------------------------------------------
+    @property
+    def summary(self) -> DynamicGraphSummary:
+        """The live overlay every read goes through."""
+        return self.state.dynamic
+
     @property
     def representation(self):
         """A consistent snapshot of the live state, cached per epoch
@@ -183,79 +183,6 @@ class MutableQueryEngine(QueryEngine):
             if self._rep_snapshot is None:
                 self._rep_snapshot = self.state.dynamic.to_representation()
             return self._rep_snapshot
-
-    def _check_node(self, node: int) -> None:
-        if not isinstance(node, int) or isinstance(node, bool):
-            raise QueryError("bad_request", "'node' must be an integer")
-        n = self.state.dynamic.n
-        if not 0 <= node < n:
-            raise QueryError(
-                "bad_request", f"node {node} out of range [0, {n})"
-            )
-
-    def neighbors(self, node: int) -> frozenset[int]:
-        self._check_node(node)
-        cached = self._cache.get(node)
-        if cached is not None:
-            self.metrics.cache_hit()
-            return cached
-        self.metrics.cache_miss()
-        # Expansion and cache fill happen under the state lock so a
-        # concurrent commit can never interleave between computing a
-        # neighbor set and caching it (which would cache a stale set
-        # right past its invalidation).
-        with self._state_lock:
-            result = frozenset(self.state.dynamic.neighbors(node))
-            self._cache.put(node, result)
-        return result
-
-    def pagerank_score(
-        self,
-        node: int,
-        deadline: float | None = None,
-        degraded_sink: list | None = None,
-    ) -> float:
-        """Exact score from a vector built on an epoch-consistent
-        snapshot.  A commit invalidates the vector; if the epoch moves
-        *while* a build is running, the just-built (self-consistent
-        but already stale) vector answers this request without being
-        installed, so no request ever sees a torn state and a
-        sustained write load cannot livelock the build loop.
-        """
-        self._check_node(node)
-        scores = self._pagerank_scores
-        if scores is None:
-            import time
-
-            if (
-                degraded_sink is not None
-                and deadline is not None
-                and time.monotonic() >= deadline
-            ):
-                degraded_sink.append("pagerank")
-                # n, m, and the degree must come from one lock
-                # acquisition: a concurrent commit between them would
-                # mix two epochs into one estimate (the lock is
-                # reentrant, so the nested neighbors() call is fine).
-                with self._state_lock:
-                    n, m = self.state.dynamic.n, self.state.dynamic.m
-                    degree = len(self.neighbors(node))
-                return (1.0 - self._damping) / max(1, n) + (
-                    self._damping * degree / max(1, 2 * m)
-                )
-            with self._pagerank_lock:
-                scores = self._pagerank_scores
-                if scores is None:
-                    with self._state_lock:
-                        built_at = self.epoch
-                        rep = self.representation
-                    scores = SummaryPageRank(rep).run(
-                        self._damping, self._pagerank_iterations
-                    )
-                    with self._state_lock:
-                        if self.epoch == built_at:
-                            self._pagerank_scores = scores
-        return float(scores[node])
 
     def _finalize(self, response: dict) -> dict:
         response["epoch"] = self.epoch
@@ -566,7 +493,7 @@ class MutableQueryEngine(QueryEngine):
         try:
             state = EngineState.from_state(
                 snapshot,
-                summarizer_factory=self.state.dynamic._make_summarizer,
+                summarizer_factory=self.state.dynamic.summarizer_factory,
             )
         except ValueError as exc:
             raise QueryError("bad_request", f"malformed snapshot: {exc}")
@@ -664,7 +591,7 @@ class MutableQueryEngine(QueryEngine):
             built_at = self.epoch
             dirty = self.state.dynamic.dirty_supernodes()
             rep = self.representation
-            factory = self.state.dynamic._make_summarizer
+            factory = self.state.dynamic.summarizer_factory
         targets = select_targets(
             dirty, rep,
             max_supernodes=max_supernodes, min_dirty=min_dirty,

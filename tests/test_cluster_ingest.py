@@ -273,6 +273,42 @@ class TestReplicatedIngest:
             assert follower.role == "primary"
             assert pool.term == follower.term >= 2
 
+    def test_fenced_primary_batch_lands_once_on_new_primary(
+        self, graph, shard_reps
+    ):
+        """Shard 0's follower is promoted behind the router's back.
+        The routed batch reaches the stale primary, whose quorum ship
+        is fenced: it answers ``not_primary``, the router re-elects,
+        and the batch commits exactly once, on the new primary."""
+        with start_local_cluster(
+            shard_reps, replicas=2, seed=0, n=graph.n, mutable=True,
+            acks="quorum",
+        ) as local:
+            u, v = _free_pair_on_shard(local, graph, 0)
+            stale = local.engines["shard0/r0"]
+            fresh = local.engines["shard0/r1"]
+            stale_address = local.spec.instances_for(0)[0].address
+            fresh.apply_replicated(
+                2, promote=True, followers=[list(stale_address)],
+                acks="quorum",
+            )
+            response = local.router_engine.query({
+                "op": "ingest", "stream": "s", "seq": 0,
+                "mutations": [["+", u, v]],
+            })
+            assert response["result"]["shards"]["0"]["applied"] == 1
+            pool = local.router_engine._shards[0]
+            assert (pool.primary, pool.term) == (1, 2)
+            assert (stale.role, fresh.role) == ("follower", "primary")
+            assert fresh.metrics.registry.counter(
+                "repro_ingest_applied_total"
+            ).value == 1
+            assert fresh.state.dedup["s"][0] == 0
+            # The new primary's quorum ship replaced the stale
+            # primary's state, its unacknowledged apply included.
+            assert stale.state.to_state() == fresh.state.to_state()
+            assert v in stale.neighbors(u)
+
     def test_quorum_timeout_is_relayed_after_one_wait(
         self, graph, shard_reps, monkeypatch
     ):

@@ -5,7 +5,9 @@ of insertions and deletions driven through the real ingest path:
 
 1. **Online == offline.**  The graph reconstructed from the mutated
    summary equals a :class:`~repro.graph.graph.Graph` built directly
-   from the final edge set (``Graph.__eq__``).
+   from the final edge set (``Graph.__eq__``), and the mutable engine
+   serves the same neighbor sets and bit-identical PageRank scores as
+   a read-only engine over a snapshot of its summary.
 2. **Crash == no crash.**  Tearing the WAL at an arbitrary byte and
    recovering yields exactly the oracle state of the surviving durable
    prefix — never a torn or divergent state.
@@ -24,6 +26,7 @@ from repro.durability import WriteAheadLog, recover_engine, replay_tail
 from repro.dynamic.summary import DynamicGraphSummary
 from repro.graph.graph import Graph
 from repro.resilience.checkpoint import CheckpointStore
+from repro.service.engine import QueryEngine
 from repro.service.ingest import MutableQueryEngine
 
 _SETTINGS = dict(
@@ -98,7 +101,16 @@ def test_online_ingest_equals_final_edge_set(scenario):
         )
         assert result["ok"], result
         assert result["epoch"] == i + 1
-    assert engine.state.dynamic.to_graph() == Graph(n, sorted(final_edges))
+    final_graph = Graph(n, sorted(final_edges))
+    assert engine.state.dynamic.to_graph() == final_graph
+    # One read path: the live engine answers exactly as a read-only
+    # engine over a snapshot of its summary, and as the final graph.
+    read_only = QueryEngine(engine.state.dynamic.to_representation())
+    adjacency = final_graph.adjacency()
+    for node in range(n):
+        assert engine.neighbors(node) == read_only.neighbors(node)
+        assert engine.neighbors(node) == adjacency[node]
+        assert engine.pagerank_score(node) == read_only.pagerank_score(node)
     # And the from-scratch summary of the final graph reconstructs the
     # same graph (both sides of the paper's losslessness claim).
     _, fresh_rep = _summarize(n, final_edges)

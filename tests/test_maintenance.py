@@ -269,7 +269,10 @@ class TestMaintenancePass:
     def test_relative_size_absent_when_not_finite(self, rep):
         engine = _engine(rep)
         assert "repro_summary_relative_size" in _telemetry(engine)
-        engine.state.dynamic._m = 0  # an emptied graph still paying cost
+        dyn = engine.state.dynamic
+        for u, v in sorted(dyn.to_representation().reconstruct_edges()):
+            dyn.delete_edge(u, v)  # an emptied graph still paying cost
+        assert dyn.m == 0 and dyn.cost > 0
         assert "repro_summary_relative_size" not in _telemetry(engine)
 
 

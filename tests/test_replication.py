@@ -324,6 +324,34 @@ class TestFencingAndPromotion:
         replay_tail(revived, pending, report)
         assert _state_bytes(revived) == _state_bytes(b)
 
+    def test_fenced_quorum_ship_answers_not_primary(self, base_rep):
+        """A primary whose quorum ship is fenced (a follower was
+        promoted behind its back) answers ``not_primary``, as a
+        follower does, so the client re-routes instead of reading a
+        replication outage."""
+        a, _, _ = _make_engine(base_rep)
+        b, _, _ = _make_engine(base_rep)
+        _pair(a, b)
+        (u, v), (x, y) = _free_pairs(base_rep, 2)
+        a.ingest("s", 0, [["+", u, v]])
+        b.apply_replicated(2, promote=True)
+        try:
+            with pytest.raises(QueryError) as excinfo:
+                a.ingest("s", 1, [["+", x, y]])
+            assert excinfo.value.kind == "not_primary"
+            assert (a.role, b.role) == ("follower", "primary")
+            assert y not in b.neighbors(x)
+            # Documented: the unacknowledged batch stays visible on
+            # the stale primary until the new primary replaces its
+            # state.
+            assert y in a.neighbors(x)
+            with pytest.raises(QueryError) as excinfo:
+                a.ingest("s", 2, [["-", x, y]])
+            assert excinfo.value.kind == "not_primary"
+        finally:
+            a.stop_replication()
+            b.stop_replication()
+
     def test_stale_promotion_is_fenced(self, base_rep):
         engine, _, _ = _make_engine(base_rep)
         engine.configure_replication(role="follower")
