@@ -50,6 +50,10 @@ __all__ = ["MagsDMSummarizer", "agreement_matrix", "agreement_with"]
 def agreement_matrix(cols: np.ndarray) -> np.ndarray:
     """Pairwise signature-agreement counts of a group (h, size) -> (size, size).
 
+    Mags-DM builds it only for a group of more than ``b + 1`` nodes,
+    whose pivots rank their shortlist by these counts; a smaller group
+    shortlists every alive node and needs none.
+
     The dtype is promoted to ``int32`` when ``h`` exceeds the
     ``int16`` range: counts go up to ``h``, and a user-supplied
     ``h > 32767`` would otherwise silently overflow the agreement
@@ -327,63 +331,72 @@ class MagsDMSummarizer(Summarizer):
     ) -> int:
         """Merging phase with ``mh(.)`` similarity (Strategy 2).
 
-        The pairwise signature-agreement counts for the whole group
-        are computed once as a matrix (one vectorised pass per hash
-        function); a merge only refreshes the merged super-node's row
-        and column.  This is the batch evaluation that makes ``mh(.)``
-        "faster to compute" than Super-Jaccard in the paper.
+        A pivot whose group has at most ``width`` other alive slots
+        shortlists all of them, so only a pivot with more needs its
+        slots ranked by similarity.  For those the pairwise
+        signature-agreement counts are computed once per group as a
+        matrix (one vectorised pass per hash function), built only
+        when the group has more than ``width + 1`` slots; a merge
+        refreshes the merged super-node's row and column while a later
+        pivot will still rank.  This is the batch evaluation that makes
+        ``mh(.)`` "faster to compute" than Super-Jaccard in the paper.
+
+        Every retired slot's column holds ``-1``, as does the
+        diagonal, so a pivot's matrix row ranks exactly its alive
+        slots; ties keep ``argpartition``'s order over that row.
         """
         width = self.b if self.node_selection == "top_b" else 1
         roots = list(group)
-        size = len(roots)
-        cols = signatures.sig[:, roots].copy()  # (h, size)
-        matrix = agreement_matrix(cols)
-        alive = np.ones(size, dtype=bool)
-        alive_count = size
+        # Alive slots in increasing order: the pivot is drawn by
+        # position in this list.
+        alive = list(range(len(roots)))
+        if len(roots) > width + 1:
+            cols = signatures.sig[:, roots].copy()  # (h, size)
+            matrix = agreement_matrix(cols)
         merges = 0
 
-        while alive_count >= 2:
-            candidates = np.flatnonzero(alive)
-            pick = int(candidates[rng.randrange(alive_count)])
-            alive[pick] = False
-            alive_count -= 1
-
-            sims = np.where(alive, matrix[pick], -1)
-            if width >= alive_count:
-                shortlist = np.flatnonzero(alive)
+        while len(alive) >= 2:
+            pick = alive.pop(rng.randrange(len(alive)))
+            if width >= len(alive):
+                shortlist = alive
             else:
-                shortlist = np.argpartition(sims, -width)[-width:]
-            best_index = -1
-            best_saving = -float("inf")
+                matrix[:, pick] = -1
+                shortlist = np.argpartition(matrix[pick], -width)[
+                    -width:
+                ].tolist()
             u = roots[pick]
             # Score the whole shortlist in one savings_many call (every
             # pair shares the pivot endpoint u; default-width shortlists
             # stay on its scalar path); ties keep the earliest
             # shortlist entry.
-            alive_shortlist = [int(i) for i in shortlist if alive[int(i)]]
-            if alive_shortlist:
-                batch = partition.savings_many(
-                    [(u, roots[i]) for i in alive_shortlist]
-                )
-                for i, s in zip(alive_shortlist, batch):
-                    if s > best_saving:
-                        best_saving, best_index = s, i
+            batch = partition.savings_many(
+                [(u, roots[i]) for i in shortlist]
+            )
+            best_index = -1
+            best_saving = -float("inf")
+            for i, s in zip(shortlist, batch):
+                if s > best_saving:
+                    best_saving, best_index = s, i
             if best_index < 0 or best_saving < threshold:
                 continue
             w = partition.merge(u, roots[best_index])
             absorbed = roots[best_index] if w == u else u
             signatures.merge(w, absorbed)
             merges += 1
-            # The merged super-node takes the partner's slot; its
-            # signature is the element-wise min, so refresh that slot's
-            # column and similarity row.
+            # The merged super-node takes the partner's slot.
             roots[best_index] = w
-            np.minimum(cols[:, best_index], cols[:, pick],
-                       out=cols[:, best_index])
-            agreement = agreement_with(cols, best_index, matrix.dtype)
-            matrix[best_index, :] = agreement
-            matrix[:, best_index] = agreement
-            matrix[best_index, best_index] = -1
+            if len(alive) > width + 1:
+                # A later pivot ranks: its signature is the
+                # element-wise min, so refresh that slot's column and
+                # its similarity row over the alive slots.
+                np.minimum(cols[:, best_index], cols[:, pick],
+                           out=cols[:, best_index])
+                agreement = agreement_with(cols, best_index, matrix.dtype)
+                agreement[best_index] = -1
+                matrix[:, best_index] = agreement
+                # Retired slots and the diagonal keep their -1.
+                row = matrix[best_index]
+                np.copyto(row, agreement, where=row >= 0)
         return merges
 
     def _merge_group_super_jaccard(

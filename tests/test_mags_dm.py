@@ -1,11 +1,13 @@
 """Tests for Mags-DM (Section 4) and its strategy ablations."""
 
+import hashlib
 import random
 
 import pytest
 
 import numpy as np
 
+from repro.algorithms import mags_dm
 from repro.algorithms._dm_common import divide_recursive, shuffled_rows
 from repro.algorithms.mags_dm import (
     MagsDMSummarizer,
@@ -14,9 +16,17 @@ from repro.algorithms.mags_dm import (
 )
 from repro.algorithms.sweg import SWeGSummarizer
 from repro.core.minhash import MinHashSignatures
+from repro.core.serialization import save_representation
 from repro.core.verify import verify_lossless
 from repro.graph.generators import planted_partition, templated_web
 from repro.graph.graph import Graph
+from repro.resilience import (
+    CheckpointStore,
+    FaultInjector,
+    FaultPlan,
+    InjectedFault,
+    use_injector,
+)
 
 
 class TestDividingStrategy:
@@ -241,3 +251,120 @@ class TestAgreementMatrixDtype:
         g = planted_partition(12, 3, 0.9, 0.05, seed=2)
         result = MagsDMSummarizer(iterations=2, h=32768).summarize(g)
         verify_lossless(g, result.representation)
+
+
+#: A 200-node web analog.  With ``max_group_size=6`` and a deep
+#: recursion every group it divides into has at most b + 1 = 6 nodes;
+#: with the default cap each iteration's one group is all the roots.
+_WEB = dict(n=200, templates=10, hubs=20, template_size=6,
+            mutation=0.2, seed=7)
+_SMALL_GROUPS = dict(max_group_size=6, max_depth=40)
+
+
+def _digest(result, path) -> str:
+    """sha256 of the saved summary's bytes and the merge count."""
+    save_representation(path, result.representation)
+    digest = hashlib.sha256(path.read_bytes())
+    digest.update(f"merges={result.num_merges}".encode())
+    return digest.hexdigest()
+
+
+def _resumed(graph, store, **params):
+    """Crash a checkpointing run after iteration 3, then resume it."""
+    injector = FaultInjector(
+        FaultPlan().crash("summarize:iteration", after=3)
+    )
+    with use_injector(injector):
+        with pytest.raises(InjectedFault):
+            MagsDMSummarizer(**params).configure_checkpointing(
+                store, interval=2
+            ).summarize(graph)
+    assert store.latest() is not None
+    return MagsDMSummarizer(**params).configure_checkpointing(
+        store, interval=2, resume=True
+    ).summarize(graph)
+
+
+class TestByteIdentity:
+    """Summaries must not change under merge-loop rewrites.
+
+    The digests were recorded from the NumPy-per-group merge loop
+    (agreement matrix for every group, ``flatnonzero`` pivots), one
+    case per path through ``_merge_group_minhash``; any change to the
+    pivot draw, the shortlist or its tie order changes them.
+    """
+
+    CASES = {
+        "small_groups": (
+            _SMALL_GROUPS,
+            "a09251676f124cfd2ef7c985b0a63299154d29d79d70c621ca30ba0598351049",
+        ),
+        "one_ranked_group": (
+            dict(max_group_size=200),
+            "a88e28abc4c2fee6159ab00ca6ab639a67d4b8b698c217ef042d9e691895a8a1",
+        ),
+        "top_1": (
+            dict(node_selection="top_1"),
+            "89a7d0d990f1f44bfa0be2ea2c5374a4a36513cc64b65bcfc3d775c40959deb5",
+        ),
+        # Shortlists of 30 pairs take the savings_many NumPy kernel.
+        "kernel_shortlists": (
+            dict(b=30),
+            "b077c0e3905b516ae90f3d148845d52a0c28b16e54695ca970b84c48b124ebc1",
+        ),
+        "workers_2": (
+            dict(workers=2),
+            "820801eccc64ae2d335ec9cdeecc8f1908c96073c54d3a525dce5c89013e7f78",
+        ),
+        "super_jaccard": (
+            dict(similarity="super_jaccard"),
+            "a69a72829c499aab4df9ed2c6c135c996259f5da018a64a8dec4e1a6e62b63ba",
+        ),
+    }
+    #: A resumed run equals the uninterrupted one_ranked_group run.
+    RESUMED = CASES["one_ranked_group"][1]
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return templated_web(**_WEB)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_summary_bytes_unchanged(self, graph, tmp_path, case):
+        params, expected = self.CASES[case]
+        result = MagsDMSummarizer(iterations=6, seed=3, **params).summarize(
+            graph
+        )
+        assert _digest(result, tmp_path / "s.txt") == expected
+
+    def test_resumed_summary_bytes_unchanged(self, graph, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt")
+        result = _resumed(graph, store, iterations=6, seed=3)
+        assert _digest(result, tmp_path / "s.txt") == self.RESUMED
+
+
+class TestSmallGroupPath:
+    """Groups of at most b + 1 nodes never build an agreement matrix."""
+
+    @staticmethod
+    def _run_counting_matrices(monkeypatch, **params):
+        """Summarize the test graph; returns (summarizer, matrices built)."""
+        calls = []
+
+        def counting(cols):
+            calls.append(cols.shape[1])
+            return agreement_matrix(cols)
+
+        monkeypatch.setattr(mags_dm, "agreement_matrix", counting)
+        dm = MagsDMSummarizer(iterations=6, seed=3, **params)
+        dm.summarize(templated_web(**_WEB))
+        return dm, len(calls)
+
+    def test_small_groups_skip_the_matrix(self, monkeypatch):
+        dm, built = self._run_counting_matrices(monkeypatch, **_SMALL_GROUPS)
+        assert max(max(sizes) for sizes in dm.last_group_sizes) <= 6
+        assert built == 0
+
+    def test_ranked_group_builds_the_matrix(self, monkeypatch):
+        dm, built = self._run_counting_matrices(monkeypatch)
+        assert max(max(sizes) for sizes in dm.last_group_sizes) > 6
+        assert built >= 1

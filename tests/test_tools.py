@@ -71,82 +71,89 @@ import perf_gate  # noqa: E402
 class TestPerfGateEvaluate:
     """The gate's pure comparison logic, on synthetic measurements."""
 
-    @staticmethod
-    def _baseline(cal=0.1):
-        return {
-            "calibration_s": cal,
-            "benchmarks": {
-                "test_micro_encode": {"time_s": 0.010},
-                perf_gate.SCALAR_BENCH: {"time_s": 0.020},
-                perf_gate.BATCHED_BENCH: {"time_s": 0.008},
-                perf_gate.SHORTLIST_SCALAR_BENCH: {"time_s": 0.0014},
-                perf_gate.SHORTLIST_BENCH: {"time_s": 0.0015},
-            },
-        }
+    TIMES = {
+        "test_micro_encode": 0.010,
+        perf_gate.SCALAR_BENCH: 0.020,
+        perf_gate.BATCHED_BENCH: 0.008,
+        perf_gate.SHORTLIST_SCALAR_BENCH: 0.0014,
+        perf_gate.SHORTLIST_BENCH: 0.0015,
+    }
 
-    def _means(self, scale=1.0):
+    def _benches(self):
+        return dict(self.TIMES)
+
+    def _baseline(self):
         return {
-            "test_micro_encode": 0.010 * scale,
-            perf_gate.SCALAR_BENCH: 0.020 * scale,
-            perf_gate.BATCHED_BENCH: 0.008 * scale,
-            perf_gate.SHORTLIST_SCALAR_BENCH: 0.0014 * scale,
-            perf_gate.SHORTLIST_BENCH: 0.0015 * scale,
+            "benchmarks": {
+                name: {"ref_s": ref_s} for name, ref_s in self.TIMES.items()
+            }
         }
 
     def test_identical_run_passes(self):
-        failures, _ = perf_gate.evaluate(
-            self._means(), 0.1, self._baseline()
-        )
+        failures, _ = perf_gate.evaluate(self._benches(), self._baseline())
         assert failures == []
 
     def test_regression_beyond_threshold_fails(self):
-        means = self._means()
-        means["test_micro_encode"] *= 1.4
+        benches = self._benches()
+        benches["test_micro_encode"] *= 1.4
         failures, lines = perf_gate.evaluate(
-            means, 0.1, self._baseline(), threshold=0.25
+            benches, self._baseline(), threshold=0.25
         )
         assert any("test_micro_encode" in f for f in failures)
         assert any("REGRESSION" in line for line in lines)
 
     def test_calibration_normalizes_across_machines(self):
-        # Twice-slower machine: every mean doubles, but so does the
-        # calibration time -> no regression.
-        failures, _ = perf_gate.evaluate(
-            self._means(scale=2.0), 0.2, self._baseline(cal=0.1)
+        # A twice-slower host: a round of 2 wall seconds between probes
+        # of twice the reference length is 1 reference second.
+        class Probe:
+            def __init__(self, seconds):
+                self.seconds = seconds
+
+            def sample(self, count):
+                return self.seconds
+
+        def clock_of(ticks):
+            ticks = iter(ticks)
+            return lambda: next(ticks)
+
+        fast = perf_gate.ReferenceClock(
+            Probe(perf_gate.REFERENCE_PROBE_S), clock_of([0, 0, 1, 1])
         )
-        assert failures == []
+        slow = perf_gate.ReferenceClock(
+            Probe(2 * perf_gate.REFERENCE_PROBE_S), clock_of([0, 0, 2, 2])
+        )
+        assert fast() == slow() == 0.0
+        assert fast() == slow() == pytest.approx(1.0)
 
     def test_speedup_floor_enforced(self):
-        means = self._means()
-        means[perf_gate.BATCHED_BENCH] = means[perf_gate.SCALAR_BENCH]
+        benches = self._benches()
+        benches[perf_gate.BATCHED_BENCH] = benches[perf_gate.SCALAR_BENCH]
         failures, _ = perf_gate.evaluate(
-            means, 0.1, self._baseline(), min_speedup=1.5
+            benches, self._baseline(), min_speedup=1.5
         )
         assert any("speedup" in f for f in failures)
 
     def test_shortlist_floor_enforced(self):
         # The NumPy kernel on 5-pair groups: ~0.3x the scalar loop.
-        means = self._means()
-        means[perf_gate.SHORTLIST_BENCH] = (
-            means[perf_gate.SHORTLIST_SCALAR_BENCH] / 0.3
+        benches = self._benches()
+        benches[perf_gate.SHORTLIST_BENCH] = (
+            benches[perf_gate.SHORTLIST_SCALAR_BENCH] / 0.3
         )
-        failures, _ = perf_gate.evaluate(means, 0.1, self._baseline())
+        failures, _ = perf_gate.evaluate(benches, self._baseline())
         assert any("shortlist ratio" in f for f in failures)
 
     def test_new_and_missing_benches_do_not_fail(self):
-        means = self._means()
-        means["test_micro_brand_new"] = 0.5
-        del means["test_micro_encode"]
-        failures, lines = perf_gate.evaluate(
-            means, 0.1, self._baseline()
-        )
+        benches = self._benches()
+        benches["test_micro_brand_new"] = 0.5
+        del benches["test_micro_encode"]
+        failures, lines = perf_gate.evaluate(benches, self._baseline())
         assert failures == []
         assert any("(new bench)" in line for line in lines)
         assert any("(baseline only)" in line for line in lines)
 
     def test_missing_speedup_benches_fail(self):
         failures, _ = perf_gate.evaluate(
-            {"test_micro_encode": 0.010}, 0.1, self._baseline()
+            {"test_micro_encode": 0.010}, self._baseline()
         )
         assert any("speedup benches missing" in f for f in failures)
         assert any("shortlist ratio benches missing" in f for f in failures)
@@ -158,6 +165,6 @@ class TestPerfGateEvaluate:
 
         with open(perf_gate.DEFAULT_BASELINE) as handle:
             baseline = json.load(handle)
-        assert baseline["calibration_s"] > 0
+        assert all(b["ref_s"] > 0 for b in baseline["benchmarks"].values())
         assert perf_gate.BATCHED_BENCH in baseline["benchmarks"]
         assert perf_gate.SCALAR_BENCH in baseline["benchmarks"]

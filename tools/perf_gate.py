@@ -3,16 +3,17 @@
 Runs ``benchmarks/bench_micro_core.py`` under pytest-benchmark and
 compares the results against the committed baseline
 ``bench_results/micro_core_baseline.json``.  Raw wall-times are not
-comparable across machines, so two machine-independent checks are
-applied instead:
+comparable across machines, nor across minutes on a shared host, so
+three host-independent checks are applied instead:
 
-1. **Calibration-normalized regression.**  A fixed, deterministic
-   CPU workload (Python dict churn + NumPy reductions, mirroring the
-   mix the benches exercise) is timed on the current machine; every
-   bench time is divided by that calibration time before comparing to
-   the baseline's equally-normalized score.  A bench fails if its
-   normalized score regresses by more than ``--threshold`` (default
-   25%).
+1. **Reference-time regression.**  Rounds are timed with
+   :class:`ReferenceClock`, which samples the benchmark's host-speed
+   probe (``perfbench.measure.Reference``: a fixed interpreter loop)
+   right before and right after each round and rescales the round by
+   their mean into reference seconds: seconds on a host whose probe
+   takes ``REFERENCE_PROBE_S``.  A slow spell of the host slows the
+   probes next to a round too and cancels out.  A bench fails if its
+   median round regresses by more than ``--threshold`` (default 25%).
 2. **Kernel speedup ratio.**  The scalar-vs-batched saving benches
    time the *same* pair list, so their ratio is a pure same-machine
    speedup.  The gate fails if it drops below ``--min-speedup``.
@@ -35,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -42,6 +44,11 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+if str(REPO) not in sys.path:
+    sys.path.insert(0, str(REPO))
+
+from perfbench.measure import REFERENCE_PROBE_S, Reference  # noqa: E402
+
 DEFAULT_BASELINE = REPO / "bench_results" / "micro_core_baseline.json"
 BENCH_FILE = REPO / "benchmarks" / "bench_micro_core.py"
 
@@ -53,45 +60,64 @@ SCALAR_BENCH = "test_micro_saving_pairs_scalar"
 SHORTLIST_BENCH = "test_micro_saving_shortlists"
 SHORTLIST_SCALAR_BENCH = "test_micro_saving_shortlists_scalar"
 SHORTLIST_FLOOR = 0.8
+#: pytest-benchmark round sizing: every round runs at least
+#: ``MIN_ROUND_S`` reference seconds of loops, short enough for the
+#: probes on its two sides to share its host speed, and a bench gets
+#: about ``MAX_TIME_S`` of rounds.
+MIN_ROUND_S = 0.005
+MAX_TIME_S = 1.0
+#: Bench runs whose per-bench median an ``--update-baseline`` keeps,
+#: so that one lucky run cannot set the bar.
+BASELINE_RUNS = 3
 
 
-def calibrate(repeats: int = 5) -> float:
-    """Best-of-``repeats`` time of a fixed mixed CPU workload.
+class ReferenceClock:
+    """A pytest-benchmark timer that counts reference seconds.
 
-    Deterministic by construction (no RNG, fixed sizes) and shaped
-    like the benches themselves: interpreter-bound dict/loop work plus
-    NumPy elementwise-and-reduce work, so machines are ranked the way
-    the benches rank them.
+    Each call times one reference probe (``perfbench.measure``'s
+    fixed interpreter loop) and returns a clock that advances by the
+    wall time since the previous call's probe, rescaled by the mean of
+    the two probes to reference seconds: seconds on a host whose probe
+    takes ``REFERENCE_PROBE_S``.  A round is timed between two calls,
+    so it is rescaled by the probes taken right before and right after
+    it, and the probes' own time is in no round.  On a shared host
+    that switches speed within a second, probes next to each round
+    track the round's speed where probes around a whole bench do not.
     """
-    import numpy as np
 
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        table: dict[int, int] = {}
-        acc = 0
-        for i in range(150_000):
-            key = (i * 2654435761) & 1023
-            table[key] = table.get(key, 0) + i
-        acc += sum(table.values())
-        arr = np.arange(250_000, dtype=np.int64)
-        for _ in range(12):
-            acc += int(np.minimum(arr % 97, arr % 89).sum())
-        best = min(best, time.perf_counter() - start)
-    if acc <= 0:  # keep the work observable
-        raise RuntimeError("calibration workload underflowed")
-    return best
+    def __init__(self, reference=None, clock=time.perf_counter):
+        self.reference = reference if reference is not None else Reference()
+        self.clock = clock
+        self.now = 0.0
+        self._last: tuple[float, float] | None = None
+
+    def __call__(self) -> float:
+        start = self.clock()
+        probe = self.reference.sample(1)
+        if self._last is not None:
+            end, last_probe = self._last
+            self.now += (
+                (start - end) * 2 * REFERENCE_PROBE_S / (last_probe + probe)
+            )
+        self._last = (self.clock(), probe)
+        return self.now
+
+
+_CLOCK = ReferenceClock()
+
+
+def reference_timer() -> float:
+    """The bench run's ``--benchmark-timer``: :class:`ReferenceClock`."""
+    return _CLOCK()
 
 
 def run_benchmarks(json_path: Path) -> dict[str, float]:
-    """Run the micro benches, return {bench name: seconds}."""
+    """Run the micro benches, return {bench name: reference seconds}."""
     env = dict(os.environ)
-    src = str(REPO / "src")
-    env["PYTHONPATH"] = (
-        src + os.pathsep + env["PYTHONPATH"]
-        if env.get("PYTHONPATH")
-        else src
-    )
+    paths = [str(REPO / "src"), str(REPO / "tools")]
+    if env.get("PYTHONPATH"):
+        paths.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
     cmd = [
         sys.executable,
         "-m",
@@ -100,6 +126,12 @@ def run_benchmarks(json_path: Path) -> dict[str, float]:
         "--benchmark-only",
         "--benchmark-json",
         str(json_path),
+        "--benchmark-timer",
+        "perf_gate.reference_timer",
+        "--benchmark-min-time",
+        str(MIN_ROUND_S),
+        "--benchmark-max-time",
+        str(MAX_TIME_S),
         "-q",
         "-p",
         "no:cacheprovider",
@@ -110,61 +142,69 @@ def run_benchmarks(json_path: Path) -> dict[str, float]:
     return parse_benchmark_json(json_path)
 
 
-def parse_benchmark_json(json_path: Path) -> dict[str, float]:
-    """Extract {bench name: best-round seconds} from pytest-benchmark JSON.
+def measure() -> dict[str, float]:
+    """One run of the micro benches, in a scratch directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return run_benchmarks(Path(tmp) / "bench.json")
 
-    The *min* over rounds, not the mean: the minimum is the standard
-    low-noise estimator for microbenchmarks (every slower round is,
-    by construction, the same work plus interference).
+
+def parse_benchmark_json(json_path: Path) -> dict[str, float]:
+    """Extract {bench name: median round, reference seconds} from
+    pytest-benchmark JSON.
+
+    The *median* over rounds, not the minimum: each round is already
+    rescaled by its own probes, and the minimum then picks the round
+    whose probe ran slow for a reason its work did not share (over six
+    runs of untouched code the per-bench minimum spread by up to 1.79x
+    from run to run, the median by at most 1.19x).
     """
     with open(json_path) as handle:
         data = json.load(handle)
-    times: dict[str, float] = {}
-    for bench in data["benchmarks"]:
-        times[bench["name"]] = float(bench["stats"]["min"])
-    return times
+    return {
+        bench["name"]: float(bench["stats"]["median"])
+        for bench in data["benchmarks"]
+    }
 
 
 def evaluate(
-    means: dict[str, float],
-    calibration: float,
+    benches: dict[str, float],
     baseline: dict,
     threshold: float = 0.25,
     min_speedup: float = 1.5,
 ) -> tuple[list[str], list[str]]:
     """Pure comparison logic; returns ``(failures, report_lines)``.
 
-    ``baseline`` is the parsed baseline file: ``calibration_s`` plus a
-    ``benchmarks`` mapping of name -> {"time_s": float}.  Benches
-    present on only one side are reported but never fail the gate, so
-    adding a bench doesn't require regenerating the baseline on the
-    same machine that made it.
+    ``benches`` maps bench names to reference seconds, and so does the
+    parsed baseline's ``benchmarks`` (as ``{"ref_s": float}``).
+    Benches present on only one side are reported but never fail the
+    gate, so adding a bench doesn't require regenerating the baseline
+    on the same machine that made it.
     """
     failures: list[str] = []
     lines = [
-        f"{'benchmark':<36} {'base_norm':>10} {'now_norm':>10} {'ratio':>7}"
+        f"{'benchmark':<36} {'base_ref_s':>10} {'now_ref_s':>10} {'ratio':>7}"
     ]
-    base_cal = float(baseline["calibration_s"])
-    base_means = baseline["benchmarks"]
-    for name in sorted(set(means) | set(base_means)):
-        if name not in means:
+    base = {
+        name: float(bench["ref_s"])
+        for name, bench in baseline["benchmarks"].items()
+    }
+    for name in sorted(set(benches) | set(base)):
+        if name not in benches:
             lines.append(f"{name:<36} {'(baseline only)':>29}")
             continue
-        if name not in base_means:
+        if name not in base:
             lines.append(f"{name:<36} {'(new bench)':>29}")
             continue
-        base_norm = float(base_means[name]["time_s"]) / base_cal
-        now_norm = means[name] / calibration
-        ratio = now_norm / base_norm
+        ratio = benches[name] / base[name]
         flag = ""
         if ratio > 1.0 + threshold:
             flag = "  <-- REGRESSION"
             failures.append(
-                f"{name}: normalized score {ratio:.2f}x baseline "
+                f"{name}: reference time {ratio:.2f}x baseline "
                 f"(limit {1.0 + threshold:.2f}x)"
             )
         lines.append(
-            f"{name:<36} {base_norm:>10.4g} {now_norm:>10.4g} "
+            f"{name:<36} {base[name]:>10.4g} {benches[name]:>10.4g} "
             f"{ratio:>7.3f}{flag}"
         )
 
@@ -173,12 +213,12 @@ def evaluate(
         ("shortlist ratio", SHORTLIST_SCALAR_BENCH, SHORTLIST_BENCH,
          SHORTLIST_FLOOR),
     ):
-        if scalar not in means or batched not in means:
+        if scalar not in benches or batched not in benches:
             failures.append(
                 f"{label} benches missing from the run: {scalar}, {batched}"
             )
             continue
-        ratio = means[scalar] / means[batched]
+        ratio = benches[scalar] / benches[batched]
         lines.append(
             f"{label} (scalar/batched): {ratio:.2f}x (floor {floor:.2f}x)"
         )
@@ -189,20 +229,20 @@ def evaluate(
     return failures, lines
 
 
-def write_baseline(
-    path: Path, means: dict[str, float], calibration: float
-) -> None:
+def write_baseline(path: Path, benches: dict[str, float]) -> None:
     payload = {
-        "calibration_s": calibration,
         "benchmarks": {
-            name: {"time_s": mean} for name, mean in sorted(means.items())
+            name: {"ref_s": ref_s} for name, ref_s in sorted(benches.items())
         },
         "meta": {
             "bench_file": BENCH_FILE.name,
             "python": sys.version.split()[0],
+            "reference_probe_s": REFERENCE_PROBE_S,
             "note": (
-                "Scores are compared after dividing by calibration_s; "
-                "regenerate with tools/perf_gate.py --update-baseline."
+                "ref_s is a bench's median round in reference seconds "
+                "(tools/perf_gate.py ReferenceClock), the median of "
+                "BASELINE_RUNS runs; regenerate with "
+                "tools/perf_gate.py --update-baseline."
             ),
         },
     }
@@ -223,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--threshold", type=float, default=0.25,
-        help="max tolerated normalized regression (default 0.25 = +25%%)",
+        help="max tolerated reference-time regression (default 0.25 = +25%%)",
     )
     parser.add_argument(
         "--min-speedup", type=float, default=1.5,
@@ -235,23 +275,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Calibrate on both sides of the bench run and keep the slower
-    # measurement: a machine that throttles under the sustained bench
-    # load runs the benches at the *throttled* speed, and a cold
-    # calibration alone would make every bench look uniformly slower.
-    calibration_before = calibrate()
-    with tempfile.TemporaryDirectory() as tmp:
-        means = run_benchmarks(Path(tmp) / "bench.json")
-    calibration = max(calibration_before, calibrate())
-    print(
-        f"calibration: {calibration * 1000:.1f} ms "
-        f"(cold {calibration_before * 1000:.1f} ms)"
-    )
-
     if args.update_baseline:
-        write_baseline(args.baseline, means, calibration)
+        runs = [measure() for _ in range(BASELINE_RUNS)]
+        write_baseline(
+            args.baseline,
+            {
+                name: statistics.median(run[name] for run in runs)
+                for name in runs[0]
+            },
+        )
         print(f"baseline written: {args.baseline}")
         return 0
+
+    benches = measure()
 
     if not args.baseline.exists():
         print(f"no baseline at {args.baseline}; run --update-baseline first")
@@ -259,8 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.baseline) as handle:
         baseline = json.load(handle)
     failures, lines = evaluate(
-        means,
-        calibration,
+        benches,
         baseline,
         threshold=args.threshold,
         min_speedup=args.min_speedup,
