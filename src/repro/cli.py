@@ -43,12 +43,17 @@ from repro.core.serialization import (
     save_representation,
 )
 from repro.core.verify import deep_audit, verify_lossless
-from repro.durability.replication import ACKS_MODES, REPLICATION_ROLES
-from repro.durability.wal import FSYNC_POLICIES
+from repro.durability.replication import ACKS_MODES
 from repro.graph.datasets import dataset_codes, load_dataset
 from repro.graph.graph import GraphError
 from repro.graph.io import INGEST_POLICIES, load_graph_checked, save_graph
 from repro.graph.stats import graph_stats
+from repro.service.node import (
+    Node,
+    NodeConfig,
+    add_maintenance_arguments,
+    add_serve_arguments,
+)
 
 __all__ = ["main", "build_parser", "ALGORITHMS"]
 
@@ -89,41 +94,6 @@ def _add_ingest_options(subparser: argparse.ArgumentParser) -> None:
         help=(
             "sidecar for rejected lines under --ingest-policy "
             "quarantine (default: INPUT.quarantine)"
-        ),
-    )
-
-
-def _add_maintenance_options(subparser: argparse.ArgumentParser) -> None:
-    """Background compactness-maintenance flags shared by ``serve``
-    and ``cluster start`` (which forwards them to every instance)."""
-    group = subparser.add_argument_group("background maintenance")
-    group.add_argument(
-        "--maintenance-interval", type=float, default=0.0,
-        help=(
-            "seconds between background compactness-maintenance ticks "
-            "re-summarizing the dirtiest regions (requires --wal-dir; "
-            "0 disables; default 0)"
-        ),
-    )
-    group.add_argument(
-        "--maintenance-budget-seconds", type=float, default=1.0,
-        help=(
-            "wall-clock budget per maintenance tick, checked between "
-            "passes (default 1.0; 0 = unlimited)"
-        ),
-    )
-    group.add_argument(
-        "--maintenance-budget-merges", type=int, default=None,
-        help=(
-            "deterministic merge cap per maintenance pass, recorded "
-            "in the WAL for bit-identical replay (default: uncapped)"
-        ),
-    )
-    group.add_argument(
-        "--maintenance-max-supernodes", type=int, default=64,
-        help=(
-            "super-nodes dissolved per maintenance pass — the chunk "
-            "size each epoch swap pays for (default 64)"
         ),
     )
 
@@ -289,141 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve summary queries over TCP (line-delimited JSON)",
     )
-    serve.add_argument("input", help="summary file (v1 text format)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port (0 = ephemeral; the bound port is printed)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=8,
-        help="worker threads == max concurrent connections (default 8)",
-    )
-    serve.add_argument(
-        "--cache-size", type=int, default=4096,
-        help="LRU neighborhood cache capacity in nodes (default 4096)",
-    )
-    serve.add_argument(
-        "--request-timeout", type=float, default=10.0,
-        help="per-request deadline in seconds (default 10)",
-    )
-    serve.add_argument(
-        "--log-interval", type=float, default=30.0,
-        help="seconds between periodic stats log lines (0 disables)",
-    )
-    serve.add_argument(
-        "--max-pending", type=int, default=None,
-        help=(
-            "bound on queued connections before new ones are shed "
-            "with an 'overloaded' error (default: unbounded)"
-        ),
-    )
-    serve.add_argument(
-        "--degraded", action="store_true",
-        help=(
-            "answer khop/pagerank past their deadline with flagged "
-            "partial/approximate results instead of timeout errors"
-        ),
-    )
-    serve.add_argument(
-        "--breaker-threshold", type=int, default=0,
-        help=(
-            "consecutive internal errors before the circuit breaker "
-            "opens (0 disables the breaker)"
-        ),
-    )
-    serve.add_argument(
-        "--trace-dir", default=None,
-        help=(
-            "enable tracing and stream span records to a size-capped "
-            "JSONL file in this directory (cluster collector input)"
-        ),
-    )
-    serve.add_argument(
-        "--instance-label", default=None,
-        help=(
-            "label stamped into span records and the telemetry op "
-            "(e.g. shard0/r1); default: pid-<pid> when tracing"
-        ),
-    )
-    serve.add_argument(
-        "--wal-dir", default=None,
-        help=(
-            "enable the durable 'ingest' op: append mutations to a "
-            "write-ahead log in this directory, recover checkpoint + "
-            "WAL tail on startup (see docs/resilience.md)"
-        ),
-    )
-    serve.add_argument(
-        "--fsync", choices=FSYNC_POLICIES, default="always",
-        help=(
-            "WAL fsync policy: 'always' (fsync every append — the "
-            "durability default), 'interval' (every --fsync-interval "
-            "appends), 'never' (leave it to the OS)"
-        ),
-    )
-    serve.add_argument(
-        "--fsync-interval", type=int, default=8,
-        help="appends between fsyncs under --fsync interval (default 8)",
-    )
-    serve.add_argument(
-        "--wal-segment-bytes", type=int, default=4 << 20,
-        help="rotate WAL segments at this size (default 4 MiB)",
-    )
-    serve.add_argument(
-        "--compact-interval", type=float, default=30.0,
-        help=(
-            "seconds between background WAL-to-checkpoint compactions "
-            "(0 disables the compactor; default 30)"
-        ),
-    )
-    serve.add_argument(
-        "--max-inflight-mutations", type=int, default=64,
-        help=(
-            "ingest admission cap: concurrent mutation batches beyond "
-            "this are shed with an 'overloaded' error (default 64)"
-        ),
-    )
-    serve.add_argument(
-        "--ingest-memory-budget", type=float, default=None,
-        help=(
-            "park ingest (structured 'overloaded') once process RSS "
-            "exceeds this many MiB; reads stay up (default: off)"
-        ),
-    )
-    serve.add_argument(
-        "--dedup-capacity", type=int, default=4096,
-        help=(
-            "ingest streams remembered for retry dedup, evicted in "
-            "commit order past this (0 = unbounded; default 4096)"
-        ),
-    )
-    _add_maintenance_options(serve)
-    serve.add_argument(
-        "--repl-role", choices=REPLICATION_ROLES, default=None,
-        help=(
-            "join a per-shard replication group as this role "
-            "(requires --wal-dir): a primary WAL-ships every commit "
-            "to its --repl-follower peers; a follower applies the "
-            "shipped stream and rejects direct ingest"
-        ),
-    )
-    serve.add_argument(
-        "--repl-follower", action="append", default=None,
-        metavar="HOST:PORT",
-        help=(
-            "follower address to replicate to (repeatable; primary "
-            "role only)"
-        ),
-    )
-    serve.add_argument(
-        "--repl-acks", choices=ACKS_MODES, default="quorum",
-        help=(
-            "when to acknowledge a write: 'quorum' — once a majority "
-            "of the replica set holds it; 'leader' — once the local "
-            "WAL holds it (default quorum)"
-        ),
-    )
+    add_serve_arguments(serve)
 
     cluster = sub.add_parser(
         "cluster",
@@ -502,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
             "topology's 'acks' field)"
         ),
     )
-    _add_maintenance_options(cstart)
+    add_maintenance_arguments(cstart)
 
     ctrace = cluster_sub.add_parser(
         "trace",
@@ -793,253 +629,35 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import logging
+    import signal
 
-    from repro.service import QueryEngine, SummaryQueryServer
+    from repro.core.serialization import FormatError
 
     logging.basicConfig(
         level=logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
-    wal = None
-    compactor = None
-    maintenance = None
-    pending = ()
-    recovery_report = None
-    tail_lsns = 0
-    if args.wal_dir:
-        from pathlib import Path as _Path
-
-        from repro.core.serialization import load_representation
-        from repro.durability import (
-            WalCompactor,
-            WriteAheadLog,
-            recover_engine,
-            replay_tail,
-        )
-        from repro.resilience import CheckpointStore, ResourceBudget
-        from repro.service import MutableQueryEngine
-        from repro.service.metrics import ServiceMetrics
-
-        metrics = ServiceMetrics()
-        wal_dir = _Path(args.wal_dir)
-        wal = WriteAheadLog(
-            wal_dir,
-            fsync=args.fsync,
-            fsync_interval=args.fsync_interval,
-            segment_bytes=args.wal_segment_bytes,
-            registry=metrics.registry,
-        )
-        store = CheckpointStore(wal_dir / "checkpoints")
-        budget = None
-        if args.ingest_memory_budget is not None:
-            budget = ResourceBudget(
-                memory_budget_mb=args.ingest_memory_budget
-            ).start()
-        engine, pending, recovery_report = recover_engine(
-            load_representation(args.input),
-            wal,
-            store,
-            engine_factory=lambda dynamic: MutableQueryEngine(
-                dynamic,
-                wal=wal,
-                budget=budget,
-                max_inflight=args.max_inflight_mutations,
-                dedup_capacity=args.dedup_capacity,
-                cache_size=args.cache_size,
-                metrics=metrics,
-                degraded=args.degraded,
-            ),
-        )
-        if args.compact_interval > 0:
-            # Seed with the recovered checkpoint's LSN so the first
-            # pass doesn't re-cut a checkpoint the load already covers.
-            compactor = WalCompactor(
-                engine, wal, store,
-                interval=args.compact_interval,
-                last_lsn=recovery_report.checkpoint_lsn,
-            )
-        if args.maintenance_interval > 0:
-            from repro.dynamic import MaintenanceTask
-
-            maint_budget = None
-            if (
-                args.maintenance_budget_seconds > 0
-                or args.maintenance_budget_merges is not None
-            ):
-                maint_budget = ResourceBudget(
-                    time_budget=args.maintenance_budget_seconds or None,
-                    max_merges=args.maintenance_budget_merges,
-                )
-            maintenance = MaintenanceTask(
-                engine,
-                interval=args.maintenance_interval,
-                budget=maint_budget,
-                max_supernodes=args.maintenance_max_supernodes,
-            )
-    else:
-        if args.maintenance_interval > 0:
-            print(
-                "--maintenance-interval requires --wal-dir (maintenance "
-                "commits are WAL records); ignoring",
-                flush=True,
-            )
-        engine = QueryEngine.from_file(
-            args.input,
-            cache_size=args.cache_size,
-            degraded=args.degraded,
-        )
-    rep = engine.representation
-    print(
-        f"loaded summary: n={rep.n}, supernodes={rep.num_supernodes}, "
-        f"superedges={len(rep.summary_edges)}, "
-        f"corrections={rep.num_corrections}"
-    )
-    if args.wal_dir:
-        # ``pending`` streams lazily (a multi-GB tail must not
-        # materialize), so report the LSN span instead of a count.
-        tail_lsns = max(
-            0, wal.last_lsn - recovery_report.checkpoint_lsn
-        )
-        print(
-            f"durable ingest on: wal-dir={args.wal_dir} "
-            f"fsync={args.fsync} "
-            f"checkpoint_lsn={recovery_report.checkpoint_lsn} "
-            f"wal_tail={tail_lsns} lsn(s)"
-        )
-    wire_replication = None
-    if args.repl_role is not None:
-        if not args.wal_dir:
-            print(
-                "error: --repl-role requires --wal-dir (replication "
-                "ships WAL records)",
-                file=sys.stderr,
-            )
-            return 2
-        repl_followers: list[tuple[str, int]] = []
-        for raw in args.repl_follower or []:
-            host_part, sep, port_part = raw.rpartition(":")
-            if not sep or not host_part or not port_part.isdigit():
-                print(
-                    f"error: --repl-follower {raw!r} is not HOST:PORT",
-                    file=sys.stderr,
-                )
-                return 2
-            repl_followers.append((host_part, int(port_part)))
-        if repl_followers and args.repl_role != "primary":
-            print(
-                "error: --repl-follower only applies to "
-                "--repl-role primary",
-                file=sys.stderr,
-            )
-            return 2
-
-        def wire_replication() -> None:
-            # Deferred until the WAL tail (if any) has replayed: a
-            # primary's configure stamps its term at the log head,
-            # which must come *after* every recovered record.
-            engine.configure_replication(
-                role=args.repl_role,
-                followers=repl_followers,
-                acks=args.repl_acks,
-                store=store,
-            )
-            print(
-                f"replication on: role={args.repl_role} "
-                f"acks={args.repl_acks} "
-                f"followers={len(repl_followers)} term={engine.term}",
-                flush=True,
-            )
-
-    sink = None
-    if args.trace_dir or args.instance_label:
-        import os as _os
-
-        from repro.obs.tracer import Tracer, set_instance_label, set_tracer
-
-        label = args.instance_label or f"pid-{_os.getpid()}"
-        set_instance_label(label)
-        if args.trace_dir:
-            from repro.obs.exporters import SpanSink
-
-            sink = SpanSink(args.trace_dir, label)
-            set_tracer(Tracer(sink=sink.write))
-            print(f"tracing to {sink.path} as {label!r}")
-    breaker = None
-    if args.breaker_threshold > 0:
-        from repro.resilience import CircuitBreaker
-
-        breaker = CircuitBreaker(failure_threshold=args.breaker_threshold)
-    server = SummaryQueryServer(
-        engine,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        request_timeout=args.request_timeout,
-        log_interval=args.log_interval or None,
-        max_pending=args.max_pending,
-        breaker=breaker,
-    )
-    server.start()
-    replay_thread = None
-    if tail_lsns > 0:
-        # The flag goes up *before* readiness is announced so the very
-        # first query already answers ``degraded: true``; the tail then
-        # drains on a background thread while the server serves.
-        engine.replaying = True
-        import threading as _threading
-
-        from repro.durability import replay_tail as _replay_tail
-
-        def _drain_tail() -> None:
-            _replay_tail(engine, pending, recovery_report)
-            print(recovery_report.describe(), flush=True)
-            if wire_replication is not None:
-                wire_replication()
-
-        replay_thread = _threading.Thread(
-            target=_drain_tail, name="repro-wal-replay", daemon=True
-        )
-        replay_thread.start()
-    else:
-        if recovery_report is not None:
-            print(recovery_report.describe(), flush=True)
-        if wire_replication is not None:
-            wire_replication()
-    if compactor is not None:
-        compactor.start()
-    if maintenance is not None:
-        maintenance.start()
-        print(
-            f"background maintenance on: "
-            f"interval={args.maintenance_interval}s "
-            f"max_supernodes={args.maintenance_max_supernodes}",
-            flush=True,
-        )
+    try:
+        node = Node(NodeConfig.from_args(args))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        node.start()
+    except FormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     # Graceful-stop handlers must be live before readiness is
     # announced: a supervisor that signals the moment it sees the
     # line must never hit the default (process-killing) handler.
-    import signal as _signal
-
-    for signum in (_signal.SIGINT, _signal.SIGTERM):
-        _signal.signal(signum, lambda *_: server.shutdown())
-    host, port = server.address
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: node.server.shutdown())
+    host, port = node.address
     print(f"serving on {host}:{port}", flush=True)
     try:
-        server.serve_forever()
+        node.serve_forever()
     finally:
-        if replay_thread is not None:
-            replay_thread.join(timeout=30.0)
-        stop_replication = getattr(engine, "stop_replication", None)
-        if stop_replication is not None:
-            stop_replication()
-        if maintenance is not None:
-            maintenance.stop()
-        if compactor is not None:
-            compactor.stop(final_compact=True)
-        if wal is not None:
-            wal.close()
-        if sink is not None:
-            sink.close()
+        node.stop()
     print("shutdown complete")
     return 0
 
@@ -1158,21 +776,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         return 0
 
     if args.cluster_command == "start":
-        instance_args: list[str] = []
-        if args.maintenance_interval > 0:
-            instance_args += [
-                "--maintenance-interval",
-                str(args.maintenance_interval),
-                "--maintenance-budget-seconds",
-                str(args.maintenance_budget_seconds),
-                "--maintenance-max-supernodes",
-                str(args.maintenance_max_supernodes),
-            ]
-            if args.maintenance_budget_merges is not None:
-                instance_args += [
-                    "--maintenance-budget-merges",
-                    str(args.maintenance_budget_merges),
-                ]
         try:
             manager = ClusterManager(
                 spec,
@@ -1180,7 +783,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 cache_size=args.cache_size,
                 trace_dir=args.trace_dir,
                 wal_dir=args.wal_dir,
-                instance_args=instance_args or None,
+                **{
+                    name: value for name, value in vars(args).items()
+                    if name.startswith("maintenance_")
+                },
             )
             manager.start_instances()
         except TopologyError as exc:

@@ -11,6 +11,11 @@ Two deployment shapes share the topology spec:
   ports** for tests: real sockets and the real router, no subprocess
   startup cost; the returned handle exposes each instance's server so
   a test can drop a replica with ``server.close()``.
+
+Both build each instance's :class:`~repro.service.node.NodeConfig`
+with :func:`instance_config`: a subprocess receives it as ``repro
+serve`` arguments, an in-process instance is a
+:class:`~repro.service.node.Node` built from it.
 """
 
 from __future__ import annotations
@@ -21,20 +26,25 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 from collections import deque
+from collections.abc import Sequence
+from contextlib import ExitStack
 from pathlib import Path
 
 from repro.cluster.router import RouterEngine
 from repro.cluster.topology import ClusterSpec, InstanceSpec, TopologyError
+from repro.core.serialization import save_representation
 from repro.obs.metrics import counter_total, series_value, worst_p99
-from repro.service.engine import QueryEngine
+from repro.service.node import Node, NodeConfig, trace_to
 from repro.service.server import SummaryQueryServer
 
 __all__ = [
     "InstanceProcess",
     "ClusterManager",
     "LocalCluster",
+    "instance_config",
     "start_local_cluster",
 ]
 
@@ -56,20 +66,13 @@ def _subprocess_env() -> dict[str, str]:
 class InstanceProcess:
     """One shard-serving subprocess (``python -m repro serve``)."""
 
-    def __init__(
-        self,
-        instance: InstanceSpec,
-        artifact: Path,
-        *,
-        workers: int = 4,
-        cache_size: int = 4096,
-        extra_args: list[str] | None = None,
-    ):
+    def __init__(self, instance: InstanceSpec, config: NodeConfig):
         self.instance = instance
-        self.artifact = Path(artifact)
-        self._workers = workers
-        self._cache_size = cache_size
-        self._extra_args = list(extra_args or [])
+        self.artifact = Path(config.input)
+        #: The subprocess command line.
+        self.command = [
+            sys.executable, "-m", "repro", "serve", *config.to_argv()
+        ]
         self._proc: subprocess.Popen | None = None
         self._output: deque[str] = deque(maxlen=200)
         self._drain: threading.Thread | None = None
@@ -94,17 +97,8 @@ class InstanceProcess:
                 f"{self.instance.label}: artifact {self.artifact} does "
                 "not exist; run 'repro cluster plan' first"
             )
-        command = [
-            sys.executable, "-m", "repro", "serve", str(self.artifact),
-            "--host", self.instance.host,
-            "--port", str(self.instance.port),
-            "--workers", str(self._workers),
-            "--cache-size", str(self._cache_size),
-            "--log-interval", "0",
-            *self._extra_args,
-        ]
         self._proc = subprocess.Popen(
-            command,
+            self.command,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
@@ -161,6 +155,55 @@ class InstanceProcess:
             self._proc.wait()
 
 
+def instance_config(
+    instance: InstanceSpec,
+    artifact: str | Path,
+    *,
+    replicas: int = 1,
+    followers: Sequence[InstanceSpec] = (),
+    acks: str = "quorum",
+    wal_dir: str | Path | None = None,
+    trace_dir: str | Path | None = None,
+    **options,
+) -> NodeConfig:
+    """The :class:`~repro.service.node.NodeConfig` that serves
+    ``instance`` of a topology.
+
+    ``options`` are config fields every instance shares.  Each
+    instance exports its spans into the shared ``trace_dir`` under its
+    own label, so a collector reassembles cross-process traces from
+    one place, and owns a private WAL + checkpoint directory under
+    ``wal_dir``, where a restart of the same (shard, replica) finds
+    its durable state.  With a WAL and ``replicas > 1``, replica 0
+    starts as the shard's primary and ships to ``followers`` (its
+    siblings), acknowledging per ``acks``; the others start as
+    followers.  The router re-elects on failure; a restarted stale
+    primary is fenced by its higher-term sibling and steps down.
+    """
+    values = dict(
+        input=str(artifact),
+        host=instance.host,
+        port=instance.port,
+        log_interval=0.0,
+        **options,
+    )
+    if trace_dir is not None:
+        values.update(trace_dir=str(trace_dir), instance_label=instance.label)
+    if wal_dir is not None:
+        values["wal_dir"] = str(
+            Path(wal_dir) / f"shard{instance.shard}-r{instance.replica}"
+        )
+        if replicas > 1 and instance.replica == 0:
+            values.update(
+                repl_role="primary",
+                repl_follower=tuple(f"{f.host}:{f.port}" for f in followers),
+                repl_acks=acks,
+            )
+        elif replicas > 1:
+            values["repl_role"] = "follower"
+    return NodeConfig(**values)
+
+
 class ClusterManager:
     """Run a planned topology: subprocess instances + in-process router.
 
@@ -174,63 +217,30 @@ class ClusterManager:
         spec: ClusterSpec,
         *,
         workers: int = 4,
-        cache_size: int = 4096,
         router_cache_size: int = 4096,
-        instance_args: list[str] | None = None,
         trace_dir: str | Path | None = None,
         wal_dir: str | Path | None = None,
+        **options,
     ):
+        """``options`` are :class:`~repro.service.node.NodeConfig`
+        fields every instance shares (``cache_size``, the maintenance
+        settings); see :func:`instance_config` for the rest."""
         self.spec = spec
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        self.wal_dir = Path(wal_dir) if wal_dir is not None else None
-
-        def extra_args(instance: InstanceSpec) -> list[str]:
-            args = list(instance_args or [])
-            if self.trace_dir is not None:
-                # Every instance exports its spans into the shared
-                # directory under its own label, so the collector can
-                # reassemble cross-process traces from one place.
-                args += [
-                    "--trace-dir", str(self.trace_dir),
-                    "--instance-label", instance.label,
-                ]
-            if self.wal_dir is not None:
-                # Each instance owns a private WAL + checkpoint dir;
-                # a restart of the same (shard, replica) finds its own
-                # durable state there.
-                args += [
-                    "--wal-dir",
-                    str(
-                        self.wal_dir
-                        / f"shard{instance.shard}-r{instance.replica}"
-                    ),
-                ]
-                if spec.replicas > 1:
-                    # Static replication wiring: replica 0 starts as
-                    # each shard's primary, its siblings as followers.
-                    # The router re-elects on failure; a restarted
-                    # stale primary is fenced by its higher-term
-                    # sibling and steps down on its own.
-                    if instance.replica == 0:
-                        args += ["--repl-role", "primary"]
-                        for sibling in spec.instances_for(instance.shard):
-                            if sibling.replica != instance.replica:
-                                args += [
-                                    "--repl-follower",
-                                    f"{sibling.host}:{sibling.port}",
-                                ]
-                        args += ["--repl-acks", spec.acks]
-                    else:
-                        args += ["--repl-role", "follower"]
-            return args
-
         self.processes: dict[str, InstanceProcess] = {
             instance.label: InstanceProcess(
                 instance,
-                spec.artifact_path(instance.shard),
-                workers=workers,
-                cache_size=cache_size,
-                extra_args=extra_args(instance),
+                instance_config(
+                    instance,
+                    spec.artifact_path(instance.shard),
+                    replicas=spec.replicas,
+                    followers=spec.instances_for(instance.shard)[1:],
+                    acks=spec.acks,
+                    wal_dir=wal_dir,
+                    trace_dir=trace_dir,
+                    workers=workers,
+                    **options,
+                ),
             )
             for instance in spec.instances
         }
@@ -238,8 +248,7 @@ class ClusterManager:
         self._router_cache_size = router_cache_size
         self.router_engine: RouterEngine | None = None
         self.router_server: SummaryQueryServer | None = None
-        self._router_sink = None
-        self._previous_tracer = None
+        self._router = ExitStack()
 
     def start_instances(self, startup_timeout: float = 60.0) -> None:
         started: list[InstanceProcess] = []
@@ -254,18 +263,11 @@ class ClusterManager:
 
     def start_router(self, *, workers: int = 8) -> SummaryQueryServer:
         """Serve the router on the spec's router address, in-process."""
-        if self.trace_dir is not None and self._router_sink is None:
+        if self.trace_dir is not None:
             # The router runs in-process: give it its own tracer +
             # span file alongside the instances' so a collector sees
             # the whole request tree in one directory.
-            from repro.obs import tracer as obs_tracer
-            from repro.obs.exporters import SpanSink
-
-            obs_tracer.set_instance_label("router")
-            self._router_sink = SpanSink(self.trace_dir, "router")
-            self._previous_tracer = obs_tracer.set_tracer(
-                obs_tracer.Tracer(sink=self._router_sink.write)
-            )
+            trace_to(self._router, "router", self.trace_dir)
         # The pool cap must stay below each instance's worker count:
         # pooled connections are persistent, and the server parks a
         # worker on every connection — capping at workers-1 keeps one
@@ -275,12 +277,14 @@ class ClusterManager:
             cache_size=self._router_cache_size,
             max_connections_per_replica=max(1, self._workers - 1),
         )
+        self._router.callback(self.router_engine.close)
         self.router_server = SummaryQueryServer(
             self.router_engine,
             host=self.spec.router_host,
             port=self.spec.router_port,
             workers=workers,
         )
+        self._router.callback(self.router_server.close)
         return self.router_server.start()
 
     def start(self, startup_timeout: float = 60.0) -> "ClusterManager":
@@ -290,20 +294,7 @@ class ClusterManager:
 
     def stop(self) -> dict[str, int | None]:
         """Stop router then instances; returns exit codes by label."""
-        if self.router_server is not None:
-            self.router_server.close()
-            self.router_server = None
-        if self.router_engine is not None:
-            self.router_engine.close()
-            self.router_engine = None
-        if self._previous_tracer is not None:
-            from repro.obs.tracer import set_tracer
-
-            set_tracer(self._previous_tracer)
-            self._previous_tracer = None
-        if self._router_sink is not None:
-            self._router_sink.close()
-            self._router_sink = None
+        self._router.close()
         return {
             label: process.stop()
             for label, process in self.processes.items()
@@ -317,28 +308,34 @@ class ClusterManager:
 
 
 class LocalCluster:
-    """An in-process cluster (tests): servers in threads, real router.
+    """An in-process cluster (tests): one :class:`Node` per instance,
+    real router.
 
     ``spec`` carries the *actual* ephemeral ports the instance servers
-    bound, so the router and any client address them normally.
+    bound, so the router and any client address them normally.  The
+    cluster owns ``workdir`` (shard artifacts, WAL directories) and
+    removes it on :meth:`close`.
     """
 
     def __init__(
         self,
         spec: ClusterSpec,
-        servers: dict[str, SummaryQueryServer],
+        nodes: dict[str, Node],
         router_server: SummaryQueryServer,
         router_engine: RouterEngine,
-        engines: dict[str, object] | None = None,
+        workdir: tempfile.TemporaryDirectory,
     ):
         self.spec = spec
-        self.servers = servers
+        self.nodes = nodes
+        #: Per-instance servers and engines by label: a test drops a
+        #: replica with ``servers[label].close()`` and reaches into its
+        #: state (summary bytes, a forced step-down) without a wire
+        #: round trip.
+        self.servers = {label: node.server for label, node in nodes.items()}
+        self.engines = {label: node.engine for label, node in nodes.items()}
         self.router_server = router_server
         self.router_engine = router_engine
-        #: Per-instance engines by label — lets replication tests
-        #: reach into a replica's state directly (compare summary
-        #: bytes, force a step-down) without a wire round trip.
-        self.engines: dict[str, object] = dict(engines or {})
+        self._workdir = workdir
 
     @property
     def router_address(self) -> tuple[str, int]:
@@ -351,12 +348,11 @@ class LocalCluster:
     def close(self) -> None:
         self.router_server.close()
         self.router_engine.close()
-        for engine in self.engines.values():
-            stop_replication = getattr(engine, "stop_replication", None)
-            if stop_replication is not None:
-                stop_replication()
-        for server in self.servers.values():
+        for node in self.nodes.values():
+            node.stop()
+        for server in self.servers.values():  # any a test swapped in
             server.close()
+        self._workdir.cleanup()
 
     def __enter__(self) -> "LocalCluster":
         return self
@@ -385,68 +381,43 @@ def start_local_cluster(
 
     ``representations[s]`` is shard ``s``'s summary (as produced by
     summarizing :func:`repro.cluster.sharder.shard_graph` output with
-    the same ``seed``).  Each replica of a shard gets its own engine
-    over the shared representation, so per-instance metrics stay
-    isolated exactly as they would across processes.
-
-    ``mutable=True`` serves each shard through a
-    :class:`~repro.service.ingest.MutableQueryEngine` (no WAL — this
-    is the in-process routing-semantics testbed, not the durable
-    path).  With ``replicas > 1`` the replicas of each shard are
-    wired into a replication group over their real sockets: replica 0
-    primary, siblings followers, write acknowledgement per ``acks``.
+    the same ``seed``).  Every replica is a :class:`Node` built by
+    :func:`instance_config`, as :class:`ClusterManager` builds each
+    subprocess, over the shard's artifact written to a temporary
+    directory the returned cluster owns.  ``mutable=True`` gives each
+    replica a WAL directory there (durable ingest); with
+    ``replicas > 1`` replica 0 of each shard is primary and ships to
+    its siblings, acknowledging writes per ``acks``.
     """
-    from repro.cluster.topology import InstanceSpec as _Instance
-
-    shards = len(representations)
-    if shards < 1:
+    if not representations:
         raise TopologyError("need at least one shard representation")
-    servers: dict[str, SummaryQueryServer] = {}
-    engines: dict[str, object] = {}
+    workdir = tempfile.TemporaryDirectory(prefix="repro-local-cluster-")
+    root = Path(workdir.name)
+    nodes: dict[str, Node] = {}
     instances: list[InstanceSpec] = []
     try:
         for shard, rep in enumerate(representations):
-            shard_group: list[tuple[InstanceSpec, object]] = []
-            for replica in range(replicas):
-                if mutable:
-                    from repro.dynamic.summary import DynamicGraphSummary
-                    from repro.service.ingest import MutableQueryEngine
-
-                    engine = MutableQueryEngine(
-                        DynamicGraphSummary.from_representation(rep),
-                        cache_size=cache_size,
-                    )
-                else:
-                    engine = QueryEngine(rep, cache_size=cache_size)
-                server = SummaryQueryServer(
-                    engine, port=0, workers=workers
-                ).start()
-                host, port = server.address
-                instance = _Instance(
-                    shard=shard, replica=replica, host=host, port=port
-                )
-                servers[instance.label] = server
-                engines[instance.label] = engine
-                instances.append(instance)
-                shard_group.append((instance, engine))
-            if mutable and replicas > 1:
-                # Wire the shard's replication group now that every
-                # sibling's ephemeral port is known: replica 0
-                # primary, the rest followers (same convention as
-                # ClusterManager's subprocess flags).
-                for _, follower_engine in shard_group[1:]:
-                    follower_engine.configure_replication(
-                        role="follower"
-                    )
-                shard_group[0][1].configure_replication(
-                    role="primary",
-                    followers=[
-                        inst.address for inst, _ in shard_group[1:]
-                    ],
+            artifact = root / f"shard-{shard}.summary.txt"
+            save_representation(artifact, rep)
+            started: list[InstanceSpec] = []
+            # Followers first: the primary's config names their ports.
+            for replica in reversed(range(replicas)):
+                node = Node(instance_config(
+                    InstanceSpec(shard, replica, "127.0.0.1", 0),
+                    artifact,
+                    replicas=replicas,
+                    followers=started[::-1],
                     acks=acks,
-                )
+                    wal_dir=root / "wal" if mutable else None,
+                    workers=workers,
+                    cache_size=cache_size,
+                ))
+                instance = InstanceSpec(shard, replica, *node.start().address)
+                nodes[instance.label] = node
+                started.append(instance)
+            instances += started[::-1]
         spec = ClusterSpec(
-            shards=shards,
+            shards=len(representations),
             replicas=replicas,
             seed=seed,
             router_host="127.0.0.1",
@@ -469,15 +440,12 @@ def start_local_cluster(
         # The spec names real addresses only, so collectors can read it.
         spec.router_port = router_server.address[1]
     except BaseException:
-        for engine in engines.values():
-            stop_replication = getattr(engine, "stop_replication", None)
-            if stop_replication is not None:
-                stop_replication()
-        for server in servers.values():
-            server.close()
+        for node in nodes.values():
+            node.stop()
+        workdir.cleanup()
         raise
     return LocalCluster(
-        spec, servers, router_server, router_engine, engines=engines
+        spec, nodes, router_server, router_engine, workdir
     )
 
 

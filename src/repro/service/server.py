@@ -151,9 +151,13 @@ class SummaryQueryServer:
         if self._started:
             return self
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(128)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self._host, self._port))
+            listener.listen(128)
+        except OSError:
+            listener.close()
+            raise
         listener.settimeout(_POLL_INTERVAL)
         self._socket = listener
         self._started = True

@@ -177,6 +177,56 @@ class TestCheckpointCLI:
         assert "no valid checkpoint found" in capsys.readouterr().out
 
 
+class TestServeStartup:
+    """``repro serve`` rejects bad flags and artifacts before it
+    creates anything on disk."""
+
+    @pytest.fixture
+    def summary(self, tmp_path, edge_file):
+        path = tmp_path / "summary.txt"
+        assert main([
+            "summarize", str(edge_file[0]), "-T", "2", "-o", str(path),
+        ]) == 0
+        return path
+
+    @pytest.mark.parametrize("flags, message", [
+        (
+            ["--repl-follower", "bad"],
+            "--repl-follower only applies to --repl-role primary",
+        ),
+        (
+            ["--repl-role", "follower", "--repl-follower", "h:1"],
+            "--repl-follower only applies to --repl-role primary",
+        ),
+        (
+            ["--repl-role", "primary", "--repl-follower", "bad"],
+            "--repl-follower 'bad' is not HOST:PORT",
+        ),
+    ])
+    def test_bad_replication_flags(
+        self, tmp_path, summary, capsys, flags, message
+    ):
+        wal = tmp_path / "wal"
+        capsys.readouterr()
+        assert main(["serve", str(summary), "--wal-dir", str(wal), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: {message}\n"
+        assert out == ""
+        assert not wal.exists()
+
+    def test_unreadable_artifact(self, tmp_path, capsys):
+        wal, spans = tmp_path / "wal", tmp_path / "spans"
+        missing = tmp_path / "missing.sum"
+        assert main([
+            "serve", str(missing), "--wal-dir", str(wal),
+            "--trace-dir", str(spans),
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {missing}: not a readable")
+        assert not wal.exists() and not spans.exists()
+
+
 class TestClusterCLI:
     def test_parser_defaults(self):
         args = build_parser().parse_args(
@@ -342,6 +392,7 @@ class TestClusterStatus:
         ) as local:
             topology = tmp_path / "topology.json"
             save_topology(topology, local.spec)
+            capsys.readouterr()  # the replicas' `repro serve` startup lines
 
             def calls(op):
                 return {

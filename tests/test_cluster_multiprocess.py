@@ -7,7 +7,11 @@ import threading
 import pytest
 
 from repro.algorithms.mags_dm import MagsDMSummarizer
-from repro.cluster.manager import ClusterManager, InstanceProcess
+from repro.cluster.manager import (
+    ClusterManager,
+    InstanceProcess,
+    instance_config,
+)
 from repro.cluster.sharder import plan_cluster
 from repro.cluster.topology import (
     InstanceSpec,
@@ -72,8 +76,12 @@ class TestInstanceProcess:
         clients: each instance counts exactly its own traffic."""
         spec = fresh_spec(cluster_dir)
         a_spec, b_spec = spec.instances
-        a = InstanceProcess(a_spec, spec.artifact_path(0), workers=2)
-        b = InstanceProcess(b_spec, spec.artifact_path(1), workers=2)
+        a = InstanceProcess(
+            a_spec, instance_config(a_spec, spec.artifact_path(0), workers=2)
+        )
+        b = InstanceProcess(
+            b_spec, instance_config(b_spec, spec.artifact_path(1), workers=2)
+        )
         try:
             a.start()
             b.start()
@@ -114,8 +122,10 @@ class TestInstanceProcess:
         """The existing SIGINT path shuts a subprocess instance down
         with exit code 0 and the final log line."""
         spec = fresh_spec(cluster_dir)
+        instance = spec.instances[0]
         proc = InstanceProcess(
-            spec.instances[0], spec.artifact_path(0), workers=2
+            instance,
+            instance_config(instance, spec.artifact_path(0), workers=2),
         )
         proc.start()
         assert proc.running
@@ -126,7 +136,9 @@ class TestInstanceProcess:
 
     def test_missing_artifact_fails_fast(self, tmp_path):
         inst = InstanceSpec(0, 0, "127.0.0.1", free_ports(1)[0])
-        proc = InstanceProcess(inst, tmp_path / "nope.txt.gz")
+        proc = InstanceProcess(
+            inst, instance_config(inst, tmp_path / "nope.txt.gz")
+        )
         with pytest.raises(TopologyError, match="does not exist"):
             proc.start()
 

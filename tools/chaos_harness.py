@@ -87,6 +87,7 @@ from repro.service import (  # noqa: E402
     SummaryQueryServer,
     SummaryServiceClient,
 )
+from repro.service.node import NodeConfig  # noqa: E402
 
 PASS = "PASS"
 
@@ -346,13 +347,15 @@ def scenario_ingest_kill9_recovery(seed: int) -> str:
         def spawn() -> tuple[InstanceProcess, int]:
             proc = InstanceProcess(
                 InstanceSpec(shard=0, replica=0, host="127.0.0.1", port=0),
-                artifact,
-                workers=2,
-                # Compaction off: the offline audit below must see the
-                # whole tail as WAL records, deterministically.
-                extra_args=[
-                    "--wal-dir", str(wal_dir), "--compact-interval", "0",
-                ],
+                NodeConfig(
+                    input=str(artifact),
+                    workers=2,
+                    log_interval=0,
+                    wal_dir=str(wal_dir),
+                    # Compaction off: the offline audit below must see
+                    # the whole tail as WAL records, deterministically.
+                    compact_interval=0,
+                ),
             )
             proc.start(startup_timeout=120.0)
             match = _SERVING_RE.search(proc.output_tail())
@@ -525,19 +528,20 @@ def scenario_maintenance_kill9_recovery(seed: int) -> str:
         def spawn() -> tuple[InstanceProcess, int]:
             proc = InstanceProcess(
                 InstanceSpec(shard=0, replica=0, host="127.0.0.1", port=0),
-                artifact,
-                workers=2,
-                # Compaction off so the offline audit sees the whole
-                # history as WAL records; maintenance on a tight tick
-                # with a recorded merge cap.
-                extra_args=[
-                    "--wal-dir", str(wal_dir),
-                    "--compact-interval", "0",
-                    "--maintenance-interval", "0.05",
-                    "--maintenance-max-supernodes", "24",
-                    "--maintenance-budget-merges", "256",
-                    "--maintenance-budget-seconds", "0",
-                ],
+                NodeConfig(
+                    input=str(artifact),
+                    workers=2,
+                    log_interval=0,
+                    wal_dir=str(wal_dir),
+                    # Compaction off so the offline audit sees the
+                    # whole history as WAL records; maintenance on a
+                    # tight tick with a recorded merge cap.
+                    compact_interval=0,
+                    maintenance_interval=0.05,
+                    maintenance_max_supernodes=24,
+                    maintenance_budget_merges=256,
+                    maintenance_budget_seconds=0,
+                ),
             )
             proc.start(startup_timeout=120.0)
             match = _SERVING_RE.search(proc.output_tail())
@@ -757,20 +761,19 @@ def _spawn_replica(artifact, wal_dir, *, replica, port, role,
     from repro.cluster.manager import _SERVING_RE, InstanceProcess
     from repro.cluster.topology import InstanceSpec
 
-    extra = [
-        "--wal-dir", str(wal_dir),
-        "--compact-interval", "0",
-        "--repl-role", role,
-    ]
-    if role == "primary":
-        for fport in follower_ports:
-            extra += ["--repl-follower", f"127.0.0.1:{fport}"]
-        extra += ["--repl-acks", acks]
     proc = InstanceProcess(
         InstanceSpec(shard=0, replica=replica, host="127.0.0.1", port=port),
-        artifact,
-        workers=2,
-        extra_args=extra,
+        NodeConfig(
+            input=str(artifact),
+            port=port,
+            workers=2,
+            log_interval=0,
+            wal_dir=str(wal_dir),
+            compact_interval=0,
+            repl_role=role,
+            repl_follower=tuple(f"127.0.0.1:{p}" for p in follower_ports),
+            repl_acks=acks,
+        ),
     )
     proc.start(startup_timeout=120.0)
     match = _SERVING_RE.search(proc.output_tail())
