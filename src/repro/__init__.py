@@ -42,7 +42,6 @@ from repro.core import (
     save_representation,
     verify_lossless,
 )
-from repro.distributed import DistributedSummarizer
 from repro.dynamic import DynamicGraphSummary
 from repro.graph import Graph, generators, load_dataset, load_graph
 
@@ -62,7 +61,6 @@ __all__ = [
     "load_representation",
     "save_representation",
     "DynamicGraphSummary",
-    "DistributedSummarizer",
     "GreedySummarizer",
     "LDMESummarizer",
     "MagsDMSummarizer",

@@ -6,9 +6,9 @@ served by one or more plain :class:`~repro.service.server.
 SummaryQueryServer` instances, and a :class:`~repro.cluster.router.
 RouterEngine` fronts them all speaking the *same* wire protocol —
 clients cannot tell a router from a single server.  Node ownership is
-the seeded keyed hash :func:`repro.distributed.partitioning.
-shard_for_node`; replica failover wraps every instance in the
-resilience layer's circuit breaker and retry policy.
+the seeded keyed hash :func:`repro.cluster.topology.shard_for_node`;
+replica failover wraps every instance in the resilience layer's
+circuit breaker and retry policy.
 
 See ``docs/serving.md`` ("Cluster") for the topology file format,
 routing semantics, and failover states.

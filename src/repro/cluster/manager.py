@@ -342,8 +342,11 @@ class LocalCluster:
         return self.router_server.address
 
     def kill_instance(self, label: str) -> None:
-        """Hard-stop one replica (its clients see resets/refusals)."""
-        self.servers[label].close(timeout=5.0)
+        """Stop one replica's whole node: server, replication shipper
+        and background threads (clients see resets/refusals).  Unlike
+        a SIGKILL, its shutdown hooks still run, e.g. a final WAL
+        compaction into its own directory."""
+        self.nodes[label].stop()
 
     def close(self) -> None:
         self.router_server.close()

@@ -24,7 +24,7 @@ import logging
 from pathlib import Path
 from typing import Callable
 
-from repro.cluster.topology import ClusterSpec, save_topology
+from repro.cluster.topology import ClusterSpec, save_topology, shard_for_node
 from repro.core.serialization import save_representation
 from repro.graph.graph import Graph
 
@@ -46,8 +46,6 @@ def shard_graph(
     owned neighborhoods are complete.  The union of all shard edge
     sets is exactly the input edge set.
     """
-    from repro.distributed.partitioning import shard_for_node
-
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     owner = [shard_for_node(u, shards, seed) for u in range(graph.n)]

@@ -24,9 +24,9 @@ subprocess world:
 ```
 
 The node -> shard map is *not* stored: it is the seeded keyed hash
-:func:`repro.distributed.partitioning.shard_for_node` applied to
-``(shards, seed)``, so the router (and any smart client) can place
-ids it has never seen, in any process, without a lookup table.
+:func:`shard_for_node` applied to ``(shards, seed)``, so the router
+(and any smart client) can place ids it has never seen, in any
+process, without a lookup table.
 
 ``artifacts`` paths are relative to the topology file's directory
 (absolute paths are kept as-is), so a planned cluster directory can
@@ -43,7 +43,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.distributed.partitioning import shard_for_node
 from repro.durability.replication import ACKS_MODES
 
 __all__ = [
@@ -53,6 +52,7 @@ __all__ = [
     "default_spec",
     "load_topology",
     "save_topology",
+    "shard_for_node",
 ]
 
 #: The (single) topology format version this module reads and writes.
@@ -62,6 +62,28 @@ TOPOLOGY_VERSION = 1
 #: is ejected, and seconds before the ejected replica gets a probe.
 DEFAULT_BREAKER_THRESHOLD = 2
 DEFAULT_BREAKER_RESET_S = 5.0
+
+_MASK64 = (1 << 64) - 1
+
+
+def shard_for_node(node: int, shards: int, seed: int = 0) -> int:
+    """Owning shard of ``node`` under the seeded keyed hash.
+
+    A splitmix64-style scramble of ``(node, seed)``, reduced mod
+    ``shards``.  It needs no :class:`~repro.graph.graph.Graph` in
+    hand, so a query router can map ids it has never seen, and it is
+    independent of ``PYTHONHASHSEED`` (no use of Python's randomised
+    ``hash``), so every process — sharder, shard server, router,
+    client — agrees on the same map for the same ``(shards, seed)``.
+    """
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    if node < 0:
+        raise ValueError(f"node must be >= 0, got {node}")
+    x = (node + seed * 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (x ^ (x >> 31)) % shards
 
 
 class TopologyError(ValueError):

@@ -11,7 +11,6 @@ from repro.compression.varint import (
     decode_varints,
     encode_varint,
     encode_varints,
-    varint_size,
     zigzag_decode,
     zigzag_encode,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "decode_varints",
     "encode_varint",
     "encode_varints",
-    "varint_size",
     "zigzag_decode",
     "zigzag_encode",
 ]

@@ -18,7 +18,6 @@ __all__ = [
     "decode_varints",
     "zigzag_encode",
     "zigzag_decode",
-    "varint_size",
 ]
 
 
@@ -71,17 +70,6 @@ def decode_varints(data: bytes) -> Iterator[int]:
     while offset < len(data):
         value, offset = decode_varint(data, offset)
         yield value
-
-
-def varint_size(value: int) -> int:
-    """Bytes :func:`encode_varint` uses for ``value``."""
-    if value < 0:
-        raise ValueError("varints encode non-negative integers only")
-    size = 1
-    while value >= 0x80:
-        value >>= 7
-        size += 1
-    return size
 
 
 def zigzag_encode(value: int) -> int:

@@ -22,11 +22,10 @@ Consumers: :class:`~repro.service.client.SummaryServiceClient`
 (auto-reconnect + idempotent retry),
 :class:`~repro.service.server.SummaryQueryServer` (load shedding,
 breaker, degraded mode),
-:class:`~repro.distributed.DistributedSummarizer` (worker retry and
-singleton-partition fallback) and the Mags/Mags-DM summarizers
-(checkpoint/resume).  Everything reports into :mod:`repro.obs`
-(``repro_resilience_*`` metrics, ``resilience:`` spans).  See
-``docs/resilience.md`` and ``tools/chaos_harness.py``.
+:class:`~repro.cluster.router.RouterEngine` (replica failover) and
+the Mags/Mags-DM summarizers (checkpoint/resume).  Everything reports
+into :mod:`repro.obs` (``repro_resilience_*`` metrics, ``resilience:``
+spans).  See ``docs/resilience.md`` and ``tools/chaos_harness.py``.
 """
 
 from repro.resilience.breaker import CircuitBreaker

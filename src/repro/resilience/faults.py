@@ -4,8 +4,8 @@ Production failure modes — a worker process dying, a straggling
 machine, a dropped TCP connection, a corrupted checkpoint file — are
 rare in tests and constant in deployments.  This module lets the
 test-suite and the chaos harness *schedule* them: a :class:`FaultPlan`
-lists faults keyed by **site labels** (strings like ``worker:2`` or
-``client:send``), and a :class:`FaultInjector` fires them when the
+lists faults keyed by **site labels** (strings like ``client:send``
+or ``summarize:iteration``), and a :class:`FaultInjector` fires them when the
 instrumented code paths pass through those sites.
 
 Everything is deterministic: a fault either fires on specific hit
@@ -124,7 +124,7 @@ class FaultSpec:
 class FaultPlan:
     """An ordered list of :class:`FaultSpec`; build with the helpers.
 
-    >>> plan = FaultPlan().crash("worker:1").delay("worker:2", 0.01)
+    >>> plan = FaultPlan().crash("client:send").delay("server:accept", 0.01)
     >>> [s.kind for s in plan.specs]
     ['crash_before', 'delay']
     """

@@ -2,10 +2,9 @@
 
 The retry policy is data (:class:`RetryPolicy`), the time budget is
 data (:class:`Deadline`), and :func:`call_with_retry` is the one loop
-that combines them — the service client and the distributed
-coordinator both delegate here so backoff behaviour, metric
-accounting and ``resilience:retry`` spans are implemented exactly
-once.
+that combines them — the service client and the cluster router both
+delegate here so backoff behaviour, metric accounting and
+``resilience:retry`` spans are implemented exactly once.
 
 Jitter is drawn from a caller-supplied seeded RNG so retry schedules
 are reproducible in tests and chaos runs.
@@ -138,15 +137,13 @@ def call_with_retry(
     retry_on: tuple[type[BaseException], ...],
     deadline: Deadline | None = None,
     rng: random.Random | None = None,
-    on_retry: Callable[[int, BaseException], None] | None = None,
     label: str = "",
     sleep: Callable[[float], None] = time.sleep,
 ) -> T:
     """Call ``fn`` until it succeeds, the policy is exhausted, or the
     deadline expires.
 
-    ``on_retry(attempt, error)`` is invoked before each backoff sleep
-    (reconnect hooks, logging).  Retries are counted in the global
+    Retries are counted in the global
     :mod:`repro.obs` registry under
     ``repro_resilience_retries_total{component=label}`` and, when a
     tracer is active, wrapped in a ``resilience:retry`` span.
@@ -162,8 +159,6 @@ def call_with_retry(
             if attempt >= policy.max_attempts:
                 break
             _record_retry(label)
-            if on_retry is not None:
-                on_retry(attempt, exc)
             pause = policy.delay(attempt, rng)
             if deadline.remaining() <= pause:
                 raise DeadlineExceeded(

@@ -234,6 +234,27 @@ class TestReplicatedIngest:
                     client.ingest([["+", 0, 1]])
                 assert excinfo.value.type == "bad_request"
 
+    def test_killed_primary_stops_its_background_threads(
+        self, replicated
+    ):
+        """A killed replica stops shipping and compacting: a dead
+        primary must not keep sending frames to its followers."""
+        label = "shard0/r0"
+        engine = replicated.engines[label]
+        deadline = time.monotonic() + 5.0
+        while engine._replicator is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        threads = [
+            engine._replicator._thread,
+            replicated.nodes[label]._compactor._thread,
+        ]
+        assert [t.name for t in threads] == [
+            "repro-replication", "wal-compactor"
+        ]
+        assert all(t.is_alive() for t in threads)
+        replicated.kill_instance(label)
+        assert not any(t.is_alive() for t in threads)
+
     def test_ingest_with_all_replicas_down_is_unavailable(
         self, replicated, graph
     ):

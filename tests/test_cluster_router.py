@@ -11,7 +11,7 @@ from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.cluster.manager import start_local_cluster
 from repro.cluster.router import BREAKER_STATES, RouterEngine, ShardDownError
 from repro.cluster.sharder import shard_graph
-from repro.cluster.topology import TopologyError, default_spec
+from repro.cluster.topology import TopologyError, default_spec, shard_for_node
 from repro.graph.generators import planted_partition
 from repro.obs.metrics import counter_total, series_value
 from repro.resilience.retry import RetryPolicy
@@ -259,8 +259,6 @@ class TestBatchFanOut:
     def test_batch_landing_on_single_shard(self, router_client, graph):
         """A batch whose nodes all hash to one shard takes the
         single-fan-out path and must behave identically."""
-        from repro.distributed.partitioning import shard_for_node
-
         nodes = [
             u for u in range(graph.n)
             if shard_for_node(u, SHARDS, SEED) == 1

@@ -4,9 +4,8 @@ import pytest
 
 from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.cluster.sharder import ARTIFACT_TEMPLATE, plan_cluster, shard_graph
-from repro.cluster.topology import default_spec, load_topology
+from repro.cluster.topology import default_spec, load_topology, shard_for_node
 from repro.core.serialization import load_representation
-from repro.distributed.partitioning import shard_for_node
 from repro.graph.generators import planted_partition
 from repro.graph.graph import Graph
 

@@ -1,8 +1,14 @@
 """Tests for the cluster topology spec and its JSON round trip."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.cluster.topology import (
     ClusterSpec,
@@ -11,9 +17,9 @@ from repro.cluster.topology import (
     default_spec,
     load_topology,
     save_topology,
+    shard_for_node,
     spec_from_dict,
 )
-from repro.distributed.partitioning import shard_for_node
 
 
 def make_spec(**overrides):
@@ -92,6 +98,59 @@ class TestOwnerMap:
         replicas = spec.instances_for(1)
         assert [i.replica for i in replicas] == [0, 1]
         assert all(i.shard == 1 for i in replicas)
+
+
+class TestShardForNode:
+    """The standalone keyed node->shard map the cluster router uses."""
+
+    def test_pinned_map(self):
+        """Planned topologies do not store the map, so a change here
+        would serve every existing plan from the wrong shard."""
+        assert [shard_for_node(u, 5, seed=9) for u in range(24)] == [
+            4, 0, 4, 2, 4, 0, 2, 0, 0, 2, 0, 0,
+            1, 3, 1, 0, 0, 0, 3, 4, 2, 4, 2, 2,
+        ]
+
+    def test_no_graph_needed(self):
+        # Placeable ids the process has never seen in any Graph.
+        assert 0 <= shard_for_node(10**12, 7, seed=5) < 7
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="shards"):
+            shard_for_node(0, 0)
+        with pytest.raises(ValueError, match="node"):
+            shard_for_node(-1, 4)
+
+    def test_independent_of_pythonhashseed(self):
+        """The map must agree across processes with different (and
+        randomized) PYTHONHASHSEED — it keys splitmix64, not hash()."""
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        script = (
+            "from repro.cluster.topology import shard_for_node;"
+            "print([shard_for_node(u, 5, seed=9) for u in range(64)])"
+        )
+        outputs = set()
+        for hash_seed in ("0", "1", "random"):
+            env = dict(os.environ)
+            env["PYTHONHASHSEED"] = hash_seed
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src_dir, env.get("PYTHONPATH", "")]
+            ).rstrip(os.pathsep)
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            )
+            outputs.add(result.stdout.strip())
+        assert len(outputs) == 1
+
+    def test_roughly_balanced_over_large_range(self):
+        counts = [0] * 8
+        for u in range(4096):
+            counts[shard_for_node(u, 8, seed=0)] += 1
+        assert max(counts) < 1.35 * (4096 / 8)
 
 
 class TestSerialization:

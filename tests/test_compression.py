@@ -16,7 +16,6 @@ from repro.compression.varint import (
     decode_varints,
     encode_varint,
     encode_varints,
-    varint_size,
     zigzag_decode,
     zigzag_encode,
 )
@@ -41,8 +40,6 @@ class TestVarint:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             encode_varint(-1)
-        with pytest.raises(ValueError):
-            varint_size(-1)
 
     def test_truncated_input(self):
         data = encode_varint(300)[:1]
@@ -52,10 +49,6 @@ class TestVarint:
     def test_stream_roundtrip(self):
         values = [0, 5, 1000, 7, 2**40]
         assert list(decode_varints(encode_varints(values))) == values
-
-    @given(st.integers(0, 2**62))
-    def test_size_matches_encoding(self, value):
-        assert varint_size(value) == len(encode_varint(value))
 
     @given(st.integers(-(2**31), 2**31))
     def test_zigzag_roundtrip(self, value):

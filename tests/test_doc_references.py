@@ -1,10 +1,13 @@
-"""Every repo path the prose docs mention must exist in the checkout.
+"""Every repo path and ``repro.*`` name the prose docs mention must
+exist in the checkout.
 
-Deleting or renaming a bench, tool or result file without updating
-README.md, DESIGN.md, EXPERIMENTS.md and ``docs/*.md`` fails here, so
-retired files cannot live on in the documentation.
+Deleting or renaming a bench, tool, result file, module or function
+without updating README.md, DESIGN.md, EXPERIMENTS.md and
+``docs/*.md`` fails here, so retired code cannot live on in the
+documentation.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -81,3 +84,58 @@ def test_serving_op_tables_name_only_wire_ops():
     )
     assert "neighbors" in names
     assert [name for name in names if name not in KNOWN_OPS] == []
+
+
+#: A backticked dotted ``repro.*`` name, optionally called with args.
+_NAME = re.compile(r"`(repro(?:\.\w+)+)(?:\([^`]*\))?`")
+
+
+def referenced_names(text: str) -> list[str]:
+    return sorted(set(_NAME.findall(text)))
+
+
+def resolves(name: str) -> bool:
+    """Whether ``name`` is an importable module or an attribute chain
+    hanging off the longest importable prefix."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_name_pattern_and_resolution():
+    text = (
+        "`repro.core.reference`, `repro.obs.metrics.counter_total(reg)`, "
+        "`repro.cluster.topology.ClusterSpec.owner`, `python -m repro`, "
+        "`repro.nope.module`, `repro.core.reference.nope`"
+    )
+    names = referenced_names(text)
+    assert names == [
+        "repro.cluster.topology.ClusterSpec.owner",
+        "repro.core.reference",
+        "repro.core.reference.nope",
+        "repro.nope.module",
+        "repro.obs.metrics.counter_total",
+    ]
+    assert [name for name in names if not resolves(name)] == [
+        "repro.core.reference.nope",
+        "repro.nope.module",
+    ]
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda p: p.name)
+def test_referenced_names_resolve(doc):
+    stale = [
+        name
+        for name in referenced_names(doc.read_text(encoding="utf-8"))
+        if not resolves(name)
+    ]
+    assert not stale, f"{doc.name} names missing modules/attributes: {stale}"

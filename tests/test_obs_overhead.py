@@ -160,7 +160,6 @@ def test_algorithms_do_not_import_obs():
                 "import sys\n"
                 "import repro.algorithms\n"
                 "import repro.bench.runner\n"
-                "import repro.distributed\n"
                 "assert not any(m.startswith('repro.obs') "
                 "for m in sys.modules), sorted(\n"
                 "    m for m in sys.modules if m.startswith('repro.obs'))\n"

@@ -182,10 +182,8 @@ def test_algorithm_modules_have_no_resilience_imports():
     """The algorithm layer reaches fault injection only through the
     ``sys.modules`` gate in ``active_fault_injector`` — no module in
     ``repro.algorithms`` may import ``repro.resilience``, so the hot
-    loops stay uninstrumented when injection is off.  (The package
-    ``__init__`` pulls in ``repro.distributed``, whose coordinator
-    legitimately imports resilience for retry/fallback, so this is a
-    source-level check on the algorithms subpackage itself.)"""
+    loops stay uninstrumented when injection is off.  This is a
+    source-level check on the algorithms subpackage itself."""
     algorithms_dir = Path(SRC) / "repro" / "algorithms"
     offenders = [
         source.name

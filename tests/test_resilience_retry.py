@@ -128,21 +128,6 @@ class TestCallWithRetry:
             )
         assert calls["n"] == 1
 
-    def test_on_retry_invoked_per_retry_with_attempt_and_error(self):
-        seen: list[tuple[int, str]] = []
-
-        def flaky():
-            if len(seen) < 2:
-                raise OSError(f"fail-{len(seen)}")
-            return "done"
-
-        call_with_retry(
-            flaky, policy=self._policy(), retry_on=(OSError,),
-            on_retry=lambda attempt, exc: seen.append((attempt, str(exc))),
-            sleep=lambda s: None,
-        )
-        assert seen == [(1, "fail-0"), (2, "fail-1")]
-
     def test_deadline_checked_before_attempt(self):
         def never_called():
             raise AssertionError("should not run")

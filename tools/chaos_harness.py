@@ -5,48 +5,41 @@ scenarios, each fully deterministic under ``--seed``, asserting that
 the system's end state is *correct* despite the faults — not merely
 that it survived:
 
-1. **Killed worker (retried)** — a distributed worker crashes on its
-   first attempt; the coordinator retries it and the final
-   representation is lossless and identical to the fault-free run.
-2. **Dead worker (fallback)** — a worker crashes on every attempt;
-   the coordinator reassigns it to the singleton-partition fallback
-   and the result is still a lossless representation accepted by
-   :func:`repro.core.verify.verify_lossless`.
-3. **Dropped connection** — the service client's transport drops
+1. **Dropped connection** — the service client's transport drops
    mid-request; with a retry policy the client reconnects and the
    answer matches Algorithm 6 exactly.
-4. **Crash + corrupted checkpoint + resume** — a Mags-DM run is
+2. **Crash + corrupted checkpoint + resume** — a Mags-DM run is
    killed mid-iteration, its newest checkpoint is then corrupted on
    disk; ``resume`` skips the corrupt snapshot, restarts from the
    previous one, and the finished run's relative size matches the
    uninterrupted baseline.
-5. **Degraded serving** — with a zero deadline and degraded mode on,
+3. **Degraded serving** — with a zero deadline and degraded mode on,
    ``khop``/``pagerank`` return flagged approximate answers instead
    of timeout errors.
-6. **SLO gate** — a healthy server's live telemetry passes the
+4. **SLO gate** — a healthy server's live telemetry passes the
    default availability/latency SLOs, while an impossible latency
    objective is reported as violated with an error-budget burn > 1.
-7. **SIGKILL mid-ingest** — a durable (``--wal-dir``) server is
+5. **SIGKILL mid-ingest** — a durable (``--wal-dir``) server is
    killed with ``kill -9`` during sustained acknowledged edge
    mutations; the restarted process replays the WAL and must serve
    exactly the acknowledged prefix (zero acknowledged-but-lost
    mutations, at most one in-flight batch extra), dedup a
    cross-restart retry, and its state must be bit-identical to an
    uninterrupted replay and pass :func:`repro.core.verify.deep_audit`.
-8. **SIGKILL mid-maintenance** — a durable server with background
+6. **SIGKILL mid-maintenance** — a durable server with background
    compactness maintenance enabled is killed twice: mid-ingest, then
    again the moment a recovered maintenance pass commits.  A final
    recovery must replay every ``resummarize`` WAL record
    bit-identically (straight, repeated, and across a mid-tail
    checkpoint cut), converge to zero dirty super-nodes, and pass
    ``deep_audit(optimal=True)`` — the optimality waiver removed.
-9. **SIGKILL the primary of a replicated shard** — a replicas=2
+7. **SIGKILL the primary of a replicated shard** — a replicas=2
    ``acks=quorum`` shard loses its primary to ``kill -9`` mid-stream;
    the router auto-promotes the surviving follower at a higher term,
    client retries dedup across the promotion, the revived stale
    primary is demoted and snapshot-caught-up, zero acknowledged
    mutations are lost, and both replicas recover bit-identically.
-10. **SIGKILL + rejoin a follower** — under ``acks=leader`` the
+8. **SIGKILL + rejoin a follower** — under ``acks=leader`` the
    primary never stops acknowledging while its follower is dead; the
    rejoined follower drains the gap incrementally and ends with a
    byte-identical WAL and bit-identical recovered state.
@@ -70,7 +63,6 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.algorithms.mags_dm import MagsDMSummarizer  # noqa: E402
 from repro.core.verify import verify_lossless  # noqa: E402
-from repro.distributed.coordinator import DistributedSummarizer  # noqa: E402
 from repro.graph import generators  # noqa: E402
 from repro.obs.metrics import get_registry  # noqa: E402
 from repro.queries.neighbors import neighbor_query  # noqa: E402
@@ -101,49 +93,6 @@ def _quiet_policy() -> RetryPolicy:
 
 
 # ----------------------------------------------------------------------
-def scenario_worker_crash_retried(seed: int) -> str:
-    graph = _graph(seed)
-
-    def summarizer():
-        return DistributedSummarizer(
-            workers=4, seed=seed, retry_policy=_quiet_policy()
-        )
-
-    baseline = summarizer().summarize(graph)
-    plan = FaultPlan().crash("worker:1", times=1)
-    with use_injector(FaultInjector(plan, seed=seed)) as injector:
-        chaotic = summarizer().summarize(graph)
-    assert injector.fired_count("worker:1") == 1, "fault did not fire"
-    assert chaotic.worker_retries >= 1, "worker was not retried"
-    assert chaotic.worker_failures == 0, "retry should have recovered"
-    verify_lossless(graph, chaotic.representation)
-    assert chaotic.relative_size == baseline.relative_size, (
-        f"retried run diverged: {chaotic.relative_size} "
-        f"vs {baseline.relative_size}"
-    )
-    return (
-        f"worker crash retried, relative_size="
-        f"{chaotic.relative_size:.4f} unchanged"
-    )
-
-
-def scenario_worker_dead_fallback(seed: int) -> str:
-    graph = _graph(seed)
-    plan = FaultPlan().crash("worker:2", times=10)  # > max_attempts
-    with use_injector(FaultInjector(plan, seed=seed)):
-        result = DistributedSummarizer(
-            workers=4, seed=seed, retry_policy=_quiet_policy()
-        ).summarize(graph)
-    assert result.worker_failures == 1, "worker should be lost"
-    assert result.fallback_workers == [2], result.fallback_workers
-    verify_lossless(graph, result.representation)
-    assert len(result.upload_bytes) == 4, "fallback upload not accounted"
-    return (
-        f"dead worker fell back to singletons, still lossless "
-        f"(relative_size={result.relative_size:.4f})"
-    )
-
-
 def scenario_connection_drop(seed: int) -> str:
     graph = _graph(seed)
     rep = (
@@ -1109,8 +1058,6 @@ def _counter_value(name: str, **labels) -> int:
 
 
 SCENARIOS = [
-    scenario_worker_crash_retried,
-    scenario_worker_dead_fallback,
     scenario_connection_drop,
     scenario_checkpoint_corrupt_resume,
     scenario_degraded_serving,
