@@ -30,7 +30,6 @@ from repro.algorithms import (
     SummaryResult,
     Summarizer,
     SWeGSummarizer,
-    TimeLimitExceeded,
 )
 from repro.core import (
     LossyResult,
@@ -70,6 +69,5 @@ __all__ = [
     "SWeGSummarizer",
     "SummaryResult",
     "Summarizer",
-    "TimeLimitExceeded",
     "__version__",
 ]

@@ -4,7 +4,6 @@ from repro.algorithms.base import (
     PhaseTimer,
     SummaryResult,
     Summarizer,
-    TimeLimitExceeded,
 )
 from repro.algorithms.greedy import GreedySummarizer
 from repro.algorithms.ldme import LDMESummarizer
@@ -18,7 +17,6 @@ __all__ = [
     "PhaseTimer",
     "SummaryResult",
     "Summarizer",
-    "TimeLimitExceeded",
     "GreedySummarizer",
     "LDMESummarizer",
     "MagsSummarizer",

@@ -32,7 +32,6 @@ from repro.graph.graph import Graph
 __all__ = [
     "SummaryResult",
     "Summarizer",
-    "TimeLimitExceeded",
     "PhaseTimer",
     "RecordingPartition",
     "active_tracer",
@@ -68,10 +67,6 @@ def active_fault_injector():
     if faults is None:
         return None
     return faults.active_injector()
-
-
-class TimeLimitExceeded(RuntimeError):
-    """The per-run time budget was exhausted (the paper's 24h cutoff)."""
 
 
 class RecordingPartition(SuperNodePartition):
@@ -142,7 +137,7 @@ class SummaryResult:
 
 
 class PhaseTimer:
-    """Accumulates named phase durations and enforces a time budget.
+    """Accumulates named phase durations and polls the resource budget.
 
     With a tracer attached, every :meth:`start`/:meth:`stop` pair is
     mirrored as a ``phase:<name>`` span (one span per phase
@@ -151,10 +146,9 @@ class PhaseTimer:
     iteration-level events onto the open phase span.
     """
 
-    def __init__(self, time_limit: float | None = None, tracer=None, budget=None):
+    def __init__(self, tracer=None, budget=None):
         self.phases: dict[str, float] = {}
         self._start = time.perf_counter()
-        self._time_limit = time_limit
         self._phase_start: float | None = None
         self._phase_name: str | None = None
         self._tracer = tracer
@@ -201,18 +195,13 @@ class PhaseTimer:
         return time.perf_counter() - self._start
 
     def check_budget(self) -> None:
-        """Raise :class:`TimeLimitExceeded` when over the time limit.
+        """Poll the :class:`~repro.resilience.guard`-style resource
+        budget, latching :attr:`budget_stop` when exhausted.
 
-        Also polls the soft :class:`~repro.resilience.guard`-style
-        resource budget, latching :attr:`budget_stop` when exhausted;
-        unlike the hard limit this never raises — the algorithm keeps
-        running until it reaches a boundary where stopping leaves a
-        valid partition, then checks :attr:`out_of_budget`.
+        Never raises: the algorithm keeps running until it reaches a
+        boundary where stopping leaves a valid partition, then checks
+        :attr:`out_of_budget`.
         """
-        if self._time_limit is not None and self.total > self._time_limit:
-            raise TimeLimitExceeded(
-                f"exceeded time limit of {self._time_limit:.1f}s"
-            )
         if self._budget is not None and self.budget_stop is None:
             self.budget_stop = self._budget.exhausted()
 
@@ -275,17 +264,13 @@ class Summarizer(ABC):
     seed:
         Seed for every stochastic component (hash functions, sampling
         order); identical seeds give identical output.
-    time_limit:
-        Optional wall-clock budget in seconds (the paper kills runs at
-        24 hours); :class:`TimeLimitExceeded` is raised when blown.
     """
 
     #: Human-readable algorithm name, set by subclasses.
     name: str = "abstract"
 
-    def __init__(self, seed: int = 0, time_limit: float | None = None):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.time_limit = time_limit
         #: Populated by _run implementations that report extra metrics.
         self._extra_metrics: dict[str, float] = {}
         self._ckpt_store = None
@@ -387,7 +372,7 @@ class Summarizer(ABC):
         return result
 
     def _summarize(self, graph: Graph, tracer) -> SummaryResult:
-        timer = PhaseTimer(self.time_limit, tracer=tracer, budget=self._budget)
+        timer = PhaseTimer(tracer=tracer, budget=self._budget)
         self._extra_metrics = {}
         start = time.perf_counter()
         if self._budget is not None:

@@ -54,8 +54,6 @@ class GreedySummarizer(Summarizer):
     seed:
         Unused (the algorithm is deterministic) but accepted for
         interface uniformity.
-    time_limit:
-        Abort with :class:`TimeLimitExceeded` beyond this budget.
     """
 
     name = "Greedy"

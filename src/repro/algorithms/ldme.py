@@ -47,9 +47,8 @@ class LDMESummarizer(Summarizer):
         iterations: int = 50,
         signature_length: int = 5,
         seed: int = 0,
-        time_limit: float | None = None,
     ):
-        super().__init__(seed=seed, time_limit=time_limit)
+        super().__init__(seed=seed)
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         if signature_length < 1:

@@ -141,16 +141,6 @@ class MagsSummarizer(Summarizer):
     candidate_method:
         ``'minhash'`` for Algorithm 2, ``'naive'`` for the exhaustive
         exact-saving generation (Figure 8's ablation).
-    workers:
-        Parallelism degree (Section 5.1).  Candidate generation is
-        chunked per worker; with ``workers > 1`` the greedy merge also
-        switches to the paper's batch scheme — each iteration's
-        qualifying pairs are grouped by connectivity and the groups
-        are processed concurrently (merges of disjoint super-node sets
-        cannot conflict), with the shared partition updates behind a
-        lock.  The batch scheme relaxes the strict global merge order
-        *within* an iteration, exactly as the paper's parallel Mags
-        does; thresholds still gate every merge.
     """
 
     name = "Mags"
@@ -162,25 +152,20 @@ class MagsSummarizer(Summarizer):
         b: int = 5,
         h: int | None = None,
         candidate_method: Literal["minhash", "naive"] = "minhash",
-        workers: int = 1,
         seed: int = 0,
-        time_limit: float | None = None,
     ):
-        super().__init__(seed=seed, time_limit=time_limit)
+        super().__init__(seed=seed)
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         if b < 1:
             raise ValueError("b must be >= 1")
         if candidate_method not in ("minhash", "naive"):
             raise ValueError(f"unknown candidate_method {candidate_method!r}")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         self.iterations = iterations
         self.k = k
         self.b = b
         self.h = h
         self.candidate_method = candidate_method
-        self.workers = workers
         #: Per-iteration lists of merged (root, root) pairs from the
         #: last run; the Figure 13 speedup model derives Mags's merge
         #: batches (connectivity-conflict groups, Section 5.1) from it.
@@ -194,7 +179,6 @@ class MagsSummarizer(Summarizer):
             "b": self.b,
             "h": self.h,
             "candidate_method": self.candidate_method,
-            "workers": self.workers,
         }
 
     # ------------------------------------------------------------------
@@ -330,33 +314,9 @@ class MagsSummarizer(Summarizer):
         signatures = MinHashSignatures(graph, h, self.seed)
         adjacency = graph.adjacency()
         rng = random.Random(self.seed)
-        nodes = list(graph.nodes())
-        if self.workers > 1:
-            from repro.algorithms.parallel import map_chunks
-
-            chunks = map_chunks(
-                nodes,
-                self.workers,
-                lambda chunk, offset: self._candidates_for_nodes(
-                    chunk, adjacency, signatures, k,
-                    random.Random(self.seed * 1_000_003 + offset),
-                ),
-            )
-            return [pair for chunk in chunks for pair in chunk]
-        return self._candidates_for_nodes(nodes, adjacency, signatures, k, rng)
-
-    def _candidates_for_nodes(
-        self,
-        nodes: list[int],
-        adjacency,
-        signatures: MinHashSignatures,
-        k: int,
-        rng: random.Random,
-    ) -> list[tuple[int, int]]:
-        pairs: list[tuple[int, int]] = []
         sig = signatures.sig
-        h = signatures.h
-        for u in nodes:
+        pairs: list[tuple[int, int]] = []
+        for u in graph.nodes():
             neighbors = adjacency[u]
             if not neighbors:
                 continue
@@ -442,33 +402,6 @@ class MagsSummarizer(Summarizer):
             merged_roots: set[int] = set()
             iteration_merges: list[tuple[int, int]] = []
             self.last_iteration_merges.append(iteration_merges)
-
-            if self.workers > 1:
-                batch_merges = self._batch_merge_iteration(
-                    partition, candidates, heap, threshold,
-                    merged_roots, iteration_merges,
-                )
-                num_merges += batch_merges
-                timer.note_merges(batch_merges)
-                self._refresh_affected(
-                    partition, candidates, heap, merged_roots
-                )
-                timer.progress(
-                    "iteration",
-                    t=t,
-                    threshold=round(threshold, 6),
-                    merges=len(iteration_merges),
-                    total_merges=num_merges,
-                )
-                timer.check_budget()
-                self._maybe_checkpoint(
-                    t,
-                    lambda: self._checkpoint_state(
-                        t, partition, candidates, base_merges + num_merges
-                    ),
-                )
-                continue
-
             saving_accrued = 0.0
             # -- First part: merge pairs in decreasing stored saving --
             while heap:
@@ -577,93 +510,3 @@ class MagsSummarizer(Summarizer):
             if candidates.saving(x, y) != fresh:
                 candidates.add(x, y, fresh)
                 heapq.heappush(heap, (-fresh, x, y))
-
-    def _batch_merge_iteration(
-        self,
-        partition: SuperNodePartition,
-        candidates: CandidatePairs,
-        heap: list[tuple[float, int, int]],
-        threshold: float,
-        merged_roots: set[int],
-        iteration_merges: list[tuple[int, int]],
-    ) -> int:
-        """One iteration of the paper's parallel merge scheme (§5.1).
-
-        Pops every pair whose stored saving clears the threshold,
-        groups them by connectivity (pairs sharing a super-node
-        conflict and must serialise), then processes the groups
-        through a thread pool — each group replays its pairs in
-        decreasing stored saving with the usual fresh-saving
-        re-verification, holding the shared-partition lock across the
-        verify-and-merge step.
-        """
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
-        qualifying: list[tuple[float, int, int]] = []
-        while heap:
-            neg_s, u, v = heap[0]
-            stored = candidates.saving(u, v)
-            if stored is None or stored != -neg_s:
-                heapq.heappop(heap)
-                continue
-            if stored < threshold:
-                break
-            heapq.heappop(heap)
-            qualifying.append((stored, u, v))
-        if not qualifying:
-            return 0
-
-        # Connectivity grouping via union-find over the pair endpoints.
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for __, u, v in qualifying:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        groups: dict[int, list[tuple[float, int, int]]] = {}
-        for entry in qualifying:
-            groups.setdefault(find(entry[1]), []).append(entry)
-
-        lock = threading.Lock()
-        merges = 0
-
-        def process(group: list[tuple[float, int, int]]) -> int:
-            local_merges = 0
-            for stored, u, v in sorted(group, reverse=True):
-                with lock:
-                    if candidates.saving(u, v) is None:
-                        continue  # re-keyed away by an earlier merge
-                    fresh = partition.saving(u, v)
-                    if fresh >= threshold:
-                        w = partition.merge(u, v)
-                        dead = v if w == u else u
-                        self._rekey_after_merge(
-                            partition, candidates, heap, w, dead
-                        )
-                        merged_roots.add(w)
-                        merged_roots.discard(dead)
-                        iteration_merges.append((u, v))
-                        local_merges += 1
-                    elif fresh > _EPS:
-                        candidates.add(u, v, fresh)
-                        heapq.heappush(heap, (-fresh, u, v))
-                    else:
-                        candidates.discard(u, v)
-            return local_merges
-
-        group_lists = list(groups.values())
-        if len(group_lists) == 1:
-            return process(group_lists[0])
-        with ThreadPoolExecutor(
-            max_workers=min(self.workers, len(group_lists))
-        ) as pool:
-            merges = sum(pool.map(process, group_lists))
-        return merges

@@ -101,9 +101,6 @@ class MagsDMSummarizer(Summarizer):
         SWeG's measure.
     threshold:
         ``'omega'`` for Merging Strategy 3, ``'theta'`` for SWeG's.
-    workers:
-        Parallelism degree for the merging phase (Section 5.2); groups
-        are disjoint so their merges are independent.
     """
 
     name = "Mags-DM"
@@ -119,11 +116,9 @@ class MagsDMSummarizer(Summarizer):
         node_selection: Literal["top_b", "top_1"] = "top_b",
         similarity: Literal["minhash", "super_jaccard"] = "minhash",
         threshold: Literal["omega", "theta"] = "omega",
-        workers: int = 1,
         seed: int = 0,
-        time_limit: float | None = None,
     ):
-        super().__init__(seed=seed, time_limit=time_limit)
+        super().__init__(seed=seed)
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         if b < 1:
@@ -138,8 +133,6 @@ class MagsDMSummarizer(Summarizer):
             raise ValueError(f"unknown similarity {similarity!r}")
         if threshold not in ("omega", "theta"):
             raise ValueError(f"unknown threshold {threshold!r}")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         self.iterations = iterations
         self.b = b
         self.h = h
@@ -149,7 +142,6 @@ class MagsDMSummarizer(Summarizer):
         self.node_selection = node_selection
         self.similarity = similarity
         self.threshold = threshold
-        self.workers = workers
         #: Per-iteration lists of group sizes from the last run; used
         #: by the Figure 13 work-partition speedup model.
         self.last_group_sizes: list[list[int]] = []
@@ -165,7 +157,6 @@ class MagsDMSummarizer(Summarizer):
             "node_selection": self.node_selection,
             "similarity": self.similarity,
             "threshold": self.threshold,
-            "workers": self.workers,
         }
 
     # ------------------------------------------------------------------
@@ -216,25 +207,15 @@ class MagsDMSummarizer(Summarizer):
             timer.start("merge")
             threshold = self._threshold(t)
             merges_before = num_merges
-            if self.workers > 1:
-                from repro.algorithms.parallel import merge_groups_parallel
-
-                parallel_merges = merge_groups_parallel(
-                    self, partition, signatures, groups, threshold, rng,
-                    self.workers,
+            for group in groups:
+                group_merges = self._merge_group(
+                    partition, signatures, group, threshold, rng
                 )
-                num_merges += parallel_merges
-                timer.note_merges(parallel_merges)
-            else:
-                for group in groups:
-                    group_merges = self._merge_group(
-                        partition, signatures, group, threshold, rng
-                    )
-                    num_merges += group_merges
-                    timer.note_merges(group_merges)
-                    timer.check_budget()
-                    if timer.out_of_budget:
-                        break  # groups are disjoint; stopping is safe
+                num_merges += group_merges
+                timer.note_merges(group_merges)
+                timer.check_budget()
+                if timer.out_of_budget:
+                    break  # groups are disjoint; stopping is safe
             timer.progress(
                 "iteration",
                 t=t,

@@ -244,9 +244,8 @@ class SluggerSummarizer(Summarizer):
         self,
         iterations: int = 50,
         seed: int = 0,
-        time_limit: float | None = None,
     ):
-        super().__init__(seed=seed, time_limit=time_limit)
+        super().__init__(seed=seed)
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         self.iterations = iterations

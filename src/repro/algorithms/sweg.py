@@ -35,7 +35,7 @@ class SWeGSummarizer(Summarizer):
     ----------
     iterations:
         Number of divide/merge rounds ``T`` (the paper uses 50).
-    seed, time_limit:
+    seed:
         See :class:`repro.algorithms.base.Summarizer`.
     """
 
@@ -45,9 +45,8 @@ class SWeGSummarizer(Summarizer):
         self,
         iterations: int = 50,
         seed: int = 0,
-        time_limit: float | None = None,
     ):
-        super().__init__(seed=seed, time_limit=time_limit)
+        super().__init__(seed=seed)
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         self.iterations = iterations

@@ -15,7 +15,7 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.algorithms import (
     GreedySummarizer,
@@ -26,7 +26,6 @@ from repro.algorithms import (
     Summarizer,
     SWeGSummarizer,
 )
-from repro.algorithms.parallel import partition_speedup
 from repro.bench.runner import (
     bench_iterations,
     get_graph,
@@ -249,7 +248,8 @@ def fig13_parallel_speedup() -> tuple[str, list[dict]]:
 
     Substitution (DESIGN.md): CPython threads cannot show CPU speedup,
     so the series is derived from the *measured work partition* of
-    each algorithm's parallel structure:
+    each algorithm's serial run, grouped as the paper's parallel
+    structure would split it:
 
     * Mags-DM parallelises over disjoint divide groups; its per-round
       work items are the squared group sizes (the merge loop is
@@ -359,6 +359,55 @@ def _round_speedup(
         parallel_time += round_total / round_speedup
         parallel_time += sync_fraction * round_total
     parallel_time += serial_fraction * total
+    return total / parallel_time
+
+
+def lpt_partition(
+    work_items: Sequence[float], workers: int
+) -> list[list[int]]:
+    """Longest-processing-time-first assignment of items to workers.
+
+    Returns, for each worker, the indices of its assigned items.  The
+    classic 4/3-approximation for makespan — adequate for modelling a
+    static group-parallel schedule.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    assignment: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0.0] * workers
+    order = sorted(range(len(work_items)), key=lambda i: -work_items[i])
+    for index in order:
+        target = loads.index(min(loads))
+        assignment[target].append(index)
+        loads[target] += work_items[index]
+    return assignment
+
+
+def partition_speedup(
+    work_items: Sequence[float],
+    workers: int,
+    sync_overhead: float = 0.0,
+    serial_fraction: float = 0.0,
+) -> float:
+    """Modelled speedup of a static group-parallel round (Figure 13).
+
+    ``T_1`` is the total work; ``T_p`` is the LPT makespan plus a
+    synchronisation charge per round plus any serial fraction (Mags's
+    serial updates of ``P`` and ``H``; Amdahl).  Returns ``T_1/T_p``.
+    """
+    total = float(sum(work_items))
+    if total == 0.0:
+        return 1.0
+    if workers == 1:
+        return 1.0
+    assignment = lpt_partition(work_items, workers)
+    makespan = max(
+        sum(work_items[i] for i in bucket) for bucket in assignment
+    )
+    serial = serial_fraction * total
+    parallel_time = serial + (makespan - serial_fraction * makespan) + sync_overhead
+    if parallel_time <= 0:
+        return float(workers)
     return total / parallel_time
 
 

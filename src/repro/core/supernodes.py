@@ -35,9 +35,10 @@ where the kernel's fixed per-group cost would dominate.
 Both must agree bit-for-bit with :mod:`repro.core.reference`; all
 intermediate quantities are integers (sums of Equation 2 terms), so
 exact agreement is a hard contract enforced by ``tools/diff_fuzz.py``
-rather than a tolerance.  Setting the module flag ``FAST_KERNELS``
-to ``False`` routes every group through the scalar path, which the
-test suite uses to prove summaries are identical under the swap.
+rather than a tolerance.  Setting ``KERNEL_MIN_GROUP`` to
+``sys.maxsize`` routes every group through the scalar path and setting
+it to ``1`` routes every group through the kernel, which the test
+suite uses to prove summaries are identical under the swap.
 """
 
 from __future__ import annotations
@@ -49,12 +50,7 @@ import numpy as np
 from repro.core import costs
 from repro.graph.graph import Graph
 
-__all__ = ["SuperNodePartition", "FAST_KERNELS"]
-
-#: When False, :meth:`SuperNodePartition.savings_many` falls back to
-#: the scalar reference path.  Flipped by tests and ``diff_fuzz`` to
-#: demonstrate the fast and slow paths are interchangeable.
-FAST_KERNELS = True
+__all__ = ["SuperNodePartition"]
 
 #: Smallest same-first-endpoint group that :meth:`savings_many` sends
 #: to the NumPy kernel; smaller groups take the scalar ``saving`` loop.
@@ -300,8 +296,6 @@ class SuperNodePartition:
         Raises :class:`ValueError` if any pair has ``u == v``, same as
         :meth:`saving`.
         """
-        if not FAST_KERNELS:
-            return [self.saving(u, v) for u, v in pairs]
         count = len(pairs)
         if count == 0:
             return []

@@ -22,9 +22,9 @@ nothing at all.
 
 Fault kinds
 -----------
-``crash_before`` / ``crash_after``
-    Raise :class:`InjectedFault` at the entry / exit hook of the site
-    (a worker that dies before producing output vs. after).
+``crash_before``
+    Raise :class:`InjectedFault` at the entry hook of the site (a
+    process that dies before the site's work).
 ``delay``
     Sleep ``delay_s`` seconds at the entry hook (a straggler).
 ``drop``
@@ -57,7 +57,7 @@ __all__ = [
     "use_injector",
 ]
 
-FAULT_KINDS = ("crash_before", "crash_after", "delay", "drop", "corrupt")
+FAULT_KINDS = ("crash_before", "delay", "drop", "corrupt")
 
 
 class InjectedFault(RuntimeError):
@@ -135,10 +135,11 @@ class FaultPlan:
         self.specs.append(spec)
         return self
 
-    def crash(self, site: str, *, after: int = 0, times: int = 1,
-              when: str = "before") -> "FaultPlan":
-        kind = "crash_before" if when == "before" else "crash_after"
-        return self.add(FaultSpec(site, kind, after=after, times=times))
+    def crash(self, site: str, *, after: int = 0,
+              times: int = 1) -> "FaultPlan":
+        return self.add(
+            FaultSpec(site, "crash_before", after=after, times=times)
+        )
 
     def delay(self, site: str, seconds: float, *, after: int = 0,
               times: int | None = 1) -> "FaultPlan":
@@ -239,11 +240,6 @@ class FaultInjector:
                 raise InjectedConnectionDrop(site)
             else:
                 raise InjectedFault(site, kind)
-
-    def after(self, site: str) -> None:
-        """Exit hook: fires ``crash_after`` faults for ``site``."""
-        for kind in self._fire_matching(site, ("crash_after",)):
-            raise InjectedFault(site, kind)
 
     def corrupt(self, site: str, data: bytes) -> bytes:
         """Pass ``data`` through ``site``; a scheduled ``corrupt``

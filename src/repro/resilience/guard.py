@@ -1,8 +1,7 @@
 """Resource governance: budgets that make summarization *anytime*.
 
-The paper's experimental protocol kills runs at a hard 24-hour limit
-(:class:`~repro.algorithms.base.TimeLimitExceeded`), which throws the
-work away.  Production wants the opposite contract — SWeG and LDME
+The paper's experimental protocol kills runs at a hard 24-hour limit,
+which throws the work away.  Production wants the opposite contract — SWeG and LDME
 both stress summarizing graphs far beyond memory — so a
 :class:`ResourceBudget` turns Mags / Mags-DM / Greedy into **anytime
 algorithms**: when the budget is exhausted the run stops *cleanly* at

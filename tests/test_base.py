@@ -8,10 +8,8 @@ from repro.algorithms.base import (
     PhaseTimer,
     SummaryResult,
     Summarizer,
-    TimeLimitExceeded,
 )
 from repro.algorithms.mags_dm import MagsDMSummarizer
-from repro.algorithms.sweg import SWeGSummarizer
 from repro.core.encoding import encode
 from repro.core.supernodes import SuperNodePartition
 
@@ -43,13 +41,8 @@ class TestPhaseTimer:
         timer.stop()
         assert timer.phases == {}
 
-    def test_budget_enforced(self):
-        timer = PhaseTimer(time_limit=0.0)
-        with pytest.raises(TimeLimitExceeded):
-            timer.check_budget()
-
     def test_no_budget_never_raises(self):
-        PhaseTimer(time_limit=None).check_budget()
+        PhaseTimer().check_budget()
 
     def test_total_increases(self):
         timer = PhaseTimer()
@@ -96,17 +89,6 @@ class TestSummarizerPlumbing:
         a = summarizer.summarize(community_graph)
         b = summarizer.summarize(community_graph)
         assert a.cost == b.cost
-
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: SWeGSummarizer(iterations=50, time_limit=0.0),
-            lambda: MagsDMSummarizer(iterations=50, time_limit=0.0),
-        ],
-    )
-    def test_time_limits_propagate(self, factory, community_graph):
-        with pytest.raises(TimeLimitExceeded):
-            factory().summarize(community_graph)
 
     def test_abstract_base_not_instantiable(self):
         with pytest.raises(TypeError):

@@ -1,8 +1,5 @@
 """Tests for the Greedy baseline (Section 2.3)."""
 
-import pytest
-
-from repro.algorithms.base import TimeLimitExceeded
 from repro.algorithms.greedy import GreedySummarizer, two_hop_pairs
 from repro.core.supernodes import SuperNodePartition
 from repro.graph.generators import planted_partition
@@ -68,10 +65,6 @@ class TestGreedy:
         greedy = GreedySummarizer().summarize(g)
         sweg = SWeGSummarizer(iterations=10, seed=9).summarize(g)
         assert greedy.cost <= sweg.cost
-
-    def test_time_limit_enforced(self, community_graph):
-        with pytest.raises(TimeLimitExceeded):
-            GreedySummarizer(time_limit=0.0).summarize(community_graph)
 
     def test_empty_graph(self):
         result = GreedySummarizer().summarize(Graph(0, []))

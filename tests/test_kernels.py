@@ -5,8 +5,8 @@ path in :class:`SuperNodePartition` — the cached scalar methods and
 the batched NumPy kernel ``savings_many`` — returns values that are
 ``==`` (bit-identical, not approximately equal) to the pure-Python
 oracle in :mod:`repro.core.reference`, for any reachable partition
-state; and swapping the kernel in or out via ``FAST_KERNELS`` never
-changes a summarizer's output.
+state; and sending every group to the kernel, or none (via
+``KERNEL_MIN_GROUP``), never changes a summarizer's output.
 """
 
 import sys
@@ -40,13 +40,9 @@ def merged_partition():
 
 
 @pytest.fixture
-def scalar_only():
+def scalar_only(monkeypatch):
     """Force the scalar fallback for the duration of a test."""
-    supernodes.FAST_KERNELS = False
-    try:
-        yield
-    finally:
-        supernodes.FAST_KERNELS = True
+    monkeypatch.setattr(supernodes, "KERNEL_MIN_GROUP", sys.maxsize)
 
 
 def _candidate_pairs(partition):
@@ -229,7 +225,8 @@ class TestDifferentialAfterMerges:
 
 
 class TestKernelSwapBitIdentity:
-    """Summaries must be identical with the kernel on or off."""
+    """Summaries must be identical with every group on the scalar loop
+    and with every group on the kernel."""
 
     @pytest.mark.parametrize(
         "make",
@@ -241,14 +238,12 @@ class TestKernelSwapBitIdentity:
         ],
         ids=["mags_minhash", "mags_naive", "greedy", "mags_dm"],
     )
-    def test_summary_identical_across_kernel_swap(self, make):
+    def test_summary_identical_across_kernel_swap(self, make, monkeypatch):
         graph = planted_partition(60, 6, 0.65, 0.04, seed=13)
+        monkeypatch.setattr(supernodes, "KERNEL_MIN_GROUP", sys.maxsize)
+        slow = make().summarize(graph).representation
+        monkeypatch.setattr(supernodes, "KERNEL_MIN_GROUP", 1)
         fast = make().summarize(graph).representation
-        supernodes.FAST_KERNELS = False
-        try:
-            slow = make().summarize(graph).representation
-        finally:
-            supernodes.FAST_KERNELS = True
         assert fast.supernodes == slow.supernodes
         assert fast.summary_edges == slow.summary_edges
         assert fast.additions == slow.additions

@@ -137,20 +137,6 @@ class TestMagsDMTrace:
             for e in events
         )
 
-    def test_parallel_merge_spans_nest_under_phase(self, graph):
-        __, records = run_traced(
-            MagsDMSummarizer(iterations=3, workers=2), graph
-        )
-        by_id = {r["span"]: r for r in records}
-        pool_spans = [
-            r for r in records if r["name"] == "parallel:merge_groups"
-        ]
-        assert pool_spans
-        for record in pool_spans:
-            parent = by_id[record["parent"]]
-            assert parent["attrs"].get("phase") == "merge"
-        assert obs.validate_trace(records) == []
-
     def test_phase_totals_match_result_phase_seconds(self, graph):
         result, records = run_traced(MagsDMSummarizer(iterations=3), graph)
         totals = obs.phase_totals(records)

@@ -1,48 +1,8 @@
-"""Tests for the parallel execution paths and the speedup model."""
-
-import random
+"""Tests for Figure 13's work-partition speedup model."""
 
 import pytest
 
-from repro.algorithms.parallel import (
-    lpt_partition,
-    map_chunks,
-    merge_groups_parallel,
-    partition_speedup,
-)
-
-
-class TestMapChunks:
-    def test_covers_all_items(self):
-        seen = []
-        map_chunks(list(range(10)), 3, lambda chunk, off: seen.extend(chunk))
-        assert sorted(seen) == list(range(10))
-
-    def test_offsets_are_chunk_starts(self):
-        offsets = []
-        map_chunks(list(range(10)), 3, lambda chunk, off: offsets.append(off))
-        assert offsets == [0, 4, 8]
-
-    def test_single_worker_is_serial(self):
-        results = map_chunks([1, 2, 3], 1, lambda chunk, off: sum(chunk))
-        assert results == [6]
-
-    def test_empty_items(self):
-        assert map_chunks([], 4, lambda c, o: c) == []
-
-    def test_more_workers_than_items(self):
-        results = map_chunks([5], 8, lambda chunk, off: chunk[0])
-        assert results == [5]
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            map_chunks([1], 0, lambda c, o: c)
-
-    def test_results_in_chunk_order(self):
-        results = map_chunks(
-            list(range(9)), 3, lambda chunk, off: (off, list(chunk))
-        )
-        assert [r[0] for r in results] == [0, 3, 6]
+from repro.bench.experiments import lpt_partition, partition_speedup
 
 
 class TestLptPartition:
@@ -103,24 +63,3 @@ class TestPartitionSpeedup:
         works = [float(w) for w in range(1, 40)]
         speedups = [partition_speedup(works, p) for p in (1, 2, 4, 8)]
         assert all(a <= b + 1e-9 for a, b in zip(speedups, speedups[1:]))
-
-
-class TestMergeGroupsParallel:
-    def test_matches_group_semantics(self, community_graph):
-        """Parallel group merging must produce a valid (lossless)
-        result and perform a comparable number of merges."""
-        from repro.algorithms.mags_dm import MagsDMSummarizer
-        from repro.core.minhash import MinHashSignatures
-        from repro.core.supernodes import SuperNodePartition
-
-        dm = MagsDMSummarizer(iterations=1, seed=0)
-        partition = SuperNodePartition(community_graph)
-        signatures = MinHashSignatures(community_graph, dm.h, seed=0)
-        groups = [
-            list(range(i, i + 10)) for i in range(0, 60, 10)
-        ]
-        merges = merge_groups_parallel(
-            dm, partition, signatures, groups, 0.1, random.Random(0), 4
-        )
-        partition.check_invariants()
-        assert merges == partition.num_merges

@@ -132,13 +132,13 @@ class TestConfigureCheckpointing:
             wrong.summarize(graph)
 
 
-def _interrupted_then_resumed(make_summarizer, graph, store, crash_after):
+def _interrupted_then_resumed(make_summarizer, graph, store, after):
     """Run to completion once (baseline), then crash a second run at
-    iteration ``crash_after + 1`` and resume it; returns both results."""
+    iteration ``after + 1`` and resume it; returns both results."""
     baseline = make_summarizer().summarize(graph)
 
     injector = FaultInjector(
-        FaultPlan().crash("summarize:iteration", after=crash_after)
+        FaultPlan().crash("summarize:iteration", after=after)
     )
     interrupted = make_summarizer().configure_checkpointing(store, interval=2)
     with use_injector(injector):
@@ -165,7 +165,7 @@ class TestCrashResumeEquivalence:
         store = CheckpointStore(tmp_path)
         baseline, resumed = _interrupted_then_resumed(
             lambda: MagsDMSummarizer(iterations=10, seed=3),
-            graph, store, crash_after=6,
+            graph, store, after=6,
         )
         verify_lossless(graph, resumed.representation)
         assert resumed.relative_size == baseline.relative_size
@@ -180,7 +180,7 @@ class TestCrashResumeEquivalence:
         store = CheckpointStore(tmp_path)
         baseline, resumed = _interrupted_then_resumed(
             lambda: MagsSummarizer(iterations=10, seed=3),
-            graph, store, crash_after=6,
+            graph, store, after=6,
         )
         verify_lossless(graph, resumed.representation)
         assert resumed.relative_size == baseline.relative_size

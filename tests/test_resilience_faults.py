@@ -46,13 +46,12 @@ class TestFaultPlan:
         plan = (
             FaultPlan()
             .crash("a")
-            .crash("b", when="after")
             .delay("c", 0.5)
             .drop("d")
             .corrupt("e")
         )
         assert [s.kind for s in plan.specs] == [
-            "crash_before", "crash_after", "delay", "drop", "corrupt",
+            "crash_before", "delay", "drop", "corrupt",
         ]
 
 
@@ -73,12 +72,6 @@ class TestFiring:
         with pytest.raises(InjectedFault):
             injector.before("w")
 
-    def test_crash_after_fires_on_exit_hook(self):
-        injector = FaultInjector(FaultPlan().crash("w", when="after"))
-        injector.before("w")  # entry hook: nothing scheduled
-        with pytest.raises(InjectedFault):
-            injector.after("w")
-
     def test_drop_raises_connection_error(self):
         injector = FaultInjector(FaultPlan().drop("conn"))
         with pytest.raises(InjectedConnectionDrop) as excinfo:
@@ -96,7 +89,6 @@ class TestFiring:
     def test_unmatched_site_is_untouched(self):
         injector = FaultInjector(FaultPlan().crash("a"))
         injector.before("b")
-        injector.after("b")
         assert injector.fired_count() == 0
 
 

@@ -135,9 +135,7 @@ def _path_counts(pairs: list[tuple[int, int]]) -> Counter:
         end = start + 1
         while end < len(pairs) and pairs[end][0] == pairs[start][0]:
             end += 1
-        wide = supernodes.FAST_KERNELS and (
-            end - start >= supernodes.KERNEL_MIN_GROUP
-        )
+        wide = end - start >= supernodes.KERNEL_MIN_GROUP
         counts["kernel" if wide else "scalar"] += end - start
         start = end
     return counts
@@ -205,11 +203,6 @@ def fuzz_one(seed: int, verbose: bool = False) -> Counter:
 
 def run(seeds: int, start: int = 0, verbose: bool = False) -> Counter:
     """Fuzz ``seeds`` sequences; return comparisons made, by path."""
-    if not supernodes.FAST_KERNELS:
-        print(
-            "warning: FAST_KERNELS is off; fuzzing scalar vs reference only",
-            file=sys.stderr,
-        )
     total: Counter = Counter()
     for seed in range(start, start + seeds):
         total += fuzz_one(seed, verbose=verbose)
