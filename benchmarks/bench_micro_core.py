@@ -3,7 +3,8 @@
 Unlike the figure benches (one timed end-to-end run each), these use
 pytest-benchmark's statistical looping: they are the regression guard
 for the inner loops every algorithm sits on — saving evaluation,
-merging, signature construction, encoding, and reconstruction.
+merging, signature construction, encoding, reconstruction, and the
+two sides of Table 3's PageRank (Algorithm 7's plan and Eq. 8).
 
 ``tools/perf_gate.py`` runs this file with ``--benchmark-json`` and
 compares the results against the committed baseline in
@@ -18,6 +19,7 @@ from repro.core.encoding import encode
 from repro.core.minhash import MinHashSignatures
 from repro.core.supernodes import SuperNodePartition
 from repro.graph.generators import planted_partition
+from repro.queries.pagerank import InputGraphPageRank, SummaryPageRank
 
 
 def build_graph():
@@ -172,3 +174,21 @@ def test_micro_neighbor_queries(benchmark, graph, partition):
         return sum(len(index.neighbors(q)) for q in range(0, graph.n, 7))
 
     benchmark(run)
+
+
+def test_micro_pagerank_build(benchmark, partition):
+    """Building Algorithm 7's plan from ``(S, C)``."""
+    rep = encode(partition)
+    benchmark(lambda: SummaryPageRank(rep))
+
+
+def test_micro_pagerank_summary_run(benchmark, partition):
+    """One Algorithm 7 run (20 iterations) on a built plan."""
+    plan = SummaryPageRank(encode(partition))
+    benchmark(lambda: plan.run(0.85, 20))
+
+
+def test_micro_pagerank_input_run(benchmark, graph):
+    """One Eq. 8 run (20 iterations) over the graph's CSR arrays."""
+    plan = InputGraphPageRank(graph)
+    benchmark(lambda: plan.run(0.85, 20))

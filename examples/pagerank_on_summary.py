@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from repro import MagsDMSummarizer, generators
-from repro.queries import SummaryPageRank, pagerank_input_graph
+from repro.queries import InputGraphPageRank, SummaryPageRank
 
 
 def main() -> None:
@@ -33,13 +33,16 @@ def main() -> None:
 
     damping, iterations = 0.85, 20
 
+    # Both sides build their index arrays once, then time one run.
+    input_side = InputGraphPageRank(graph)
+    summary_side = SummaryPageRank(result.representation)
+
     start = time.perf_counter()
-    reference = pagerank_input_graph(graph, damping, iterations)
+    reference = input_side.run(damping, iterations)
     input_time = time.perf_counter() - start
 
-    engine = SummaryPageRank(result.representation)  # build index once
     start = time.perf_counter()
-    summary_ranks = engine.run(damping, iterations)
+    summary_ranks = summary_side.run(damping, iterations)
     summary_time = time.perf_counter() - start
 
     assert np.allclose(summary_ranks, reference)

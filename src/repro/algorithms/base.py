@@ -148,7 +148,6 @@ class PhaseTimer:
 
     def __init__(self, tracer=None, budget=None):
         self.phases: dict[str, float] = {}
-        self._start = time.perf_counter()
         self._phase_start: float | None = None
         self._phase_name: str | None = None
         self._tracer = tracer
@@ -188,11 +187,6 @@ class PhaseTimer:
         """
         if self._span is not None:
             self._span.event(name, **attrs)
-
-    @property
-    def total(self) -> float:
-        """Seconds since construction."""
-        return time.perf_counter() - self._start
 
     def check_budget(self) -> None:
         """Poll the :class:`~repro.resilience.guard`-style resource

@@ -15,6 +15,7 @@ from repro.queries.traversal import (
     shortest_path,
 )
 from repro.queries.pagerank import (
+    InputGraphPageRank,
     SummaryPageRank,
     pagerank_input_graph,
     pagerank_reference,
@@ -33,6 +34,7 @@ __all__ = [
     "shortest_path",
     "SummaryNeighborIndex",
     "neighbor_query",
+    "InputGraphPageRank",
     "SummaryPageRank",
     "pagerank_input_graph",
     "pagerank_reference",

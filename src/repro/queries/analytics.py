@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.encoding import Representation
 from repro.queries.neighbors import SummaryNeighborIndex
+from repro.queries.pagerank import SummaryPageRank
 
 __all__ = [
     "degree_vector",
@@ -31,25 +32,12 @@ def degree_vector(representation: Representation) -> np.ndarray:
     """Exact degree of every node, computed from ``(S, C)`` alone.
 
     Runs in ``O(|P| + |E| + |C|)`` — proportional to the summary, not
-    to the graph: each super-edge contributes the partner side's size
-    to every member, and corrections adjust by one.
+    to the graph: the Algorithm 7 plan's adjacency product applied to
+    the all-ones vector gives each member the partner sides' sizes
+    over its super-node's super-edges, adjusted by its corrections
+    (see :class:`~repro.queries.pagerank.SummaryPageRank`).
     """
-    degrees = np.zeros(representation.n, dtype=np.int64)
-    for su, sv in representation.summary_edges:
-        members_u = representation.supernodes[su]
-        if su == sv:
-            degrees[members_u] += len(members_u) - 1
-        else:
-            members_v = representation.supernodes[sv]
-            degrees[members_u] += len(members_v)
-            degrees[members_v] += len(members_u)
-    for u, v in representation.additions:
-        degrees[u] += 1
-        degrees[v] += 1
-    for u, v in representation.removals:
-        degrees[u] -= 1
-        degrees[v] -= 1
-    return degrees
+    return SummaryPageRank(representation).degrees
 
 
 def degree_distribution(representation: Representation) -> dict[int, int]:

@@ -12,7 +12,7 @@ sequences:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import (
@@ -22,14 +22,20 @@ from repro.algorithms import (
     SWeGSummarizer,
 )
 from repro.core.costs import pair_cost, potential_self_edges
-from repro.core.encoding import encode
+from repro.core.encoding import Representation, encode
 from repro.core.minhash import MinHashSignatures, exact_jaccard
 from repro.core.supernodes import SuperNodePartition
 from repro.core.verify import verify_lossless
 from repro.graph.graph import Graph
 from repro.graph.io import clean_edges
 from repro.queries.neighbors import SummaryNeighborIndex
-from repro.queries.pagerank import pagerank_input_graph, pagerank_summary
+from repro.queries.analytics import degree_vector
+from repro.queries.pagerank import (
+    SummaryPageRank,
+    pagerank_input_graph,
+    pagerank_reference,
+    pagerank_summary,
+)
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -240,6 +246,77 @@ def test_summary_pagerank_agrees_with_input(graph):
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
 
 
+@st.composite
+def block_partitions(draw):
+    """A graph drawn block by block over a random node grouping, and
+    that grouping.
+
+    Each block (a group's interior, or the pairs between two groups) is
+    empty, complete, complete but for a few holes, or random, so that
+    encoding the grouping yields self super-edges, removal corrections,
+    additions, isolated nodes and, when no block is dense, no
+    super-edge at all.
+    """
+    n = draw(st.integers(1, 16))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    groups = [
+        [x for x in range(n) if labels[x] == label]
+        for label in sorted(set(labels))
+    ]
+    edges = []
+    for i, a in enumerate(groups):
+        for b in groups[i:]:
+            pairs = sorted(
+                {(min(x, y), max(x, y)) for x in a for y in b if x != y}
+            )
+            kind = draw(st.sampled_from(("empty", "full", "holes", "random")))
+            if not pairs or kind == "empty":
+                continue
+            if kind == "random":
+                pairs = draw(st.lists(st.sampled_from(pairs), unique=True))
+            elif kind == "holes":
+                holes = draw(
+                    st.sets(
+                        st.integers(0, len(pairs) - 1),
+                        min_size=1, max_size=max(1, len(pairs) // 3),
+                    )
+                )
+                pairs = [p for k, p in enumerate(pairs) if k not in holes]
+            edges.extend(pairs)
+    return Graph(n, edges), groups
+
+
+def _encode_grouping(graph: Graph, groups) -> Representation:
+    partition = SuperNodePartition(graph)
+    for group in groups:
+        for x in group[1:]:
+            partition.merge(partition.find(group[0]), partition.find(x))
+    return encode(partition)
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_partitions())
+# No super-edge at all (and an isolated node): the plan's super-edge
+# bincount returns int64 zeros.
+@example((Graph(3, [(0, 1)]), [[0], [1], [2]]))
+# A self super-edge with one removal correction, and an isolated node.
+@example(
+    (Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), [[0, 1, 2, 3], [4]])
+)
+def test_pagerank_plan_matches_reference(data):
+    """Algorithm 7's prebuilt plan agrees with literal Equation 8, and
+    the degrees it recovers from ``(S, C)`` are the graph's, for any
+    grouping."""
+    graph, groups = data
+    rep = _encode_grouping(graph, groups)
+    np.testing.assert_allclose(
+        SummaryPageRank(rep).run(0.85, 6),
+        pagerank_reference(graph, 0.85, 6),
+        rtol=1e-10,
+    )
+    np.testing.assert_array_equal(degree_vector(rep), graph.degrees())
+
+
 # ----------------------------------------------------------------------
 # I/O normalisation
 # ----------------------------------------------------------------------
@@ -315,9 +392,6 @@ def test_lossy_bound_holds_for_any_partition(data, epsilon):
 def test_components_and_degrees_from_any_partition(data):
     """Summary-side components and degree vectors agree with the graph
     for arbitrary partitions."""
-    import numpy as np
-
-    from repro.queries.analytics import degree_vector
     from repro.queries.traversal import num_connected_components
 
     graph, pair_seeds = data
