@@ -15,8 +15,6 @@ import random
 from collections import defaultdict
 from typing import Callable, Sequence
 
-import numpy as np
-
 from repro.core.minhash import MinHashSignatures, super_jaccard
 from repro.core.supernodes import SuperNodePartition
 
@@ -128,11 +126,3 @@ def shuffled_rows(h: int, rng: random.Random) -> list[int]:
     rows = list(range(h))
     rng.shuffle(rows)
     return rows
-
-
-def group_similarities(
-    signatures: MinHashSignatures, u: int, group: Sequence[int]
-) -> np.ndarray:
-    """``mh(u, w)`` for every ``w`` in ``group`` in one vector pass."""
-    cols = signatures.sig[:, list(group)]
-    return (cols == signatures.sig[:, [u]]).mean(axis=0)

@@ -98,15 +98,13 @@ from repro.resilience.retry import (
     call_with_retry,
 )
 from repro.service.client import ServiceError, SummaryServiceClient
-from repro.service.engine import (
-    LRUCache,
-    OPS,
-    QueryError,
-    QueryTimeout,
+from repro.service.engine import LRUCache, OPS, QueryError, QueryTimeout
+from repro.service.metrics import ServiceMetrics
+from repro.service.protocol import (
+    MAX_BATCH_REQUESTS,
+    ProtocolError,
     error_response,
 )
-from repro.service.metrics import ServiceMetrics
-from repro.service.protocol import MAX_BATCH_REQUESTS, ProtocolError
 
 __all__ = [
     "BREAKER_STATES",
@@ -623,12 +621,10 @@ class RouterEngine:
 
     # -- request-dict interface (what the server speaks) -----------------
     def query(self, request: dict, deadline: float | None = None) -> dict:
-        """Answer one protocol request dict; mirror of
+        """Answer one validated request dict; mirror of
         :meth:`QueryEngine.query` including its error messages, so
         router answers are indistinguishable from a single server's."""
-        if not isinstance(request, dict):
-            raise QueryError("bad_request", "request must be a JSON object")
-        op = request.get("op")
+        op = request["op"]
         if op not in ROUTER_OPS:
             # The listing deliberately prints OPS, not ROUTER_OPS:
             # ingest support is engine-conditional (the shards must
@@ -713,12 +709,15 @@ class RouterEngine:
                         )
                 except QueryError as exc:
                     for i in chunk:
-                        responses[i] = error_response(requests[i], exc)
+                        responses[i] = error_response(
+                            requests[i], exc.kind, str(exc)
+                        )
                     continue
                 except ServiceError as exc:
-                    failure = QueryError(exc.type, exc.message)
                     for i in chunk:
-                        responses[i] = error_response(requests[i], failure)
+                        responses[i] = error_response(
+                            requests[i], exc.type, exc.message
+                        )
                     continue
                 for i, answer in zip(chunk, answers):
                     responses[i] = answer
@@ -734,22 +733,17 @@ class RouterEngine:
             try:
                 responses[index] = self.query(request, deadline)
             except QueryError as exc:
-                responses[index] = error_response(request, exc)
+                responses[index] = error_response(request, exc.kind, str(exc))
         return responses  # type: ignore[return-value]
 
     # -- dispatch --------------------------------------------------------
     def _classify(self, request) -> int | None:
         """Owning shard for direct fan-out, ``None`` for local
-        handling (khop/telemetry/ping, malformed items, range errors —
-        the local path reproduces the engine's inline errors)."""
-        if not isinstance(request, dict):
+        handling (khop/telemetry/ping, range errors — the local path
+        reproduces the engine's inline errors)."""
+        if request["op"] not in _SINGLE_SHARD_OPS:
             return None
-        op = request.get("op")
-        if op not in _SINGLE_SHARD_OPS:
-            return None
-        node = request.get("node")
-        if not isinstance(node, int) or isinstance(node, bool):
-            return None
+        node = request["node"]
         if not 0 <= node < self.n:
             return None
         return self.spec.owner(node)
@@ -773,21 +767,16 @@ class RouterEngine:
             return self.metrics.telemetry(self._cache, "router")
         if op == "ingest":
             return self._ingest(request)
-        node = request.get("node")
-        if not isinstance(node, int) or isinstance(node, bool):
-            raise QueryError(
-                "bad_request", f"op {op!r} needs an integer 'node' field"
-            )
+        node = request["node"]
         self._check_node(node)
         if op == "neighbors":
             return list(self._neighbors(node))
         if op == "degree":
             return len(self._neighbors(node))
         if op == "khop":
-            k = request.get("k", 1)
-            if not isinstance(k, int) or isinstance(k, bool):
-                raise QueryError("bad_request", "'k' must be an integer")
-            distances = self._khop(node, k, deadline, degraded_sink)
+            distances = self._khop(
+                node, request.get("k", 1), deadline, degraded_sink
+            )
             return {str(v): d for v, d in sorted(distances.items())}
         if op == "pagerank":
             result = self._shard_request(
@@ -882,37 +871,12 @@ class RouterEngine:
         ``acks=quorum`` mode — acknowledging, and a mid-batch primary
         death triggers promotion and a dedup-safe resend.
         """
-        stream = request.get("stream")
-        seq = request.get("seq")
-        mutations = request.get("mutations")
-        client_dry_run = request.get("dry_run", False)
-        if not isinstance(client_dry_run, bool):
-            raise QueryError("bad_request", "'dry_run' must be a boolean")
-        if not isinstance(stream, str) or not isinstance(seq, int) or (
-            isinstance(seq, bool)
-        ):
-            raise QueryError(
-                "bad_request",
-                "ingest needs a string 'stream' and integer 'seq'",
-            )
-        if not isinstance(mutations, list) or not mutations:
-            raise QueryError(
-                "bad_request", "'mutations' must be a non-empty list"
-            )
+        stream = request["stream"]
+        seq = request["seq"]
+        mutations = request["mutations"]
         per_shard: dict[int, list] = {}
-        for index, item in enumerate(mutations):
-            if not (isinstance(item, (list, tuple)) and len(item) == 3):
-                raise QueryError(
-                    "bad_request",
-                    f"mutation #{index} must be [\"+\"|\"-\", u, v]",
-                )
-            sign, u, v = item
+        for sign, u, v in mutations:
             for node in (u, v):
-                if not isinstance(node, int) or isinstance(node, bool):
-                    raise QueryError(
-                        "bad_request",
-                        f"mutation #{index} endpoints must be integers",
-                    )
                 self._check_node(node)
             for shard in {self.spec.owner(u), self.spec.owner(v)}:
                 per_shard.setdefault(shard, []).append([sign, u, v])
@@ -952,7 +916,7 @@ class RouterEngine:
             # A rejection here aborts the whole batch with nothing
             # applied on any shard.
             fan_out(dry_run=True)
-            if client_dry_run:
+            if request.get("dry_run", False):
                 # The client asked for validation only — the prepare
                 # round *is* the answer; nothing commits anywhere.
                 return {"validated": len(mutations)}

@@ -43,7 +43,7 @@ suite uses to prove summaries are identical under the swap.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -154,10 +154,6 @@ class SuperNodePartition:
     def weights(self, root: int) -> dict[int, int]:
         """``W_u``: neighbor root -> ``|E_uv|`` (do not mutate)."""
         return self._weights[root]
-
-    def neighbor_roots(self, root: int) -> Iterable[int]:
-        """``N_u``: super-nodes with at least one edge to ``root``."""
-        return self._weights[root].keys()
 
     # ------------------------------------------------------------------
     # Cost calculus (Equations 2-4)

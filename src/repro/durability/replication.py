@@ -135,7 +135,7 @@ class FrameRejected(Exception):
 
 def admit_frame(
     view: ReplicaView,
-    term,
+    term: int,
     *,
     after_lsn=None,
     records=None,
@@ -151,9 +151,10 @@ def admit_frame(
     down), and so is a promotion not past it.  A frame above it
     demotes a primary.  Records must continue the local log, or the
     frame is a ``bad_request`` the sender answers with a snapshot.
+    The frame's shape (a positive integer ``term``, ``records`` a
+    list of objects) was checked at the wire; each record is decoded
+    here by :func:`record_from_wire`.
     """
-    if not isinstance(term, int) or isinstance(term, bool) or term < 1:
-        raise FrameRejected("bad_request", "'term' must be a positive integer")
     if view.replaying:
         # A frame or a promotion applies at the end of the log, which
         # the state reaches only when replay is done.

@@ -125,10 +125,6 @@ class Deadline:
         if self.expired:
             raise DeadlineExceeded(f"{what} exceeded its deadline budget")
 
-    def clamp(self, seconds: float) -> float:
-        """``seconds`` truncated to the remaining budget."""
-        return min(seconds, self.remaining())
-
 
 def call_with_retry(
     fn: Callable[[], T],

@@ -46,6 +46,7 @@ from repro.core.serialization import load_representation
 from repro.queries.neighbors import SummaryNeighborIndex, neighbor_query
 from repro.queries.pagerank import SummaryPageRank
 from repro.service.metrics import ServiceMetrics
+from repro.service.protocol import error_response
 
 __all__ = [
     "QueryEngine",
@@ -321,16 +322,15 @@ class QueryEngine:
 
     # -- request-dict interface (what the server speaks) -----------------
     def query(self, request: dict, deadline: float | None = None) -> dict:
-        """Answer one protocol request dict.
+        """Answer one request dict that passed
+        :func:`~repro.service.protocol.validate_request`.
 
         Returns a response dict ``{"id", "ok", "op", "result"}``; engine
         rejections raise :class:`QueryError` (the server turns them into
         structured error responses).  Latency and outcome are recorded
         per op.
         """
-        if not isinstance(request, dict):
-            raise QueryError("bad_request", "request must be a JSON object")
-        op = request.get("op")
+        op = request["op"]
         if op not in self.ops:
             if op == "ingest":
                 raise QueryError(
@@ -370,7 +370,8 @@ class QueryEngine:
     def query_many(
         self, requests: list[dict], deadline: float | None = None
     ) -> list[dict]:
-        """Answer a batch, deduplicating shared work.
+        """Answer a batch of validated requests, deduplicating shared
+        work.
 
         The nodes mentioned by the batch's ``neighbors``/``degree``
         requests are collected first and each distinct node is
@@ -382,11 +383,7 @@ class QueryEngine:
         """
         unique_nodes: dict[int, None] = {}
         for request in requests:
-            if (
-                isinstance(request, dict)
-                and request.get("op") in ("neighbors", "degree")
-                and isinstance(request.get("node"), int)
-            ):
+            if request["op"] in ("neighbors", "degree"):
                 unique_nodes.setdefault(request["node"])
         expanded: dict[int, frozenset[int]] = {}
         for node in unique_nodes:
@@ -400,8 +397,8 @@ class QueryEngine:
         responses = []
         for request in requests:
             try:
-                node = request.get("node") if isinstance(request, dict) else None
-                if node in expanded and request.get("op") == "neighbors":
+                node = request.get("node")
+                if node in expanded and request["op"] == "neighbors":
                     self.metrics.observe("neighbors", 0.0)
                     responses.append(self._finalize({
                         "id": request.get("id"),
@@ -409,7 +406,7 @@ class QueryEngine:
                         "op": "neighbors",
                         "result": sorted(expanded[node]),
                     }))
-                elif node in expanded and request.get("op") == "degree":
+                elif node in expanded and request["op"] == "degree":
                     self.metrics.observe("degree", 0.0)
                     responses.append(self._finalize({
                         "id": request.get("id"),
@@ -420,7 +417,7 @@ class QueryEngine:
                 else:
                     responses.append(self.query(request, deadline))
             except QueryError as exc:
-                responses.append(error_response(request, exc))
+                responses.append(error_response(request, exc.kind, str(exc)))
         return responses
 
     # -- internals -------------------------------------------------------
@@ -441,28 +438,21 @@ class QueryEngine:
             return "pong"
         if op == "telemetry":
             return self.metrics.telemetry(self._cache)
-        node = request.get("node")
-        if not isinstance(node, int) or isinstance(node, bool):
-            raise QueryError(
-                "bad_request", f"op {op!r} needs an integer 'node' field"
-            )
+        node = request["node"]
         if op == "neighbors":
             return sorted(self.neighbors(node))
         if op == "degree":
             return self.degree(node)
         if op == "khop":
-            k = request.get("k", 1)
-            if not isinstance(k, int) or isinstance(k, bool):
-                raise QueryError("bad_request", "'k' must be an integer")
-            distances = self.khop(node, k, deadline, degraded_sink)
+            distances = self.khop(
+                node, request.get("k", 1), deadline, degraded_sink
+            )
             return {str(v): d for v, d in sorted(distances.items())}
         if op == "pagerank":
             return self.pagerank_score(node, deadline, degraded_sink)
         raise QueryError("bad_request", f"unhandled op {op!r}")
 
     def _check_node(self, node: int) -> None:
-        if not isinstance(node, int) or isinstance(node, bool):
-            raise QueryError("bad_request", "'node' must be an integer")
         n = self.summary.n
         if not 0 <= node < n:
             raise QueryError(
@@ -476,18 +466,6 @@ class QueryEngine:
         return set(self.neighbors(node)) == neighbor_query(
             self.representation, node
         )
-
-
-def error_response(request, exc: QueryError) -> dict:
-    """The structured error body for a rejected request."""
-    request_id = request.get("id") if isinstance(request, dict) else None
-    op = request.get("op") if isinstance(request, dict) else None
-    return {
-        "id": request_id,
-        "ok": False,
-        "op": op,
-        "error": {"type": exc.kind, "message": str(exc)},
-    }
 
 
 def _check_deadline(deadline: float | None) -> None:

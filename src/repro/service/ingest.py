@@ -71,11 +71,8 @@ from repro.durability.state import EngineState, merge_budget
 from repro.durability.wal import ResummarizeRecord, TermRecord, WalRecord
 from repro.dynamic.summary import DynamicGraphSummary
 from repro.service.engine import OPS, QueryEngine, QueryError
-from repro.service.protocol import MAX_INGEST_MUTATIONS, MAX_STREAM_LEN
 
 __all__ = ["MutableQueryEngine"]
-
-_SIGNS = ("+", "-")
 
 
 def _stop(replicator) -> None:
@@ -195,14 +192,14 @@ class MutableQueryEngine(QueryEngine):
     def _dispatch(self, op, request, deadline, degraded_sink=None):
         if op == "ingest":
             return self.ingest(
-                request.get("stream"),
-                request.get("seq"),
-                request.get("mutations"),
+                request["stream"],
+                request["seq"],
+                request["mutations"],
                 dry_run=request.get("dry_run", False),
             )
         if op == "replicate":
             return self.apply_replicated(
-                request.get("term"),
+                request["term"],
                 after_lsn=request.get("after_lsn"),
                 records=request.get("records"),
                 snapshot=request.get("snapshot"),
@@ -218,7 +215,9 @@ class MutableQueryEngine(QueryEngine):
 
     # -- the ingest op ---------------------------------------------------
     def ingest(self, stream, seq, mutations, *, dry_run=False) -> dict:
-        """Validate, log, apply, and acknowledge one mutation batch.
+        """Validate against the live state, log, apply, and acknowledge
+        one mutation batch whose shape
+        :func:`~repro.service.protocol.validate_request` checked.
 
         Returns ``{"applied", "lsn"}`` plus ``"duplicate": true`` for
         a deduplicated retry; the surrounding response carries the
@@ -230,12 +229,10 @@ class MutableQueryEngine(QueryEngine):
         already-applied sub-batch reports acceptance rather than
         failing validation against the post-apply state.  Raises
         :class:`QueryError` with kind ``overloaded`` (backpressure,
-        replay in progress) or ``bad_request`` (malformed or
-        inapplicable batch, rewound sequence, or a reused sequence
-        carrying different mutations).
+        replay in progress) or ``bad_request`` (an endpoint out of
+        range, a self-loop, an inapplicable batch, a rewound sequence,
+        or a reused sequence carrying different mutations).
         """
-        if not isinstance(dry_run, bool):
-            raise QueryError("bad_request", "'dry_run' must be a boolean")
         self._admit()
         try:
             if self.replaying:
@@ -250,7 +247,7 @@ class MutableQueryEngine(QueryEngine):
                     f"replica is a follower (term {self.term}); "
                     "ingest goes to the shard's primary",
                 )
-            parsed = self._parse_batch(stream, seq, mutations)
+            parsed = self._parse_batch(mutations)
             with self._state_lock:
                 result = None
                 last = self.state.dedup.get(stream)
@@ -675,53 +672,18 @@ class MutableQueryEngine(QueryEngine):
             with self._inflight_lock:
                 self._inflight -= 1
 
-    def _parse_batch(self, stream, seq, mutations) -> list:
-        if not isinstance(stream, str) or not 1 <= len(stream) <= (
-            MAX_STREAM_LEN
-        ):
-            raise QueryError(
-                "bad_request",
-                "'stream' must be a string of 1.."
-                f"{MAX_STREAM_LEN} characters",
-            )
-        if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
-            raise QueryError(
-                "bad_request", "'seq' must be a non-negative integer"
-            )
-        if not isinstance(mutations, list) or not mutations:
-            raise QueryError(
-                "bad_request", "'mutations' must be a non-empty list"
-            )
-        if len(mutations) > MAX_INGEST_MUTATIONS:
-            raise QueryError(
-                "bad_request",
-                f"batch of {len(mutations)} mutations exceeds the cap "
-                f"of {MAX_INGEST_MUTATIONS}",
-            )
+    def _parse_batch(self, mutations) -> list:
+        """The batch as ``(sign, u, v)`` tuples, refusing endpoints
+        outside ``[0, n)`` and self-loops."""
+        n = self.state.dynamic.n
         parsed = []
-        for index, item in enumerate(mutations):
-            if not (isinstance(item, (list, tuple)) and len(item) == 3):
-                raise QueryError(
-                    "bad_request",
-                    f"mutation #{index} must be [\"+\"|\"-\", u, v]",
-                )
-            sign, u, v = item
-            if sign not in _SIGNS:
-                raise QueryError(
-                    "bad_request",
-                    f"mutation #{index} has unknown sign {sign!r}",
-                )
+        for index, (sign, u, v) in enumerate(mutations):
             for node in (u, v):
-                if not isinstance(node, int) or isinstance(node, bool):
-                    raise QueryError(
-                        "bad_request",
-                        f"mutation #{index} endpoints must be integers",
-                    )
-                if not 0 <= node < self.state.dynamic.n:
+                if not 0 <= node < n:
                     raise QueryError(
                         "bad_request",
                         f"mutation #{index}: node {node} out of range "
-                        f"[0, {self.state.dynamic.n})",
+                        f"[0, {n})",
                     )
             if u == v:
                 raise QueryError(

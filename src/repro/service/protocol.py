@@ -69,12 +69,17 @@ from ``nc`` for debugging.  Lines longer than :data:`MAX_LINE_BYTES`
 are rejected with ``bad_request`` to bound per-connection memory.
 
 Both transport halves are hardened trust boundaries:
-:func:`validate_request` schema-checks every inbound request field
-(unknown ops, unknown fields, wrong types, out-of-range ``k``,
-oversized batches) before the engine sees it, and
+:func:`validate_request` is the one shape check of a request (unknown
+ops, unknown fields, wrong types, out-of-range ``k``, oversized
+batches).  The server runs it on every frame and, through
+:func:`validate_batch_item`, on every ``batch`` item, so the engines
+and the cluster router take validated dicts and check only what needs
+their state (``node`` against ``n``, self-loops, whether a batch
+applies, sequence order, fencing, log continuity).
 :func:`validate_response` lets clients reject a malformed or hostile
-server reply instead of acting on it.  ``tools/proto_fuzz.py`` fires
-seeded malformed frames at a live server to keep these checks honest.
+server reply instead of acting on it.  :func:`error_response` builds
+every error body.  ``tools/proto_fuzz.py`` fires seeded malformed
+frames and batch items at a live server to keep these checks honest.
 """
 
 from __future__ import annotations
@@ -95,7 +100,9 @@ __all__ = [
     "KNOWN_OPS",
     "encode_message",
     "decode_line",
+    "error_response",
     "validate_request",
+    "validate_batch_item",
     "validate_response",
     "LineReader",
     "ProtocolError",
@@ -119,7 +126,8 @@ MAX_INGEST_MUTATIONS = 1024
 MAX_STREAM_LEN = 128
 
 #: Every op the protocol defines (the engine serves a subset of these
-#: directly; ``batch`` and ``shutdown`` are handled by the server).
+#: directly; ``batch`` and ``shutdown`` are handled by the server and
+#: are refused as ``batch`` items).
 KNOWN_OPS = (
     "neighbors",
     "degree",
@@ -136,6 +144,10 @@ KNOWN_OPS = (
 
 #: Upper bound on records in one ``replicate`` frame.
 MAX_REPLICATE_RECORDS = 1024
+
+#: Ops that only make sense as a whole frame: a batch does not nest,
+#: and ``shutdown`` stops the server, not one item.
+_FRAME_ONLY_OPS = ("batch", "shutdown")
 
 #: Exact field whitelist per op; an unknown field is rejected rather
 #: than ignored, so typos ("nodes") fail loudly and smuggled payloads
@@ -198,6 +210,22 @@ def _is_scalar(value) -> bool:
     return value is None or isinstance(value, (str, int, float, bool))
 
 
+def error_response(request, kind: str, message: str) -> dict:
+    """The structured error body for a rejected request (``request``
+    is ``None`` for a frame that never decoded).  ``id`` is echoed
+    only when it is a JSON scalar and ``op`` only when it is a
+    string, so nothing a client sent is reflected uninterpreted."""
+    request_id = op = None
+    if isinstance(request, dict):
+        request_id, op = request.get("id"), request.get("op")
+    return {
+        "id": request_id if _is_scalar(request_id) else None,
+        "ok": False,
+        "op": op if isinstance(op, str) else None,
+        "error": {"type": kind, "message": message},
+    }
+
+
 def _check_node_field(request: dict, op: str) -> None:
     node = request.get("node")
     if not isinstance(node, int) or isinstance(node, bool):
@@ -207,17 +235,21 @@ def _check_node_field(request: dict, op: str) -> None:
 def validate_request(request: dict) -> dict:
     """Schema-check one inbound request; returns it unchanged.
 
-    Raises :class:`ProtocolError` on: a non-scalar ``id`` (it must be
-    echoable without interpretation), a missing/unknown ``op``, any
-    field outside the op's whitelist, a non-integer ``node``, a ``k``
-    outside ``[0, MAX_KHOP_K]``, a ``batch`` whose ``requests`` is not
-    a list of at most :data:`MAX_BATCH_REQUESTS` objects, a malformed
-    ``ingest`` body (bad ``stream``/``seq`` types, a mutation that is
-    not ``["+"|"-", u, v]``, an oversized batch), or a malformed
-    ``trace`` context (non-object, missing/over-long ids, unknown
-    keys).  Range checks
-    that need the served summary (``node`` against ``n``) stay in the
-    engine.
+    This is the only check of a request's shape: the server runs it
+    on every frame and every ``batch`` item, and the engines trust
+    what it passed.  Raises :class:`ProtocolError` on: a non-scalar
+    ``id`` (it must be echoable without interpretation), a
+    missing/unknown ``op``, any field outside the op's whitelist, a
+    non-integer ``node``, a ``k`` outside ``[0, MAX_KHOP_K]``, a
+    ``batch`` whose ``requests`` is not a list of at most
+    :data:`MAX_BATCH_REQUESTS` objects, a malformed ``ingest`` body
+    (bad ``stream``/``seq``/``dry_run`` types, a mutation that is not
+    ``["+"|"-", u, v]``, an oversized batch), a malformed
+    ``replicate`` frame (see :func:`_check_replicate_fields`), or a
+    malformed ``trace`` context (non-object, missing/over-long ids,
+    unknown keys).  Checks that need state stay in the engine:
+    ``node`` against ``n``, self-loops, whether a batch applies,
+    sequence order, fencing and log continuity.
     """
     if not _is_scalar(request.get("id")):
         raise ProtocolError("'id' must be a JSON scalar")
@@ -259,8 +291,8 @@ def validate_request(request: dict) -> dict:
                 f"{MAX_BATCH_REQUESTS}"
             )
         for index, item in enumerate(sub):
-            # Shallow shape check only; each sub-request is validated
-            # by the engine, which reports errors inline per item.
+            # The server then checks each item with
+            # validate_batch_item, so a bad item fails alone.
             if not isinstance(item, dict):
                 raise ProtocolError(
                     f"batch request #{index} is not a JSON object"
@@ -270,6 +302,15 @@ def validate_request(request: dict) -> dict:
     elif op == "replicate":
         _check_replicate_fields(request)
     return request
+
+
+def validate_batch_item(item: dict) -> dict:
+    """Schema-check one ``batch`` item: :func:`validate_request`, and
+    ``batch`` and ``shutdown`` are refused as items."""
+    validate_request(item)
+    if item["op"] in _FRAME_ONLY_OPS:
+        raise ProtocolError(f"op {item['op']!r} cannot be a batch item")
+    return item
 
 
 def _check_replicate_fields(request: dict) -> None:

@@ -51,11 +51,7 @@ import socket
 import threading
 import time
 
-from repro.service.engine import (
-    QueryEngine,
-    QueryError,
-    error_response,
-)
+from repro.service.engine import QueryEngine, QueryError
 from repro.obs.tracer import get_tracer
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import active_injector
@@ -65,6 +61,8 @@ from repro.service.protocol import (
     ProtocolError,
     decode_line,
     encode_message,
+    error_response,
+    validate_batch_item,
     validate_request,
 )
 
@@ -289,15 +287,9 @@ class SummaryQueryServer:
             "shedding connection from %s (%d pending >= max_pending=%d)",
             peer, self._connections.qsize(), self._max_pending,
         )
-        self._send(conn, {
-            "id": None,
-            "ok": False,
-            "op": None,
-            "error": {
-                "type": "overloaded",
-                "message": "server accept queue is full; retry later",
-            },
-        })
+        self._send(conn, error_response(
+            None, "overloaded", "server accept queue is full; retry later"
+        ))
         try:
             conn.close()
         except OSError:
@@ -333,7 +325,7 @@ class SummaryQueryServer:
             except ProtocolError as exc:
                 # Unterminated oversized line: the stream is beyond
                 # recovery; report once and drop the connection.
-                self._send(conn, _protocol_error(exc))
+                self._send(conn, error_response(None, "bad_request", str(exc)))
                 return
             except OSError:
                 return
@@ -355,14 +347,13 @@ class SummaryQueryServer:
             request = decode_line(line)
         except ProtocolError as exc:
             self.metrics.protocol_rejected("frame")
-            return _protocol_error(exc), False
+            return error_response(None, "bad_request", str(exc)), False
         try:
             validate_request(request)
         except ProtocolError as exc:
             # Schema violations echo the id (when it is echoable) so
             # pipelining clients can pair the rejection to its request.
-            self.metrics.protocol_rejected("schema")
-            return _schema_error(request, exc), False
+            return self._schema_error(request, exc), False
         tracer = get_tracer()
         if not tracer.enabled:
             return self._handle_request(request)
@@ -391,19 +382,13 @@ class SummaryQueryServer:
 
     def _handle_request(self, request: dict) -> tuple[dict, bool]:
         deadline = time.monotonic() + self._request_timeout
-        op = request.get("op")
+        op = request["op"]
         breaker = self._breaker
         if breaker is not None and op != "shutdown" and not breaker.allow():
             self.metrics.breaker_rejected()
-            return {
-                "id": request.get("id"),
-                "ok": False,
-                "op": op,
-                "error": {
-                    "type": "overloaded",
-                    "message": "circuit breaker open; retry later",
-                },
-            }, False
+            return error_response(
+                request, "overloaded", "circuit breaker open; retry later"
+            ), False
         try:
             if op == "shutdown":
                 self.metrics.observe("shutdown", 0.0)
@@ -425,7 +410,7 @@ class SummaryQueryServer:
             # the engine is sick; they do not trip the breaker.
             if breaker is not None:
                 breaker.record_success()
-            response = error_response(request, exc)
+            response = error_response(request, exc.kind, str(exc))
             epoch = getattr(self.engine, "epoch", None)
             if isinstance(epoch, int):
                 response["epoch"] = epoch
@@ -441,24 +426,28 @@ class SummaryQueryServer:
                         "internal failures", breaker.failure_threshold,
                     )
             logger.exception("internal error answering %r", op)
-            return {
-                "id": request.get("id"),
-                "ok": False,
-                "op": op,
-                "error": {
-                    "type": "internal",
-                    "message": f"{type(exc).__name__}: {exc}",
-                },
-            }, False
+            return error_response(
+                request, "internal", f"{type(exc).__name__}: {exc}"
+            ), False
 
     def _handle_batch(self, request: dict, deadline: float) -> dict:
+        """Every item passes :func:`validate_batch_item` first; an
+        invalid one is answered inline like an invalid frame, and only
+        the valid ones reach the engine.  Answers keep item order."""
         started = time.perf_counter()
-        sub_requests = request.get("requests")
-        if not isinstance(sub_requests, list):
-            raise QueryError(
-                "bad_request", "'batch' needs a 'requests' list"
-            )
-        responses = self.engine.query_many(sub_requests, deadline)
+        responses: list = []
+        valid: list[dict] = []
+        for item in request["requests"]:
+            try:
+                valid.append(validate_batch_item(item))
+                responses.append(None)
+            except ProtocolError as exc:
+                responses.append(self._schema_error(item, exc))
+        answers = iter(self.engine.query_many(valid, deadline))
+        responses = [
+            next(answers) if response is None else response
+            for response in responses
+        ]
         self.metrics.observe("batch", time.perf_counter() - started)
         return {
             "id": request.get("id"),
@@ -468,6 +457,12 @@ class SummaryQueryServer:
         }
 
     # -- plumbing ----------------------------------------------------------
+    def _schema_error(self, request: dict, exc: ProtocolError) -> dict:
+        """A ``bad_request`` for a decoded frame or batch item that
+        failed validation, counted as a schema rejection."""
+        self.metrics.protocol_rejected("schema")
+        return error_response(request, "bad_request", str(exc))
+
     def _send(self, conn: socket.socket, message: dict) -> bool:
         try:
             conn.sendall(encode_message(message))
@@ -481,25 +476,3 @@ class SummaryQueryServer:
         finally:
             self.metrics.connection_closed()
 
-
-def _protocol_error(exc: ProtocolError) -> dict:
-    return {
-        "id": None,
-        "ok": False,
-        "op": None,
-        "error": {"type": "bad_request", "message": str(exc)},
-    }
-
-
-def _schema_error(request: dict, exc: ProtocolError) -> dict:
-    """A ``bad_request`` for a decodable frame that failed validation."""
-    request_id = request.get("id")
-    if not isinstance(request_id, (str, int, float, bool, type(None))):
-        request_id = None  # unechoable id: do not reflect it back
-    op = request.get("op")
-    return {
-        "id": request_id,
-        "ok": False,
-        "op": op if isinstance(op, str) else None,
-        "error": {"type": "bad_request", "message": str(exc)},
-    }

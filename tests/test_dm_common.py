@@ -2,13 +2,9 @@
 
 import random
 
-import numpy as np
-import pytest
-
 from repro.algorithms._dm_common import (
     divide_by_single_hash,
     divide_recursive,
-    group_similarities,
     shuffled_rows,
 )
 from repro.core.minhash import MinHashSignatures
@@ -28,26 +24,6 @@ class TestShuffledRows:
     def test_varies_with_state(self):
         outputs = {tuple(shuffled_rows(8, random.Random(s))) for s in range(6)}
         assert len(outputs) > 1
-
-
-class TestGroupSimilarities:
-    def test_matches_pairwise_similarity(self, twin_graph):
-        sig = MinHashSignatures(twin_graph, 16, seed=2)
-        group = [1, 2, 3, 4]
-        sims = group_similarities(sig, 0, group)
-        for value, v in zip(sims, group):
-            assert value == pytest.approx(sig.similarity(0, v))
-
-    def test_self_similarity_is_one(self, triangle):
-        sig = MinHashSignatures(triangle, 8, seed=2)
-        sims = group_similarities(sig, 0, [0, 1])
-        assert sims[0] == pytest.approx(1.0)
-
-    def test_returns_numpy_vector(self, triangle):
-        sig = MinHashSignatures(triangle, 8, seed=2)
-        sims = group_similarities(sig, 0, [1, 2])
-        assert isinstance(sims, np.ndarray)
-        assert sims.shape == (2,)
 
 
 class TestDividers:

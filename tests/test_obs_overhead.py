@@ -114,12 +114,13 @@ class NoGateServer(server_mod.SummaryQueryServer):
             request = server_mod.decode_line(line)
         except server_mod.ProtocolError as exc:
             self.metrics.protocol_rejected("frame")
-            return server_mod._protocol_error(exc), False
+            return server_mod.error_response(
+                None, "bad_request", str(exc)
+            ), False
         try:
             server_mod.validate_request(request)
         except server_mod.ProtocolError as exc:
-            self.metrics.protocol_rejected("schema")
-            return server_mod._schema_error(request, exc), False
+            return self._schema_error(request, exc), False
         return self._handle_request(request)
 
 

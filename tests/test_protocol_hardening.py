@@ -1,10 +1,11 @@
 """Wire-protocol hardening tests: schema validation on both halves.
 
 Covers the request validator (field whitelists, type checks, k and
-batch caps), the response validator the client applies to everything
-a server sends back, the client-side frame cap against hostile
-servers, and socket-level adversarial frames against a live server
-(structured error, echoed id, connection survival).
+batch caps, ``replicate`` frames), the response validator the client
+applies to everything a server sends back, the client-side frame cap
+against hostile servers, and socket-level adversarial frames against a
+live server (structured error, echoed id, connection survival), batch
+items included: each is schema-checked like a frame and refused inline.
 """
 
 import json
@@ -14,7 +15,10 @@ import threading
 import pytest
 
 from repro.algorithms.mags_dm import MagsDMSummarizer
+from repro.dynamic.summary import DynamicGraphSummary
+from repro.resilience.breaker import CircuitBreaker
 from repro.service import (
+    MutableQueryEngine,
     QueryEngine,
     SummaryQueryServer,
     SummaryServiceClient,
@@ -23,6 +27,7 @@ from repro.service.protocol import (
     MAX_BATCH_REQUESTS,
     MAX_KHOP_K,
     MAX_LINE_BYTES,
+    MAX_REPLICATE_RECORDS,
     LineReader,
     ProtocolError,
     validate_request,
@@ -63,6 +68,14 @@ def _raw_exchange(server, payload: bytes) -> dict:
         return json.loads(buffer.split(b"\n", 1)[0])
 
 
+#: A well-formed ``replicate`` promotion carrying every optional field.
+_REPLICATE = {
+    "id": 1, "op": "replicate", "term": 2, "after_lsn": 0,
+    "records": [{"lsn": 1}], "promote": True,
+    "followers": [["127.0.0.1", 7001]], "acks": "leader",
+}
+
+
 class TestValidateRequest:
     def test_accepts_every_documented_op(self):
         for request in (
@@ -75,6 +88,8 @@ class TestValidateRequest:
             {"id": 7, "op": "telemetry", "trace": {"id": "ab" * 8}},
             {"id": 8, "op": "batch", "requests": [{"op": "ping"}]},
             {"op": "shutdown"},
+            _REPLICATE,
+            {"op": "replicate", "term": 1, "snapshot": {}},
         ):
             assert validate_request(request) is request
 
@@ -113,6 +128,38 @@ class TestValidateRequest:
             validate_request(
                 {"id": 1, "op": "batch", "requests": [{"op": "ping"}, 42]}
             )
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            pytest.param({"term": 0}, "'term'", id="term-zero"),
+            pytest.param({"term": True}, "'term'", id="term-bool"),
+            pytest.param({"term": "2"}, "'term'", id="term-string"),
+            pytest.param({"after_lsn": -1}, "'after_lsn'", id="after-lsn"),
+            pytest.param({"promote": "yes"}, "'promote'", id="promote"),
+            pytest.param({"acks": "bogus"}, "acks mode", id="acks"),
+            pytest.param({"records": {"lsn": 1}}, "'records'",
+                         id="records-not-list"),
+            pytest.param({"records": [{"lsn": 1}] * (
+                MAX_REPLICATE_RECORDS + 1)}, "exceeds the cap",
+                id="records-over-cap"),
+            pytest.param({"records": [{"lsn": 1}, 7]}, "#1 is not",
+                         id="record-not-object"),
+            pytest.param({"snapshot": []}, "'snapshot'",
+                         id="snapshot-not-object"),
+            pytest.param({"followers": [["h", 7001]] * 65}, "at most 64",
+                         id="followers-over-cap"),
+            pytest.param({"followers": [["h", "x"]]}, "#0 must be",
+                         id="follower-port-string"),
+            pytest.param({"followers": [["h", 1], ["h", 65536]]},
+                         "#1 must be", id="follower-port-range"),
+            pytest.param({"followers": ["h:7001"]}, "#0 must be",
+                         id="follower-not-list"),
+        ],
+    )
+    def test_malformed_replicate_rejected(self, overrides, match):
+        with pytest.raises(ProtocolError, match=match):
+            validate_request({**_REPLICATE, **overrides})
 
 
 class TestValidateResponse:
@@ -216,6 +263,103 @@ def _count_rejected(server, reason: str) -> int:
         if labels.get("reason") == reason:
             return int(metric.value)
     return 0
+
+
+class TestBatchItemsValidated:
+    """Every ``batch`` item passes the same schema check as a frame:
+    an invalid item is answered inline with the frame's error body
+    and never reaches the engine, and its neighbours are still
+    served, in order."""
+
+    @pytest.fixture
+    def mutable_server(self, rep):
+        engine = MutableQueryEngine(
+            DynamicGraphSummary.from_representation(rep), cache_size=64
+        )
+        breaker = CircuitBreaker(failure_threshold=3, reset_timeout=60.0)
+        with SummaryQueryServer(
+            engine, workers=2, request_timeout=5.0, breaker=breaker
+        ) as srv:
+            yield srv
+
+    @staticmethod
+    def _batch(server, *items) -> list:
+        response = _raw_exchange(
+            server,
+            json.dumps({"id": "b", "op": "batch", "requests": list(items)})
+            .encode() + b"\n",
+        )
+        assert response["ok"] is True, response
+        assert len(response["result"]) == len(items)
+        return response["result"]
+
+    @staticmethod
+    def _refused(answer: dict) -> None:
+        assert answer["ok"] is False
+        assert answer["error"]["type"] == "bad_request"
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            pytest.param({"id": 1, "op": "replicate", "term": 20,
+                          "promote": True, "followers": [["h", "x"]]},
+                         id="follower-port"),
+            pytest.param({"id": 1, "op": "replicate", "term": 20,
+                          "promote": True, "acks": "bogus"}, id="acks"),
+        ],
+    )
+    def test_malformed_replicate_item_changes_nothing(
+        self, mutable_server, item
+    ):
+        engine = mutable_server.engine
+        before = (engine.term, engine.role, engine.acks)
+        for _ in range(3):
+            answer, = self._batch(mutable_server, item)
+            self._refused(answer)
+            assert answer["id"] == 1
+        assert (engine.term, engine.role, engine.acks) == before
+        assert mutable_server._breaker.state == CircuitBreaker.CLOSED
+        assert self._batch(
+            mutable_server, {"op": "neighbors", "node": 0}
+        )[0]["ok"] is True
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            pytest.param({"id": 1, "op": "khop", "node": 0, "k": 100000},
+                         id="khop-k"),
+            pytest.param({"id": 1, "op": "ping", "bogus": 1},
+                         id="unknown-field"),
+            pytest.param({"id": 1, "op": "batch", "requests": []},
+                         id="nested-batch"),
+            pytest.param({"id": 1, "op": "shutdown"}, id="shutdown"),
+        ],
+    )
+    def test_invalid_item_refused_and_counted(self, server, item):
+        before = _count_rejected(server, "schema")
+        answer, = self._batch(server, item)
+        self._refused(answer)
+        assert (answer["id"], answer["op"]) == (1, item["op"])
+        assert _count_rejected(server, "schema") == before + 1
+
+    def test_non_scalar_item_id_not_reflected(self, server):
+        answer, = self._batch(server, {"id": {"x": 1}, "op": "ping"})
+        self._refused(answer)
+        assert answer["id"] is None
+
+    def test_valid_items_answered_in_position(self, server):
+        answers = self._batch(
+            server,
+            {"id": 0, "op": "degree", "node": 0},
+            {"id": 1, "op": "ping", "bogus": 1},
+            {"id": 2, "op": "ping"},
+            {"id": 3, "op": "khop", "node": 0, "k": 100000},
+            {"id": 4, "op": "neighbors", "node": 0},
+        )
+        assert [a["id"] for a in answers] == [0, 1, 2, 3, 4]
+        assert [a["ok"] for a in answers] == [True, False, True, False, True]
+        assert answers[2]["result"] == "pong"
+        assert answers[0]["result"] == len(answers[4]["result"])
 
 
 class TestClientFrameCap:

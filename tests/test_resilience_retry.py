@@ -68,11 +68,6 @@ class TestDeadline:
         with pytest.raises(DeadlineExceeded, match="fetch"):
             deadline.check("fetch")
 
-    def test_clamp_truncates_to_budget(self):
-        assert Deadline.never().clamp(5.0) == 5.0
-        assert Deadline.after(-1.0).clamp(5.0) == 0.0
-        assert Deadline.after(60.0).clamp(5.0) == 5.0
-
 
 class TestCallWithRetry:
     def _policy(self, attempts=3):

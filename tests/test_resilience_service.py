@@ -333,7 +333,7 @@ class TestBreakerInServer:
         server = self._server(rep, breaker)
         for i in range(5):
             response, _ = server._handle_request(
-                {"id": i, "op": "neighbors"}  # missing 'node'
+                {"id": i, "op": "neighbors", "node": 10**9}
             )
             assert response["error"]["type"] == "bad_request"
         assert breaker.state == CircuitBreaker.CLOSED

@@ -18,6 +18,8 @@ from repro.service.engine import (
     QueryError,
     QueryTimeout,
 )
+from repro.service.protocol import encode_message
+from repro.service.server import SummaryQueryServer
 
 
 @pytest.fixture
@@ -77,8 +79,6 @@ class TestNeighbors:
             engine.neighbors(rep.n)
         with pytest.raises(QueryError):
             engine.neighbors(-1)
-        with pytest.raises(QueryError, match="integer"):
-            engine.neighbors(True)
 
     def test_verify_against_helper(self, engine, rep):
         assert all(engine.verify_against(q) for q in range(0, rep.n, 11))
@@ -132,8 +132,14 @@ class TestQueryDict:
             engine.query({"op": "frobnicate"})
 
     def test_missing_node_rejected(self, engine):
-        with pytest.raises(QueryError, match="integer 'node'"):
-            engine.query({"op": "degree"})
+        # The shape of a request is checked at the wire, not by the
+        # engine, so the frame goes through the server's request path.
+        response, _ = SummaryQueryServer(engine)._handle_line(
+            encode_message({"id": 1, "op": "degree"})
+        )
+        assert response["id"] == 1
+        assert response["error"]["type"] == "bad_request"
+        assert "integer 'node'" in response["error"]["message"]
 
     def test_stats_includes_cache_occupancy(self, engine):
         engine.neighbors(1)

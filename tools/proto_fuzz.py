@@ -5,14 +5,18 @@ Throws a battery of adversarial frames at a live
 invalid UTF-8, JSON non-objects, truncated JSON, oversized frames
 (terminated and unterminated), unknown ops, wrong-typed and
 out-of-range parameters, malformed batches, unechoable ids,
-malformed/duplicate/rewound/oversized ``ingest`` mutations — mixed
-with valid requests, and asserts the hardening contract:
+malformed/duplicate/rewound/oversized ``ingest`` mutations, malformed
+``replicate`` frames, and each malformed request again as an item of
+an otherwise valid ``batch`` — mixed with valid requests, and asserts
+the hardening contract:
 
 * **no crash, no hang** — every frame is answered with exactly one
   structured line (or a structured error followed by a close for
   frames that poison the stream);
 * **no internal errors** — a malformed *input* must never surface as
-  ``error.type == "internal"``, and the server log must contain no
+  ``error.type == "internal"`` (nor a malformed ``batch`` item as an
+  ``internal`` or successful item answer), and the server log must
+  contain no
   unhandled exception (any record carrying ``exc_info`` fails the
   run);
 * **no connection leak** — after the full battery the
@@ -51,6 +55,7 @@ from repro.service import (  # noqa: E402
 from repro.service.protocol import (  # noqa: E402
     MAX_INGEST_MUTATIONS,
     MAX_LINE_BYTES,
+    MAX_REPLICATE_RECORDS,
     MAX_STREAM_LEN,
 )
 
@@ -265,6 +270,32 @@ def _ingest_oversized(rng: random.Random) -> bytes:
     return json.dumps(request).encode() + b"\n"
 
 
+def _replicate_malformed(rng: random.Random) -> bytes:
+    """A ``replicate`` frame with one bad field; as a frame or a batch
+    item it must be refused before any term, role or acks changes."""
+    request = {"id": 34, "op": "replicate", "term": 20, "promote": True}
+    request.update(
+        rng.choice(
+            [
+                {"followers": [["h", "x"]]},
+                {"followers": [["h", 0]]},
+                {"followers": ["h:7001"]},
+                {"followers": [["h", 7001]] * 65},
+                {"acks": "bogus"},
+                {"term": 0},
+                {"term": "2"},
+                {"promote": "yes"},
+                {"after_lsn": -1},
+                {"records": "not-a-list"},
+                {"records": [7]},
+                {"records": [{"lsn": 1}] * (MAX_REPLICATE_RECORDS + 1)},
+                {"snapshot": []},
+            ]
+        )
+    )
+    return json.dumps(request).encode() + b"\n"
+
+
 def _ingest_seq_replay(rng: random.Random) -> bytes:
     """Duplicate / rewound / fresh sequence numbers on a shared
     stream: any mix must come back structured (ok + dedup, or a
@@ -316,10 +347,45 @@ def _valid(rng: random.Random) -> bytes:
     return json.dumps(request).encode() + b"\n"
 
 
+#: Generators of one decodable but malformed request each — the items
+#: ``batch_item`` wraps.  A frame-only op (``batch``, ``shutdown``) is
+#: malformed as an item too.
+_MALFORMED_REQUESTS = (
+    _missing_op,
+    _unknown_op,
+    _wrong_typed_node,
+    _bad_k,
+    _unknown_field,
+    _unechoable_id,
+    _bad_batch,
+    _trace_context_malformed,
+    _telemetry_bad_field,
+    _ingest_malformed,
+    _ingest_oversized,
+    _replicate_malformed,
+    lambda rng: b'{"id": 35, "op": "shutdown"}\n',
+)
+
+
+def _batch_item(rng: random.Random) -> bytes:
+    """1-3 malformed requests as the items of an otherwise valid
+    ``batch``: the frame is answered ``ok`` and every item must be a
+    structured, non-``internal`` error (see :func:`_check_items`)."""
+    items = [
+        json.loads(rng.choice(_MALFORMED_REQUESTS)(rng))
+        for _ in range(rng.randrange(1, 4))
+    ]
+    return (
+        json.dumps({"id": 36, "op": "batch", "requests": items}).encode()
+        + b"\n"
+    )
+
+
 #: (name, generator, expect_ok) — ``True``: the answer must be
 #: ``ok: true``; ``False``: it must be a structured error; ``None``:
 #: either is acceptable (state-dependent outcome) but it must still
-#: be exactly one structured, non-``internal`` response.
+#: be exactly one structured, non-``internal`` response; ``"items"``:
+#: an ``ok`` batch whose every item answer is such an error.
 CATEGORIES = [
     ("random_bytes", _rand_bytes, False),
     ("invalid_utf8", _invalid_utf8, False),
@@ -342,6 +408,8 @@ CATEGORIES = [
     ("ingest_oversized", _ingest_oversized, False),
     ("ingest_seq_replay", _ingest_seq_replay, None),
     ("ingest_with_trace", _ingest_with_trace, None),
+    ("replicate_malformed", _replicate_malformed, False),
+    ("batch_item", _batch_item, "items"),
     ("valid", _valid, True),
 ]
 
@@ -366,8 +434,39 @@ def _exchange(host: str, port: int, frame: bytes) -> bytes | None:
         return buffer.split(b"\n", 1)[0]
 
 
+def _check_error(name: str, message: dict) -> str:
+    """'' when ``message`` is a structured, non-``internal`` error."""
+    if message.get("ok") is not False:
+        return f"{name}: malformed frame accepted: {message!r:.200}"
+    error = message.get("error")
+    if not isinstance(error, dict) or not isinstance(error.get("type"), str):
+        return f"{name}: error frame lacks structured error: {message!r:.200}"
+    if error["type"] == "internal":
+        return (
+            f"{name}: malformed input surfaced as an internal error: "
+            f"{message!r:.200}"
+        )
+    return ""
+
+
+def _check_items(name: str, message: dict) -> str:
+    """'' when ``message`` is an ``ok`` batch whose every item answer
+    is a structured, non-``internal`` error."""
+    items = message.get("result")
+    if message.get("ok") is not True or not isinstance(items, list):
+        return (
+            f"{name}: batch of malformed items refused whole: "
+            f"{message!r:.200}"
+        )
+    for item in items:
+        problem = _check_error(name, item if isinstance(item, dict) else {})
+        if problem:
+            return problem
+    return ""
+
+
 def _check_response(
-    name: str, line: bytes | None, expect_ok: bool | None
+    name: str, line: bytes | None, expect_ok: bool | str | None
 ) -> str:
     """Validate one response; returns a failure description or ''."""
     if line is None:
@@ -382,19 +481,11 @@ def _check_response(
         if message.get("ok") is not True:
             return f"{name}: valid frame rejected: {line[:200]!r}"
         return ""
+    if expect_ok == "items":
+        return _check_items(name, message)
     if expect_ok is None and message.get("ok") is True:
         return ""
-    if message.get("ok") is not False:
-        return f"{name}: malformed frame accepted: {line[:200]!r}"
-    error = message.get("error")
-    if not isinstance(error, dict) or not isinstance(error.get("type"), str):
-        return f"{name}: error frame lacks structured error: {line[:200]!r}"
-    if error["type"] == "internal":
-        return (
-            f"{name}: malformed input surfaced as an internal error: "
-            f"{line[:200]!r}"
-        )
-    return ""
+    return _check_error(name, message)
 
 
 def _build_server() -> SummaryQueryServer:
