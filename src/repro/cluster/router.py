@@ -4,7 +4,8 @@ The cluster front-end: a :class:`RouterEngine` speaks the *same*
 request-dict contract as :class:`repro.service.engine.QueryEngine`
 (``query`` / ``query_many`` / ``metrics``), so the existing
 :class:`~repro.service.server.SummaryQueryServer` serves it unchanged
-— clients connect to the router with the unmodified wire protocol and
+— clients connect to the router with the unmodified wire protocol and,
+for every op but ``pagerank`` (a shard-local approximation, below),
 cannot tell it from a single server.
 
 Routing semantics
@@ -27,29 +28,33 @@ Routing semantics
   and may return in any order; responses are re-assembled by original
   position so the client's per-request ordering and ids are
   preserved exactly.
-* ``ingest`` — each mutation is forwarded to every shard owning one
-  of its endpoints (shard artifacts carry all edges incident to their
-  owned nodes — the 1-hop closure — so an edge toggle must land on
-  the owner of *each* endpoint to keep that invariant).  Sub-batches
-  reuse the client's ``stream``/``seq`` identity per shard, so a
-  retry after a partial failure converges: shards that already
-  applied answer ``duplicate: true``, the rest apply.  The router's
-  neighbor cache is invalidated per dirty node on success.  With
-  ``replicas > 1`` each sub-batch goes to the shard's current
-  **primary**, which ships its WAL to the sibling followers
-  (:mod:`repro.durability.replication`); when the primary dies or
-  answers ``not_primary``/``fenced``, the router probes the live
-  replicas' ``repl_status``, adopts an already-promoted primary or
-  promotes the most-caught-up follower under a strictly higher term,
-  and retries the sub-batch — the replayed ``(stream, seq)`` dedups
-  on the new primary, so a batch acked just before the failover is
-  answered ``duplicate: true`` instead of double-applied.  See
-  docs/resilience.md ("Replication & failover").
+* ``ingest`` — each mutation goes to the owner of *each* endpoint
+  (shards keep the 1-hop closure of their owned nodes), in a
+  two-phase prepare/commit fan-out whose sub-batches reuse the
+  client's ``stream``/``seq``, so a retry dedups per shard (see
+  :meth:`RouterEngine._ingest`).  With ``replicas > 1`` each
+  sub-batch goes to the shard's current **primary**, which ships its
+  WAL to its followers; on a dead or demoted primary the router
+  elects a new one and resends (:class:`ShardPool`, and
+  docs/resilience.md "Replication & failover").
 * ``telemetry`` — the router's identity and registry snapshot, with
   one ``router_breaker_state{instance}`` gauge per instance; it makes
   no outbound call.  The cluster collector (:mod:`repro.obs.collect`)
   pairs it with each instance's own ``telemetry`` answer to build the
   cluster-wide view.
+
+Plan and executor
+-----------------
+The routing decisions are pure module functions over plain values —
+:func:`plan_batch` (which requests go to which shard, which are
+answered locally), :func:`plan_ingest` (each mutation to the owner of
+each endpoint), :func:`chunks` (wire-sized sub-batches) and
+:func:`khop_step` (one BFS level).  :class:`RouterEngine` only carries
+out what they return: locks, threads, retries, spans and metrics.
+Every outbound connection is made by one ``connect(host, port,
+timeout)`` callable (default :func:`repro.service.client.connect`, a
+socket client); a test passes another to run whole clusters in
+process.
 
 When tracing is on, every outbound shard call runs under a
 ``router:fanout`` span whose context rides the wire (the ``trace``
@@ -58,19 +63,13 @@ it and ``repro cluster trace <id>`` can reassemble the full tree.
 
 Failover states
 ---------------
-Every instance gets a lazily-grown pool of
-:class:`~repro.service.client.SummaryServiceClient` connections
-guarded by one :class:`~repro.resilience.breaker.CircuitBreaker`:
-
-* **healthy** (breaker closed) — in rotation;
-* **ejected** (breaker open, after ``breaker_threshold`` consecutive
-  transport failures) — skipped without a connect attempt until
-  ``breaker_reset_s`` elapses;
-* **probing** (half-open) — one request is allowed through; success
-  readmits the replica, failure re-arms the ejection window.
-
-A request sweeps the owning shard's replicas round-robin, failing
-over on transport errors; sweeps retry under the configured
+Every instance gets a lazily-grown connection pool guarded by one
+:class:`~repro.resilience.breaker.CircuitBreaker` — **healthy**
+(closed: in rotation), **ejected** (open after ``breaker_threshold``
+consecutive transport failures: skipped until ``breaker_reset_s``
+elapses) or **probing** (half-open: one request decides).  A request
+sweeps the owning shard's replicas round-robin, failing over on
+transport errors, and sweeps retry under the configured
 :class:`~repro.resilience.retry.RetryPolicy`.  Only when *every*
 replica of a shard is down does the client see an effect: a
 structured ``unavailable`` error for single-shard ops, or a partial
@@ -81,24 +80,27 @@ the dead shard.
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
 import random
 import threading
 import time
+from typing import Callable
 
 from repro.cluster.topology import ClusterSpec, InstanceSpec, TopologyError
 from repro.durability import replication
+from repro.obs.context import TraceContext
 from repro.obs.tracer import get_tracer
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.retry import (
-    Deadline,
     DeadlineExceeded,
     RetriesExhausted,
     RetryPolicy,
     call_with_retry,
 )
-from repro.service.client import ServiceError, SummaryServiceClient
+from repro.service.client import ServiceError, connect as socket_connect
 from repro.service.engine import LRUCache, OPS, QueryError, QueryTimeout
+from repro.service.ingest import parse_mutations
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     MAX_BATCH_REQUESTS,
@@ -112,6 +114,11 @@ __all__ = [
     "ShardDownError",
     "ReplicaPool",
     "ShardPool",
+    "check_node",
+    "chunks",
+    "khop_step",
+    "plan_batch",
+    "plan_ingest",
 ]
 
 logger = logging.getLogger("repro.cluster")
@@ -134,6 +141,81 @@ BREAKER_STATES = (
 _FAILOVER_ERRORS = (OSError, ProtocolError)
 
 
+# -- the plan: pure routing decisions ------------------------------------
+def _in_range(node: int, n: int) -> bool:
+    return 0 <= node < n
+
+
+def check_node(node: int, n: int) -> None:
+    """Refuse a node outside ``[0, n)`` with the engine's error."""
+    if not _in_range(node, n):
+        raise QueryError("bad_request", f"node {node} out of range [0, {n})")
+
+
+def plan_batch(
+    requests: list[dict], n: int, owner: Callable[[int], int]
+) -> tuple[dict[int, list[int]], list[int]]:
+    """Split validated batch items into ``(by_shard, local)`` index
+    lists.
+
+    ``neighbors``/``degree``/``pagerank`` items on an in-range node go
+    to ``owner(node)``; everything else (``khop``, ``ping``,
+    ``telemetry``, out-of-range nodes) stays local, where the router
+    answers or rejects it exactly as a single engine would.
+    """
+    by_shard: dict[int, list[int]] = {}
+    local: list[int] = []
+    for index, request in enumerate(requests):
+        if request["op"] in _SINGLE_SHARD_OPS and _in_range(
+            request["node"], n
+        ):
+            by_shard.setdefault(owner(request["node"]), []).append(index)
+        else:
+            local.append(index)
+    return by_shard, local
+
+
+def plan_ingest(
+    mutations: list, n: int, owner: Callable[[int], int]
+) -> dict[int, list[list]]:
+    """Each ``[sign, u, v]`` mutation, in order, under the owner of
+    ``u`` and the owner of ``v`` (once when they are the same shard),
+    so every shard keeps the 1-hop closure of its owned nodes.
+    Refuses the whole batch as one engine would
+    (:func:`~repro.service.ingest.parse_mutations`)."""
+    per_shard: dict[int, list[list]] = {}
+    for sign, u, v in parse_mutations(mutations, n):
+        for shard in sorted({owner(u), owner(v)}):
+            per_shard.setdefault(shard, []).append([sign, u, v])
+    return per_shard
+
+
+def chunks(items: list) -> list[list]:
+    """``items`` cut into sub-batches the protocol accepts."""
+    return [
+        items[start:start + MAX_BATCH_REQUESTS]
+        for start in range(0, len(items), MAX_BATCH_REQUESTS)
+    ]
+
+
+def khop_step(
+    frontier: list[int],
+    distances: dict[int, int],
+    expansions: dict[int, tuple[int, ...]],
+    depth: int,
+) -> dict[int, int]:
+    """One BFS level: the nodes first reached at ``depth`` (absent
+    from ``distances``), in discovery order — the keys are the next
+    frontier, every value is ``depth``."""
+    reached: dict[int, int] = {}
+    for u in frontier:
+        for v in expansions[u]:
+            if v not in distances:
+                reached[v] = depth
+    return reached
+
+
+# -- the executor: pools, failover, fan-out ------------------------------
 class ShardDownError(QueryError):
     """Every replica of a shard is unreachable; becomes a structured
     ``unavailable`` error on the wire."""
@@ -154,9 +236,10 @@ class _SweepFailed(ConnectionError):
 class ReplicaPool:
     """Connection pool + circuit breaker for one instance.
 
-    Clients are created on demand, reused via a free-list, and
-    discarded when their stream can no longer be trusted.  All methods
-    are thread-safe; the breaker is the instance's health state.
+    Clients come from ``connect(host, port, timeout)``, are created on
+    demand, reused via a free-list, and discarded when their stream
+    can no longer be trusted.  All methods are thread-safe; the
+    breaker is the instance's health state.
 
     The pool holds at most ``max_connections`` open connections and
     makes callers *wait* for a free one rather than opening more.
@@ -176,6 +259,7 @@ class ReplicaPool:
         breaker_threshold: int,
         breaker_reset_s: float,
         max_connections: int = 4,
+        connect=socket_connect,
     ):
         self.instance = instance
         self.breaker = CircuitBreaker(
@@ -189,14 +273,15 @@ class ReplicaPool:
         self._timeout = (
             replication.QUORUM_TIMEOUT_S + replication.FOLLOWER_TIMEOUT_S
         )
+        self._connect = connect
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._max = max(1, max_connections)
         self._open = 0  # connections in existence (free + leased)
-        self._free: list[SummaryServiceClient] = []
+        self._free: list = []
         self._closed = False
 
-    def _acquire(self) -> SummaryServiceClient:
+    def _acquire(self):
         deadline = time.monotonic() + self._timeout
         with self._cond:
             while True:
@@ -217,7 +302,7 @@ class ReplicaPool:
                 self._cond.wait(remaining)
         host, port = self.instance.address
         try:
-            return SummaryServiceClient(host, port, timeout=self._timeout)
+            return self._connect(host, port, self._timeout)
         except BaseException:
             self._forget()
             raise
@@ -228,11 +313,11 @@ class ReplicaPool:
             self._open -= 1
             self._cond.notify()
 
-    def _discard(self, client: SummaryServiceClient) -> None:
+    def _discard(self, client) -> None:
         self._forget()
         client.close()
 
-    def _release(self, client: SummaryServiceClient) -> None:
+    def _release(self, client) -> None:
         with self._cond:
             if not self._closed and client.usable:
                 self._free.append(client)
@@ -285,14 +370,15 @@ class ShardPool:
     """The replicas of one shard, swept round-robin with failover.
 
     Reads sweep every replica (each serves the same artifact).
-    Writes (:meth:`ingest_request`) are **primary-routed**: the pool
-    tracks which replica is the shard's primary and at what term, and
-    on a dead or demoted primary runs the promotion protocol —
-    probe live replicas' ``repl_status``, adopt an existing primary at
-    a higher term, or promote the most-caught-up follower with a
-    strictly higher term.  One router per shard is assumed: two
-    routers probing the same replicas compute the same new term and
-    may promote different replicas, and equal terms fence neither.
+    Writes (``request("ingest", ...)``) are **primary-routed** on a
+    replicated shard: the pool tracks which replica is the shard's
+    primary and at what term, and on a dead or demoted primary runs
+    the promotion protocol — probe live replicas' ``repl_status``,
+    adopt an existing primary at a higher term, or promote the
+    most-caught-up follower with a strictly higher term.  One router
+    per shard is assumed: two routers probing the same replicas
+    compute the same new term and may promote different replicas, and
+    equal terms fence neither.
     """
 
     def __init__(
@@ -348,6 +434,33 @@ class ShardPool:
                 pool.instance.label, type(exc).__name__, exc,
             )
 
+    def request(self, op: str, **params):
+        """Forward one request, retrying attempts under the retry
+        policy; raises :class:`ShardDownError` once it is exhausted.
+
+        An ``ingest`` on a replicated shard goes to the primary
+        (:meth:`_ingest_attempt`); everything else — including the
+        lone replica's ``ingest``, which *is* the primary — sweeps
+        the replicas (:meth:`_sweep`).
+        """
+        if op == "ingest" and len(self.replicas) > 1:
+            attempt, label = self._ingest_attempt, "router_ingest"
+        else:
+            attempt, label = self._sweep, "router_shard"
+        try:
+            return call_with_retry(
+                lambda: attempt(op, params),
+                policy=self._retry_policy,
+                retry_on=(_SweepFailed,),
+                rng=self._rng,
+                label=f"{label}_{self.shard}",
+            )
+        except (RetriesExhausted, DeadlineExceeded) as exc:
+            self._metrics.registry.counter(
+                "router_shard_down_total", shard=str(self.shard)
+            ).inc()
+            raise ShardDownError(self.shard, len(self.replicas)) from exc
+
     def _sweep(self, op: str, params: dict):
         """One pass over the rotation; transport failures fail over to
         the next sibling."""
@@ -373,47 +486,7 @@ class ShardPool:
             + (f" (last error: {last})" if last else "")
         )
 
-    def request(self, op: str, **params):
-        """Forward one request to a healthy replica, retrying sweeps
-        under the retry policy; raises :class:`ShardDownError` once
-        the policy is exhausted."""
-        try:
-            return call_with_retry(
-                lambda: self._sweep(op, params),
-                policy=self._retry_policy,
-                retry_on=(_SweepFailed,),
-                rng=self._rng,
-                label=f"router_shard_{self.shard}",
-            )
-        except (RetriesExhausted, DeadlineExceeded) as exc:
-            self._metrics.registry.counter(
-                "router_shard_down_total", shard=str(self.shard)
-            ).inc()
-            raise ShardDownError(self.shard, len(self.replicas)) from exc
-
-    # -- primary-routed writes -------------------------------------------
-    def ingest_request(self, **params):
-        """Forward one ingest sub-batch to the shard's primary,
-        promoting a new one when the current primary is dead or
-        demoted.  Single-replica shards take the plain sweep path —
-        the lone replica *is* the primary."""
-        if len(self.replicas) == 1:
-            return self.request("ingest", **params)
-        try:
-            return call_with_retry(
-                lambda: self._ingest_attempt(params),
-                policy=self._retry_policy,
-                retry_on=(_SweepFailed,),
-                rng=self._rng,
-                label=f"router_ingest_{self.shard}",
-            )
-        except (RetriesExhausted, DeadlineExceeded) as exc:
-            self._metrics.registry.counter(
-                "router_shard_down_total", shard=str(self.shard)
-            ).inc()
-            raise ShardDownError(self.shard, len(self.replicas)) from exc
-
-    def _ingest_attempt(self, params: dict):
+    def _ingest_attempt(self, op: str, params: dict):
         """One pass: try the tracked primary; on a transport failure
         or a ``not_primary``/``fenced`` verdict, re-elect and retry
         against the new primary.  Bounded so a shard with no
@@ -426,7 +499,7 @@ class ShardPool:
                     break
                 continue
             try:
-                result = pool.request("ingest", **params)
+                result = pool.request(op, **params)
             except ServiceError as exc:
                 # The replica answered — the connection is healthy.
                 pool.breaker.record_success()
@@ -549,16 +622,20 @@ class RouterEngine:
         :class:`ReplicaPool`); requests beyond the cap wait for a
         free connection instead of opening one that would never be
         served.
+    connect:
+        ``connect(host, port, timeout)`` opens every outbound
+        connection (default: :func:`repro.service.client.connect`);
+        a test seam for in-process transports.
     """
 
     def __init__(
         self,
         spec: ClusterSpec,
         *,
-        metrics: ServiceMetrics | None = None,
         cache_size: int = 4096,
         retry_policy: RetryPolicy | None = None,
         max_connections_per_replica: int = 4,
+        connect=socket_connect,
     ):
         if spec.n is None:
             raise TopologyError(
@@ -567,7 +644,7 @@ class RouterEngine:
             )
         self.spec = spec
         self.n = spec.n
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = ServiceMetrics()
         self._cache = LRUCache(cache_size)
         #: Serializes two-phase ingest fan-outs *per shard*: no
         #: sibling batch may commit between another batch's prepare
@@ -592,13 +669,14 @@ class RouterEngine:
                         breaker_threshold=spec.breaker_threshold,
                         breaker_reset_s=spec.breaker_reset_s,
                         max_connections=max_connections_per_replica,
+                        connect=connect,
                     )
                     for instance in spec.instances_for(shard)
                 ],
                 retry_policy=policy,
                 metrics=self.metrics,
                 seed=spec.seed,
-                acks=getattr(spec, "acks", "quorum"),
+                acks=spec.acks,
             )
             for shard in range(spec.shards)
         ]
@@ -671,63 +749,23 @@ class RouterEngine:
         list is ordered exactly like the input — the same contract as
         :meth:`QueryEngine.query_many`.
         """
+        by_shard, local = plan_batch(requests, self.n, self.spec.owner)
+        forwarded = {
+            shard: [requests[i] for i in indices]
+            for shard, indices in by_shard.items()
+        }
+        self.metrics.batch(len(requests), len({
+            request["node"] for sub in forwarded.values() for request in sub
+        }))
         responses: list[dict | None] = [None] * len(requests)
-        by_shard: dict[int, list[int]] = {}
-        local: list[int] = []
-        unique_nodes: set[int] = set()
-        for index, request in enumerate(requests):
-            shard = self._classify(request)
-            if shard is None:
-                local.append(index)
-            else:
-                by_shard.setdefault(shard, []).append(index)
-                unique_nodes.add(request["node"])
-        self.metrics.batch(len(requests), len(unique_nodes))
-
-        # Fan-out spans run on worker threads; the parent must be the
-        # *dispatching* thread's open span (thread-local stacks).
-        parent_span = get_tracer().current()
-
-        def forward(shard: int, indices: list[int]) -> None:
-            for start in range(0, len(indices), MAX_BATCH_REQUESTS):
-                chunk = indices[start:start + MAX_BATCH_REQUESTS]
-                try:
-                    _check_deadline(deadline)
-                    answers = self._shard_request(
-                        self._shards[shard],
-                        "batch",
-                        parent=parent_span,
-                        requests=[requests[i] for i in chunk],
+        answers = self._fan_out(forwarded, deadline)
+        for shard, indices in by_shard.items():
+            for i, answer in zip(indices, answers[shard]):
+                if isinstance(answer, QueryError):
+                    answer = error_response(
+                        requests[i], answer.kind, str(answer)
                     )
-                    if not isinstance(answers, list) or len(answers) != len(
-                        chunk
-                    ):
-                        raise QueryError(
-                            "internal",
-                            f"shard {shard} answered a {len(chunk)}-request "
-                            "sub-batch with a mismatched response list",
-                        )
-                except QueryError as exc:
-                    for i in chunk:
-                        responses[i] = error_response(
-                            requests[i], exc.kind, str(exc)
-                        )
-                    continue
-                except ServiceError as exc:
-                    for i in chunk:
-                        responses[i] = error_response(
-                            requests[i], exc.type, exc.message
-                        )
-                    continue
-                for i, answer in zip(chunk, answers):
-                    responses[i] = answer
-
-        self._parallel(
-            [
-                (lambda s=shard, ix=indices: forward(s, ix))
-                for shard, indices in by_shard.items()
-            ]
-        )
+                responses[i] = answer
         for index in local:
             request = requests[index]
             try:
@@ -737,17 +775,6 @@ class RouterEngine:
         return responses  # type: ignore[return-value]
 
     # -- dispatch --------------------------------------------------------
-    def _classify(self, request) -> int | None:
-        """Owning shard for direct fan-out, ``None`` for local
-        handling (khop/telemetry/ping, range errors — the local path
-        reproduces the engine's inline errors)."""
-        if request["op"] not in _SINGLE_SHARD_OPS:
-            return None
-        node = request["node"]
-        if not 0 <= node < self.n:
-            return None
-        return self.spec.owner(node)
-
     def _dispatch(
         self,
         op: str,
@@ -768,7 +795,7 @@ class RouterEngine:
         if op == "ingest":
             return self._ingest(request)
         node = request["node"]
-        self._check_node(node)
+        check_node(node, self.n)
         if op == "neighbors":
             return list(self._neighbors(node))
         if op == "degree":
@@ -779,25 +806,11 @@ class RouterEngine:
             )
             return {str(v): d for v, d in sorted(distances.items())}
         if op == "pagerank":
-            result = self._shard_request(
-                self.owner_pool(node), "pagerank", node=node
-            )
-            return self._coerce_service_error(result, float, "pagerank")
+            result = self._call(self.spec.owner(node), "pagerank", node=node)
+            return _expect(result, float, "pagerank")
         raise QueryError("bad_request", f"unhandled op {op!r}")
 
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.n:
-            raise QueryError(
-                "bad_request",
-                f"node {node} out of range [0, {self.n})",
-            )
-
-    def owner_pool(self, node: int) -> ShardPool:
-        return self._shards[self.spec.owner(node)]
-
-    def _shard_request(
-        self, shard_pool: ShardPool, op: str, parent=None, **params
-    ):
+    def _call(self, shard: int, op: str, parent=None, **params):
         """One outbound shard call, wrapped in a ``router:fanout``
         span carrying this router's trace context to the shard.
 
@@ -807,104 +820,94 @@ class RouterEngine:
         and pick up the calling thread's current span.  When tracing
         is off this is a plain forward — no span, no ``trace`` field.
         """
+        pool = self._shards[shard]
         tracer = get_tracer()
         if not tracer.enabled:
-            return shard_pool.request(op, **params)
+            return pool.request(op, **params)
         with tracer.span(
-            "router:fanout", parent=parent, op=op, shard=shard_pool.shard
+            "router:fanout", parent=parent, op=op, shard=shard
         ) as span:
-            return shard_pool.request(
-                op,
-                trace={"id": span.trace_id, "span": span.span_id},
-                **params,
+            return pool.request(
+                op, trace=TraceContext.from_span(span).to_wire(), **params
             )
 
-    def _shard_ingest(self, shard_pool: ShardPool, parent=None, **params):
-        """Like :meth:`_shard_request`, but primary-routed through
-        :meth:`ShardPool.ingest_request` (writes must land on the
-        shard's replication primary, not whichever replica the read
-        sweep would pick)."""
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return shard_pool.ingest_request(**params)
-        with tracer.span(
-            "router:fanout", parent=parent, op="ingest",
-            shard=shard_pool.shard,
-        ) as span:
-            return shard_pool.ingest_request(
-                trace={"id": span.trace_id, "span": span.span_id},
-                **params,
-            )
+    def _fan_out(
+        self, work: dict[int, list[dict]], deadline: float | None
+    ) -> dict[int, list]:
+        """Send each shard its requests as ``batch`` calls of at most
+        :data:`MAX_BATCH_REQUESTS` items, shards in parallel.
 
-    @staticmethod
-    def _coerce_service_error(value, kind, op: str):
-        if not isinstance(value, kind):
-            raise QueryError(
-                "internal",
-                f"shard answered {op!r} with {type(value).__name__}, "
-                f"expected {kind.__name__}",
-            )
-        return value
+        Returns, per shard, one entry per request in order: the
+        shard's response dict, or — for every item of a sub-batch
+        that failed as a whole — the :class:`QueryError` it failed
+        with (a shard's structured rejection converted, a down shard
+        as :class:`ShardDownError`).
+        """
+        parent = get_tracer().current()
+        answers: dict[int, list] = {shard: [] for shard in work}
+
+        def forward(shard: int) -> None:
+            for chunk in chunks(work[shard]):
+                try:
+                    _check_deadline(deadline)
+                    result = self._call(
+                        shard, "batch", parent, requests=chunk
+                    )
+                    if not isinstance(result, list) or len(result) != len(
+                        chunk
+                    ):
+                        raise QueryError(
+                            "internal",
+                            f"shard {shard} answered a {len(chunk)}-request "
+                            "sub-batch with a mismatched response list",
+                        )
+                except ServiceError as exc:
+                    result = [QueryError(exc.type, exc.message)] * len(chunk)
+                except QueryError as exc:
+                    result = [exc] * len(chunk)
+                answers[shard].extend(result)
+
+        _parallel([functools.partial(forward, shard) for shard in work])
+        return answers
 
     # -- ingest ----------------------------------------------------------
     def _ingest(self, request: dict) -> dict:
         """Route one mutation batch to the shards owning its edges.
 
-        Every mutation goes to the owner of *each* endpoint (possibly
-        two shards) so shard artifacts keep their 1-hop-closure
-        invariant and ``neighbors`` answers stay exact.  The fan-out is
-        **two-phase**: a prepare round sends every sub-batch with
-        ``dry_run`` so each involved shard validates it against its own
-        state, and only when all shards accept does the commit round
-        apply — a batch that any shard would reject (say, an insert of
-        an edge that already exists) is refused *before* anything is
-        applied anywhere, so a semantically invalid batch can never
-        leave a shared edge present on one endpoint-owner but absent on
-        the other.  All sub-calls carry the client's ``stream``/``seq``,
-        making the commit round idempotent per shard: a retry after a
-        partial transport failure re-sends everywhere, already-applied
-        shards dedup, and the batch converges to applied-exactly-once.
-
-        Replicated shards take the same path, but every sub-call is
-        **primary-routed** (:meth:`ShardPool.ingest_request`): the
-        primary WAL-ships the sub-batch to its followers before — in
-        ``acks=quorum`` mode — acknowledging, and a mid-batch primary
-        death triggers promotion and a dedup-safe resend.
+        Every mutation goes to the owner of *each* endpoint
+        (:func:`plan_ingest`) so shard artifacts keep their
+        1-hop-closure invariant and ``neighbors`` answers stay exact.
+        The fan-out is **two-phase**: a prepare round sends every
+        sub-batch with ``dry_run`` so each involved shard validates it
+        against its own state, and only when all shards accept does
+        the commit round apply — a batch that any shard would reject
+        (say, an insert of an edge that already exists) is refused
+        *before* anything is applied anywhere, so a semantically
+        invalid batch can never leave a shared edge present on one
+        endpoint-owner but absent on the other.  All sub-calls carry
+        the client's ``stream``/``seq``, making the commit round
+        idempotent per shard: a retry after a partial transport
+        failure re-sends everywhere, already-applied shards dedup, and
+        the batch converges to applied-exactly-once.  On a replicated
+        shard :meth:`ShardPool.request` sends each
+        sub-call to the primary.
         """
-        stream = request["stream"]
-        seq = request["seq"]
         mutations = request["mutations"]
-        per_shard: dict[int, list] = {}
-        for sign, u, v in mutations:
-            for node in (u, v):
-                self._check_node(node)
-            for shard in {self.spec.owner(u), self.spec.owner(v)}:
-                per_shard.setdefault(shard, []).append([sign, u, v])
+        per_shard = plan_ingest(mutations, self.n, self.spec.owner)
+        identity = {"stream": request["stream"], "seq": request["seq"]}
+        parent = get_tracer().current()
 
-        parent_span = get_tracer().current()
-        shard_results: dict[str, dict] = {}
+        def fan_out(**dry_run) -> dict[int, object]:
+            results: dict[int, object] = {}
 
-        def forward(shard: int, subset: list, dry_run: bool) -> None:
-            params = {"stream": stream, "seq": seq, "mutations": subset}
-            if dry_run:
-                params["dry_run"] = True
-            result = self._shard_ingest(
-                self._shards[shard],
-                parent=parent_span,
-                **params,
-            )
-            if not dry_run:
-                shard_results[str(shard)] = self._coerce_service_error(
-                    result, dict, "ingest"
+            def forward(shard: int) -> None:
+                results[shard] = self._call(
+                    shard, "ingest", parent,
+                    **identity, mutations=per_shard[shard], **dry_run,
                 )
 
-        def fan_out(dry_run: bool) -> None:
-            self._parallel(
-                [
-                    (lambda s=shard, ms=subset: forward(s, ms, dry_run))
-                    for shard, subset in per_shard.items()
-                ]
-            )
+            _parallel([functools.partial(forward, s) for s in per_shard])
+            return results
 
         with contextlib.ExitStack() as stack:
             # Ordered per-shard locking: batches over disjoint shard
@@ -926,18 +929,19 @@ class RouterEngine:
             # cache entries are dropped even on that path, and a retry
             # (same stream/seq) converges via per-shard dedup.
             try:
-                fan_out(dry_run=False)
+                results = fan_out()
             finally:
                 for __, u, v in mutations:
                     self._cache.invalidate(u)
                     self._cache.invalidate(v)
+        shard_results = {
+            str(shard): _expect(results[shard], dict, "ingest")
+            for shard in per_shard
+        }
         self.metrics.registry.counter(
             "repro_ingest_applied_total"
         ).inc(len(mutations))
-        return {
-            "applied": len(mutations),
-            "shards": shard_results,
-        }
+        return {"applied": len(mutations), "shards": shard_results}
 
     # -- neighbors + khop ------------------------------------------------
     def _neighbors(self, node: int) -> tuple[int, ...]:
@@ -948,10 +952,8 @@ class RouterEngine:
             self.metrics.cache_hit()
             return cached
         self.metrics.cache_miss()
-        raw = self._shard_request(
-            self.owner_pool(node), "neighbors", node=node
-        )
-        result = tuple(self._coerce_service_error(raw, list, "neighbors"))
+        raw = self._call(self.spec.owner(node), "neighbors", node=node)
+        result = tuple(_expect(raw, list, "neighbors"))
         self._cache.put(node, result)
         return result
 
@@ -973,55 +975,33 @@ class RouterEngine:
             else:
                 self.metrics.cache_miss()
                 need.setdefault(self.spec.owner(u), []).append(u)
-
-        parent_span = get_tracer().current()
-
-        def fetch(shard: int, nodes: list[int]) -> None:
-            for start in range(0, len(nodes), MAX_BATCH_REQUESTS):
-                chunk = nodes[start:start + MAX_BATCH_REQUESTS]
-                try:
-                    answers = self._shard_request(
-                        self._shards[shard],
-                        "batch",
-                        parent=parent_span,
-                        requests=[
-                            {"id": i, "op": "neighbors", "node": u}
-                            for i, u in enumerate(chunk)
-                        ],
-                    )
-                except ShardDownError:
+        answers = self._fan_out(
+            {
+                shard: [
+                    {"id": i, "op": "neighbors", "node": u}
+                    for i, u in enumerate(nodes)
+                ]
+                for shard, nodes in need.items()
+            },
+            None,
+        )
+        for shard, nodes in need.items():
+            for u, answer in zip(nodes, answers[shard]):
+                if isinstance(answer, ShardDownError):
                     if "khop" not in degraded_sink:
                         degraded_sink.append("khop")
-                    for u in chunk:
-                        fetched[u] = ()
+                    fetched[u] = ()
                     continue
-                if not isinstance(answers, list) or len(answers) != len(
-                    chunk
-                ):
+                if isinstance(answer, QueryError):
+                    raise answer
+                if not answer.get("ok"):
                     raise QueryError(
                         "internal",
-                        f"shard {shard} answered a neighbors sub-batch "
-                        "with a mismatched response list",
+                        f"shard {shard} rejected an in-range "
+                        f"neighbors sub-request for node {u}",
                     )
-                for u, answer in zip(chunk, answers):
-                    if not (
-                        isinstance(answer, dict) and answer.get("ok")
-                    ):
-                        raise QueryError(
-                            "internal",
-                            f"shard {shard} rejected an in-range "
-                            f"neighbors sub-request for node {u}",
-                        )
-                    result = tuple(answer["result"])
-                    fetched[u] = result
-                    self._cache.put(u, result)
-
-        self._parallel(
-            [
-                (lambda s=shard, ns=nodes: fetch(s, ns))
-                for shard, nodes in need.items()
-            ]
-        )
+                fetched[u] = tuple(answer["result"])
+                self._cache.put(u, fetched[u])
         return fetched
 
     def _khop(
@@ -1043,45 +1023,52 @@ class RouterEngine:
         for depth in range(1, k + 1):
             _check_deadline(deadline)
             expansions = self._fetch_level(frontier, degraded_sink)
-            next_frontier: list[int] = []
-            for u in frontier:
-                for v in expansions[u]:
-                    if v not in distances:
-                        distances[v] = depth
-                        next_frontier.append(v)
-            if not next_frontier:
+            reached = khop_step(frontier, distances, expansions, depth)
+            if not reached:
                 break
-            frontier = next_frontier
+            distances.update(reached)
+            frontier = list(reached)
         return distances
 
-    # -- plumbing --------------------------------------------------------
-    @staticmethod
-    def _parallel(tasks: list) -> None:
-        """Run thunks concurrently (inline when there is just one);
-        the first raised :class:`QueryError` propagates."""
-        if not tasks:
-            return
-        if len(tasks) == 1:
-            tasks[0]()
-            return
-        errors: list[BaseException] = []
 
-        def run(task) -> None:
-            try:
-                task()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors.append(exc)
+# -- plumbing ------------------------------------------------------------
+def _parallel(tasks: list) -> None:
+    """Run thunks concurrently (inline when there is just one); the
+    first raised exception propagates once every thunk finished."""
+    if len(tasks) <= 1:
+        for task in tasks:
+            task()
+        return
+    errors: list[BaseException] = []
 
-        threads = [
-            threading.Thread(target=run, args=(task,), daemon=True)
-            for task in tasks
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
+    def run(task) -> None:
+        try:
+            task()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=(task,), daemon=True)
+        for task in tasks
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _expect(value, kind, op: str):
+    """A shard's ``op`` result, refused as ``internal`` unless it is a
+    ``kind``."""
+    if not isinstance(value, kind):
+        raise QueryError(
+            "internal",
+            f"shard answered {op!r} with {type(value).__name__}, "
+            f"expected {kind.__name__}",
+        )
+    return value
 
 
 def _check_deadline(deadline: float | None) -> None:

@@ -399,8 +399,9 @@ class ReplicationManager:
     from the WAL, or a checkpoint snapshot across a term change /
     compaction gap).
 
-    ``client_factory(host, port)`` is injectable so in-process tests
-    replicate deterministically without sockets.
+    ``connect(host, port, timeout)`` opens each follower connection
+    (default :func:`repro.service.client.connect`); in-process tests
+    pass their own transport.
     """
 
     def __init__(
@@ -410,7 +411,7 @@ class ReplicationManager:
         *,
         acks: str = "quorum",
         wal=None,
-        client_factory=None,
+        connect=None,
         registry: MetricsRegistry | None = None,
     ):
         if acks not in ACKS_MODES:
@@ -421,7 +422,9 @@ class ReplicationManager:
         self._engine = engine
         self._wal = wal
         self.acks = acks
-        self._client_factory = client_factory or self._connect
+        if connect is None:
+            from repro.service.client import connect
+        self.connect = connect
         self._registry = (
             registry if registry is not None else get_registry()
         )
@@ -464,11 +467,6 @@ class ReplicationManager:
     @property
     def stopped(self) -> bool:
         return self._stop.is_set()
-
-    def _connect(self, host: str, port: int):
-        from repro.service.client import SummaryServiceClient
-
-        return SummaryServiceClient(host, port, timeout=FOLLOWER_TIMEOUT_S)
 
     def _drop_client(self, link: ReplicaLink) -> None:
         client, link.client = link.client, None
@@ -599,7 +597,9 @@ class ReplicationManager:
 
         try:
             if link.client is None:
-                link.client = self._client_factory(link.host, link.port)
+                link.client = self.connect(
+                    link.host, link.port, FOLLOWER_TIMEOUT_S
+                )
             response = link.client.request(
                 "replicate", term=self._engine.term, **payload
             )

@@ -433,22 +433,6 @@ class WriteAheadLog:
             )
         )
 
-    def append_resummarize(
-        self,
-        targets,
-        *,
-        max_merges: int | None = None,
-        lsn: int | None = None,
-    ) -> int:
-        """Append one committed maintenance pass; returns its LSN."""
-        return self.append_record(
-            ResummarizeRecord(
-                lsn=lsn,
-                targets=tuple(int(t) for t in targets),
-                max_merges=max_merges,
-            )
-        )
-
     def append_record(self, record) -> int:
         """Append one record of any kind; returns its LSN.
 

@@ -217,16 +217,6 @@ class DynamicGraphSummary:
     # ------------------------------------------------------------------
     # Update API
     # ------------------------------------------------------------------
-    def add_node(self) -> int:
-        """Append an isolated node; returns its id."""
-        rep = self._rep
-        node = rep.n
-        rep.n += 1
-        sid = max(rep.supernodes, default=-1) + 1
-        rep.supernodes[sid] = [node]
-        rep.node_to_supernode[node] = sid
-        return node
-
     def insert_edge(self, u: int, v: int) -> None:
         """Insert edge ``(u, v)``; raises if it already exists."""
         self._check_pair(u, v)

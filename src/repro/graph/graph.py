@@ -183,16 +183,3 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self._m}, d_avg={self.avg_degree:.2f})"
-
-    @classmethod
-    def from_edge_list(cls, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from edges alone; ``n`` is ``max id + 1``.
-
-        Raises :class:`GraphError` on self-loops or duplicates, same as
-        the constructor.
-        """
-        edge_list = list(edges)
-        if not edge_list:
-            return cls(0, [])
-        n = max(max(u, v) for u, v in edge_list) + 1
-        return cls(n, edge_list)

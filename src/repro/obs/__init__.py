@@ -20,9 +20,7 @@ The observability layer the rest of the package reports into:
   per-instance span files into one request tree and per-instance
   registry snapshots into one labelled registry;
 * :mod:`repro.obs.slo` — declarative availability/latency objectives
-  with error-budget burn, evaluated against merged telemetry;
-* :mod:`repro.obs.profiled` — span-per-call decorator for entry
-  points.
+  with error-budget burn, evaluated against merged telemetry.
 
 Everything is stdlib-only.  Importing this package does **not** turn
 tracing on — install a tracer with :func:`start_tracing` /
@@ -61,7 +59,6 @@ from repro.obs.metrics import (
     series_value,
     worst_p99,
 )
-from repro.obs.profiled import profiled
 from repro.obs.schema import (
     SCHEMA_VERSION,
     validate_record,
@@ -144,6 +141,4 @@ __all__ = [
     "evaluate_slos",
     "load_slo_config",
     "format_slo_report",
-    # decorator
-    "profiled",
 ]

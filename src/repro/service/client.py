@@ -49,7 +49,7 @@ from repro.service.protocol import (
     validate_response,
 )
 
-__all__ = ["SummaryServiceClient", "ServiceError"]
+__all__ = ["SummaryServiceClient", "ServiceError", "connect"]
 
 
 class ServiceError(RuntimeError):
@@ -161,6 +161,9 @@ class SummaryServiceClient:
         self._sock = socket.create_connection(
             (self._host, self._port), timeout=self._timeout
         )
+        # Pipelined requests must not wait on Nagle for the peer's
+        # delayed ACK.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = LineReader(
             self._sock, max_line_bytes=self._max_line_bytes
         )
@@ -385,3 +388,14 @@ class SummaryServiceClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def connect(host: str, port: int, timeout: float) -> SummaryServiceClient:
+    """The default outbound transport of the router's replica pools
+    and the replication shipper: a socket client to ``host:port``.
+
+    Anything with the same signature that returns an object with
+    ``request(op, **params)``, ``usable`` and ``close()`` can stand in
+    (``RouterEngine(connect=)``, ``configure_replication(connect=)``).
+    """
+    return SummaryServiceClient(host, port, timeout=timeout)

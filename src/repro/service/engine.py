@@ -193,9 +193,10 @@ class QueryEngine:
         return self.summary.representation
 
     @property
-    def epoch(self) -> int:
-        """Read-consistency epoch; constant on a read-only engine."""
-        return 0
+    def epoch(self) -> int | None:
+        """Read-consistency epoch; ``None`` on a read-only engine,
+        whose responses carry none."""
+        return None
 
     @property
     def cache_len(self) -> int:

@@ -72,7 +72,28 @@ from repro.durability.wal import ResummarizeRecord, TermRecord, WalRecord
 from repro.dynamic.summary import DynamicGraphSummary
 from repro.service.engine import OPS, QueryEngine, QueryError
 
-__all__ = ["MutableQueryEngine"]
+__all__ = ["MutableQueryEngine", "parse_mutations"]
+
+
+def parse_mutations(mutations, n: int) -> list:
+    """A schema-checked batch as ``(sign, u, v)`` tuples, refusing
+    endpoints outside ``[0, n)`` and self-loops, in batch order (the
+    router checks a batch with it before splitting it, so both answer
+    with the same error)."""
+    parsed = []
+    for index, (sign, u, v) in enumerate(mutations):
+        for node in (u, v):
+            if not 0 <= node < n:
+                raise QueryError(
+                    "bad_request",
+                    f"mutation #{index}: node {node} out of range [0, {n})",
+                )
+        if u == v:
+            raise QueryError(
+                "bad_request", f"mutation #{index} is a self-loop ({u}, {v})"
+            )
+        parsed.append((sign, u, v))
+    return parsed
 
 
 def _stop(replicator) -> None:
@@ -145,9 +166,9 @@ class MutableQueryEngine(QueryEngine):
         #: restore drops it.
         self._rep_snapshot = None
         self._replicator = None
-        #: Acks mode and follower-client factory a primary ships with.
+        #: Acks mode and follower ``connect`` a primary ships with.
         self.acks = "quorum"
-        self.client_factory = None
+        self.connect = None
         self._checkpoint_store = None
 
     @property
@@ -247,7 +268,7 @@ class MutableQueryEngine(QueryEngine):
                     f"replica is a follower (term {self.term}); "
                     "ingest goes to the shard's primary",
                 )
-            parsed = self._parse_batch(mutations)
+            parsed = parse_mutations(mutations, self.state.dynamic.n)
             with self._state_lock:
                 result = None
                 last = self.state.dedup.get(stream)
@@ -318,7 +339,7 @@ class MutableQueryEngine(QueryEngine):
         role: str = "primary",
         followers=(),
         acks: str = "quorum",
-        client_factory=None,
+        connect=None,
         store=None,
     ) -> None:
         """Wire this engine into a replicated shard.
@@ -327,8 +348,9 @@ class MutableQueryEngine(QueryEngine):
         role moves with promotions and fencing.  ``followers`` is the
         primary's list of ``(host, port)`` sibling replicas.  ``store``
         is the local checkpoint store — required for crash-safe
-        snapshot installs on a durable follower.  ``client_factory``
-        is injectable so tests replicate in-process without sockets.
+        snapshot installs on a durable follower.  ``connect`` opens
+        the shipper's follower connections (``None``: sockets; see
+        :class:`~repro.durability.replication.ReplicationManager`).
         """
         if role not in REPLICATION_ROLES:
             raise ValueError(
@@ -337,7 +359,7 @@ class MutableQueryEngine(QueryEngine):
             )
         self._checkpoint_store = store
         self.acks = acks
-        self.client_factory = client_factory
+        self.connect = connect
         with self._state_lock:
             retired = self._transition(role, followers=followers, count=False)
             if role == "primary" and self.term == 0:
@@ -365,7 +387,7 @@ class MutableQueryEngine(QueryEngine):
                     [(host, int(port)) for host, port in followers],
                     acks=self.acks,
                     wal=self._wal,
-                    client_factory=self.client_factory,
+                    connect=self.connect,
                     registry=self.metrics.registry,
                 ).start()
             if count:
@@ -671,27 +693,6 @@ class MutableQueryEngine(QueryEngine):
         if self._max_inflight > 0:
             with self._inflight_lock:
                 self._inflight -= 1
-
-    def _parse_batch(self, mutations) -> list:
-        """The batch as ``(sign, u, v)`` tuples, refusing endpoints
-        outside ``[0, n)`` and self-loops."""
-        n = self.state.dynamic.n
-        parsed = []
-        for index, (sign, u, v) in enumerate(mutations):
-            for node in (u, v):
-                if not 0 <= node < n:
-                    raise QueryError(
-                        "bad_request",
-                        f"mutation #{index}: node {node} out of range "
-                        f"[0, {n})",
-                    )
-            if u == v:
-                raise QueryError(
-                    "bad_request",
-                    f"mutation #{index} is a self-loop ({u}, {v})",
-                )
-            parsed.append((sign, u, v))
-        return parsed
 
     def _dry_run(self, parsed: list) -> None:
         """Check the whole batch applies cleanly against the live

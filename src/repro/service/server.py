@@ -52,6 +52,7 @@ import threading
 import time
 
 from repro.service.engine import QueryEngine, QueryError
+from repro.obs.context import TraceContext
 from repro.obs.tracer import get_tracer
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import active_injector
@@ -311,6 +312,9 @@ class SummaryQueryServer:
                 self._close_connection(conn)
 
     def _serve_connection(self, conn: socket.socket, peer) -> None:
+        # Each response is its own send: without this, Nagle holds a
+        # pipelined client's second answer until its delayed ACK.
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.settimeout(_POLL_INTERVAL)
         reader = LineReader(conn)
         last_activity = time.monotonic()
@@ -366,8 +370,6 @@ class SummaryQueryServer:
         context = None
         wire_trace = request.get("trace")
         if wire_trace is not None:
-            from repro.obs.context import TraceContext
-
             context = TraceContext.from_wire(wire_trace)
         with tracer.span(
             "service:request", context=context, op=request.get("op")
@@ -375,9 +377,7 @@ class SummaryQueryServer:
             response, stop_after = self._handle_request(request)
             span.set(ok=bool(response.get("ok")))
             if wire_trace is not None and isinstance(response, dict):
-                response["trace"] = {
-                    "id": span.trace_id, "span": span.span_id,
-                }
+                response["trace"] = TraceContext.from_span(span).to_wire()
             return response, stop_after
 
     def _handle_request(self, request: dict) -> tuple[dict, bool]:

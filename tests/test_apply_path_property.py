@@ -40,7 +40,7 @@ from repro.dynamic.summary import DynamicGraphSummary
 from repro.graph import generators
 from repro.resilience.checkpoint import CheckpointStore
 from repro.service.ingest import MutableQueryEngine
-from tests.test_replication import _DirectClient
+from tests.inprocess import InProcessNetwork
 
 _N = 40
 _BASE = (
@@ -122,7 +122,7 @@ def _replicate(records, frame_sizes) -> MutableQueryEngine:
     ``replicate`` op, each frame at the term its sender held."""
     follower = _engine()
     follower.configure_replication(role="follower")
-    client = _DirectClient(follower)
+    client = InProcessNetwork({"f": follower})("f", 1)
     term = 1
     start = 0
     sizes = iter(frame_sizes)

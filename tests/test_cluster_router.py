@@ -9,12 +9,22 @@ import pytest
 
 from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.cluster.manager import start_local_cluster
-from repro.cluster.router import BREAKER_STATES, RouterEngine, ShardDownError
+from repro.cluster.router import (
+    BREAKER_STATES,
+    RouterEngine,
+    ShardDownError,
+    chunks,
+    khop_step,
+    plan_batch,
+    plan_ingest,
+)
 from repro.cluster.sharder import shard_graph
 from repro.cluster.topology import TopologyError, default_spec, shard_for_node
 from repro.graph.generators import planted_partition
 from repro.obs.metrics import counter_total, series_value
 from repro.resilience.retry import RetryPolicy
+from repro.service.engine import QueryError
+from repro.service.protocol import MAX_BATCH_REQUESTS
 from repro.service import (
     QueryEngine,
     ServiceError,
@@ -88,6 +98,87 @@ def router_client(cluster):
     host, port = cluster.router_address
     with SummaryServiceClient(host, port, timeout=30.0) as client:
         yield client
+
+
+class TestRoutingPlan:
+    """The pure routing decisions, on a hand-made owner table: nodes
+    0-1 live on shard 0, nodes 2-3 on shard 1."""
+
+    N = 4
+    OWNER = staticmethod({0: 0, 1: 0, 2: 1, 3: 1}.__getitem__)
+
+    @pytest.mark.parametrize("mutations, expected", [
+        # An edge inside one shard goes to its one owner.
+        ([["+", 0, 1]], {0: [["+", 0, 1]]}),
+        # A cut edge goes to both endpoint owners.
+        ([["-", 1, 2]], {0: [["-", 1, 2]], 1: [["-", 1, 2]]}),
+        # Each owner keeps its mutations in batch order.
+        (
+            [["+", 2, 3], ["+", 0, 3], ["-", 0, 1]],
+            {1: [["+", 2, 3], ["+", 0, 3]], 0: [["+", 0, 3], ["-", 0, 1]]},
+        ),
+    ])
+    def test_ingest_split(self, mutations, expected):
+        assert plan_ingest(mutations, self.N, self.OWNER) == expected
+
+    @pytest.mark.parametrize("mutations, message", [
+        ([["+", 0, 4]], "mutation #0: node 4 out of range [0, 4)"),
+        ([["+", -1, 2]], "mutation #0: node -1 out of range [0, 4)"),
+        (
+            [["+", 0, 1], ["+", 5, 1]],
+            "mutation #1: node 5 out of range [0, 4)",
+        ),
+        # The first bad mutation decides, as on one engine.
+        (
+            [["+", 0, 1], ["+", 3, 3], ["+", 9, 1]],
+            "mutation #1 is a self-loop (3, 3)",
+        ),
+    ])
+    def test_ingest_refuses_what_one_engine_refuses(self, mutations, message):
+        with pytest.raises(QueryError) as info:
+            plan_ingest(mutations, self.N, self.OWNER)
+        assert (info.value.kind, str(info.value)) == ("bad_request", message)
+
+    def test_batch_split_keeps_local_and_out_of_range_items_local(self):
+        requests = [
+            {"op": "neighbors", "node": 0},   # 0 -> shard 0
+            {"op": "khop", "node": 2, "k": 1},  # BFS runs at the router
+            {"op": "ping"},
+            {"op": "degree", "node": 4},      # out of range
+            {"op": "degree", "node": -1},     # out of range
+            {"op": "pagerank", "node": 3},    # 5 -> shard 1
+            {"op": "telemetry"},
+            {"op": "degree", "node": 1},      # 7 -> shard 0
+        ]
+        by_shard, local = plan_batch(requests, self.N, self.OWNER)
+        assert by_shard == {0: [0, 7], 1: [5]}
+        assert local == [1, 2, 3, 4, 6]
+
+    @pytest.mark.parametrize("size, expected", [
+        (0, []),
+        (1, [1]),
+        (MAX_BATCH_REQUESTS, [MAX_BATCH_REQUESTS]),
+        (MAX_BATCH_REQUESTS + 1, [MAX_BATCH_REQUESTS, 1]),
+    ])
+    def test_chunks_fit_the_wire_cap(self, size, expected):
+        items = list(range(size))
+        pieces = chunks(items)
+        assert [len(piece) for piece in pieces] == expected
+        assert [i for piece in pieces for i in piece] == items
+
+    def test_khop_step(self):
+        """Path 0-1-2-3 plus chord 1-3: from {0}, level 1 reaches 1;
+        level 2 reaches 2 and 3 once each, in expansion order, and
+        never re-reaches a node already at a smaller distance."""
+        expansions = {0: (1,), 1: (0, 3, 2), 2: (1, 3), 3: (1, 2)}
+        distances = {0: 0}
+        assert khop_step([0], distances, expansions, 1) == {1: 1}
+        distances[1] = 1
+        reached = khop_step([1], distances, expansions, 2)
+        assert reached == {3: 2, 2: 2}
+        assert list(reached) == [3, 2]
+        distances.update(reached)
+        assert khop_step([3, 2], distances, expansions, 3) == {}
 
 
 class TestBitIdentity:
@@ -575,7 +666,8 @@ class TestPerShardIngestLocks:
             self.max_active = 0
             self._lock = threading.Lock()
 
-        def ingest_request(self, **params):
+        def request(self, op, **params):
+            assert op == "ingest"
             with self._lock:
                 self.active += 1
                 self.max_active = max(self.max_active, self.active)

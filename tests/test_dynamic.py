@@ -93,21 +93,6 @@ class TestEdgeUpdates:
             dyn.insert_edge(0, 99)
 
 
-class TestAddNode:
-    def test_new_node_is_isolated(self, triangle):
-        dyn = _dynamic(triangle)
-        node = dyn.add_node()
-        assert node == 3
-        assert dyn.neighbors(node) == set()
-
-    def test_new_node_can_gain_edges(self, triangle):
-        dyn = _dynamic(triangle)
-        node = dyn.add_node()
-        dyn.insert_edge(node, 0)
-        assert dyn.neighbors(node) == {0}
-        verify_lossless(dyn.to_graph(), dyn.to_representation())
-
-
 class TestExactness:
     def test_random_update_sequence_stays_exact(self, community_graph):
         """The core contract: after any update sequence, the overlay

@@ -44,14 +44,6 @@ class TestConstruction:
         with pytest.raises(GraphError, match="out of range"):
             Graph(3, [(0, 3)])
 
-    def test_from_edge_list_infers_n(self):
-        g = Graph.from_edge_list([(0, 5), (2, 3)])
-        assert g.n == 6
-        assert g.m == 2
-
-    def test_from_edge_list_empty(self):
-        g = Graph.from_edge_list([])
-        assert g.n == 0
 
 
 class TestAccessors:

@@ -327,8 +327,12 @@ class TestResummarizeDurability:
         with tempfile.TemporaryDirectory() as tmp:
             wal = WriteAheadLog(tmp, fsync="never")
             wal.append("s", 0, [("+", 1, 2)])
-            lsn = wal.append_resummarize((7, 3, 9), max_merges=10)
-            wal.append_resummarize((4,))
+            lsn = wal.append_record(ResummarizeRecord(
+                lsn=None, targets=(7, 3, 9), max_merges=10
+            ))
+            wal.append_record(
+                ResummarizeRecord(lsn=None, targets=(4,), max_merges=None)
+            )
             wal.close()
             wal = WriteAheadLog(tmp, fsync="never")
             records = list(wal.records(after_lsn=0))

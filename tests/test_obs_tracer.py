@@ -147,42 +147,6 @@ class TestGlobalTracer:
         assert len(null) == 0
 
 
-class TestProfiledDecorator:
-    def test_disabled_calls_through(self):
-        calls = []
-
-        @obs.profiled
-        def fn(x):
-            calls.append(x)
-            return x * 2
-
-        assert fn(3) == 6
-        assert calls == [3]
-
-    def test_enabled_opens_span(self):
-        @obs.profiled
-        def fn(x):
-            return x + 1
-
-        tracer = obs.Tracer()
-        with obs.use_tracer(tracer):
-            assert fn(1) == 2
-        (record,) = tracer.records()
-        assert record["name"].endswith("fn")
-
-    def test_parameterised_name_and_attrs(self):
-        @obs.profiled("encode", stage="output")
-        def fn():
-            return "ok"
-
-        tracer = obs.Tracer()
-        with obs.use_tracer(tracer):
-            fn()
-        (record,) = tracer.records()
-        assert record["name"] == "encode"
-        assert record["attrs"]["stage"] == "output"
-
-
 class TestExport:
     def test_jsonl_round_trip_and_schema(self, tmp_path):
         tracer = obs.Tracer()

@@ -1,7 +1,8 @@
 """Primary/follower WAL shipping: determinism, fencing, catch-up.
 
-Engine-level suite — replication runs over an injected in-process
-client (no sockets), so every test is deterministic: a quorum-acked
+Engine-level suite — replication runs over the in-process transport
+of ``tests/inprocess.py`` (the real codec and schema check, no
+sockets), so every test is deterministic: a quorum-acked
 ingest returns only after the follower holds and applied the batch,
 and the two engines can be compared byte-for-byte at every step.
 The socket path is covered by ``tests/test_cluster_ingest.py``
@@ -33,10 +34,10 @@ from repro.dynamic.summary import DynamicGraphSummary
 from repro.graph import generators
 from repro.resilience import CheckpointStore
 from repro.resilience.retry import RetryPolicy
-from repro.service.client import ServiceError
 from repro.service.engine import QueryError
 from repro.service.ingest import MutableQueryEngine
 from repro.service.metrics import ServiceMetrics
+from tests.inprocess import InProcessNetwork
 
 
 @pytest.fixture(scope="module")
@@ -45,25 +46,6 @@ def base_rep():
     return MagsDMSummarizer(iterations=8, seed=1).summarize(
         graph
     ).representation
-
-
-class _DirectClient:
-    """Stand-in for ``SummaryServiceClient`` wired straight into a
-    follower engine's wire dispatch — what the primary's
-    ``client_factory`` returns."""
-
-    def __init__(self, engine):
-        self._engine = engine
-        self.closed = False
-
-    def request(self, op, **params):
-        try:
-            return self._engine.query({"op": op, **params})["result"]
-        except QueryError as exc:
-            raise ServiceError({"type": exc.kind, "message": str(exc)})
-
-    def close(self):
-        self.closed = True
 
 
 def _make_engine(base_rep, wal_dir=None):
@@ -80,17 +62,15 @@ def _make_engine(base_rep, wal_dir=None):
 
 def _pair(primary_engine, follower_engine, *, acks="quorum",
           follower_store=None):
-    """Wire ``primary -> follower`` over a direct client."""
+    """Wire ``primary -> follower`` in process: the primary is host
+    ``a`` and the follower host ``b`` on one network, so a promoted
+    ``b`` reaches ``a`` as its follower."""
+    network = InProcessNetwork({"a": primary_engine, "b": follower_engine})
     follower_engine.configure_replication(
-        role="follower",
-        client_factory=lambda host, port: _DirectClient(primary_engine),
-        store=follower_store,
+        role="follower", connect=network, store=follower_store,
     )
     primary_engine.configure_replication(
-        role="primary",
-        followers=[("follower", 0)],
-        acks=acks,
-        client_factory=lambda host, port: _DirectClient(follower_engine),
+        role="primary", followers=[("b", 1)], acks=acks, connect=network,
     )
 
 
@@ -245,14 +225,11 @@ class TestFencingAndPromotion:
         assert status["role"] == "primary"
         assert status["term"] == 2
         assert b.role == "primary"
-        # Wire B's shipper to the revived A and write through B: the
+        # Write through B, whose shipper reaches the revived A: the
         # quorum publish drives A's catch-up inline.  A's log has the
         # same prefix but was written under term 1 and extends past
         # B's cursor, so the term change forces a snapshot install —
         # the old primary cannot be incrementally appended over.
-        b._replicator._client_factory = lambda host, port: (
-            _DirectClient(a)
-        )
         u, v = pairs[3]
         b.ingest("s", 3, [["+", u, v]])
         assert a.role == "follower"
@@ -277,9 +254,6 @@ class TestFencingAndPromotion:
         u, v = pairs[2]
         a.ingest("s", 2, [["+", u, v]])  # never shipped: lsn 4 on A
         b.apply_replicated(2, promote=True, followers=[["a", 0]])
-        b._replicator._client_factory = lambda host, port: (
-            _DirectClient(a)
-        )
         u, v = pairs[3]
         b.ingest("t", 0, [["+", u, v]])
         assert a.role == "follower"
@@ -305,9 +279,6 @@ class TestFencingAndPromotion:
         a_store.save(a.snapshot_state(), step=a.applied_lsn)
         divergent_step = a.applied_lsn
         b.apply_replicated(2, promote=True, followers=[["a", 0]])
-        b._replicator._client_factory = lambda host, port: (
-            _DirectClient(a)
-        )
         u, v = pairs[5]
         b.ingest("t", 0, [["+", u, v]])
         b.stop_replication()
@@ -524,7 +495,7 @@ class TestCatchUp:
             role="primary",
             followers=[("f", 0)],
             acks="quorum",
-            client_factory=lambda host, port: _DirectClient(revived),
+            connect=InProcessNetwork({"f": revived}),
         )
         for seq, (u, v) in enumerate(pairs[3:], start=3):
             primary.ingest("s", seq, [["+", u, v]])
@@ -559,7 +530,7 @@ class TestCatchUp:
             role="primary",
             followers=[("f", 0)],
             acks="quorum",
-            client_factory=lambda host, port: _DirectClient(follower),
+            connect=InProcessNetwork({"f": follower}),
         )
         u, v = _free_pairs(base_rep, 6)[5]
         primary.ingest("s", 5, [["+", u, v]])
@@ -630,39 +601,6 @@ class TestDeterminismProperty:
             primary.stop_replication()
 
 
-class _Network:
-    """In-process replica addresses: ``client(host, port)`` reaches the
-    engine registered under ``host`` through its wire dispatch, and
-    refuses the connection while ``host`` is in :attr:`down`."""
-
-    def __init__(self, engines):
-        self.engines = engines
-        self.down: set[str] = set()
-
-    def client(self, host, port):
-        if host in self.down:
-            raise ConnectionRefusedError(f"{host} is unreachable")
-        return _DirectClient(self.engines[host])
-
-
-class _InProcessPool(ReplicaPool):
-    """A router-side replica pool whose requests cross a
-    :class:`_Network` instead of a socket."""
-
-    def __init__(self, network, host, replica):
-        super().__init__(
-            InstanceSpec(shard=0, replica=replica, host=host, port=0),
-            breaker_threshold=2,
-            breaker_reset_s=5.0,
-        )
-        self._network = network
-
-    def request(self, op, **params):
-        return self._network.client(self.instance.host, 0).request(
-            op, **params
-        )
-
-
 class TestElectionFromMinorityView:
     def test_lagging_replica_alone_is_not_promoted(self, base_rep):
         """Three replicas, ``acks=quorum``: ``a`` acks W with ``b``
@@ -672,21 +610,27 @@ class TestElectionFromMinorityView:
         holds W) is promoted and W survives on every replica."""
         engines = {name: _make_engine(base_rep)[0] for name in "abc"}
         a, b, c = engines["a"], engines["b"], engines["c"]
-        network = _Network(engines)
+        network = InProcessNetwork(engines)
         network.down = {"c"}
         for follower in (b, c):
-            follower.configure_replication(
-                role="follower", client_factory=network.client
-            )
+            follower.configure_replication(role="follower", connect=network)
         a.configure_replication(
             role="primary",
-            followers=[("b", 0), ("c", 0)],
+            followers=[("b", 2), ("c", 3)],
             acks="quorum",
-            client_factory=network.client,
+            connect=network,
         )
         shard = ShardPool(
             0,
-            [_InProcessPool(network, name, i) for i, name in enumerate("abc")],
+            [
+                ReplicaPool(
+                    InstanceSpec(shard=0, replica=i, host=name, port=i + 1),
+                    breaker_threshold=2,
+                    breaker_reset_s=5.0,
+                    connect=network,
+                )
+                for i, name in enumerate("abc")
+            ],
             retry_policy=RetryPolicy(max_attempts=1),
             metrics=ServiceMetrics(),
         )
@@ -703,8 +647,8 @@ class TestElectionFromMinorityView:
             assert shard.ensure_primary() is True
             assert shard.primary == 1
             assert (b.role, b.term) == ("primary", 2)
-            shard.ingest_request(
-                stream="t", seq=0, mutations=[["+", x, y]]
+            shard.request(
+                "ingest", stream="t", seq=0, mutations=[["+", x, y]]
             )
             network.down = set()
             deadline = time.monotonic() + 10.0

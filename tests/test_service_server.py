@@ -21,6 +21,7 @@ from repro.service import (
 from repro.service.engine import LRUCache
 from repro.service.protocol import (
     MAX_LINE_BYTES,
+    LineReader,
     ProtocolError,
     decode_line,
     encode_message,
@@ -193,6 +194,32 @@ class TestConcurrency:
         for _ in range(12):
             with SummaryServiceClient(host, port) as cli:
                 assert cli.ping() == "pong"
+
+
+class TestPipelining:
+    def test_pipelined_requests_do_not_wait_for_delayed_acks(
+        self, server, rep
+    ):
+        """64 ``neighbors`` requests in one send: every answer must be
+        back well inside one delayed-ACK period (40 ms on Linux).
+        Each response is its own send, so without ``TCP_NODELAY`` on
+        the accepted socket Nagle holds the second answer of a round
+        until the client's delayed ACK (~44 ms per round on
+        loopback)."""
+        payload = b"".join(
+            encode_message({"id": i, "op": "neighbors", "node": i % rep.n})
+            for i in range(64)
+        )
+        rounds = []
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            reader = LineReader(sock)
+            for _ in range(5):
+                started = time.perf_counter()
+                sock.sendall(payload)
+                for i in range(64):
+                    assert decode_line(reader.readline())["id"] == i
+                rounds.append(time.perf_counter() - started)
+        assert sorted(rounds)[len(rounds) // 2] < 0.02, rounds
 
 
 class TestShutdown:
