@@ -342,11 +342,11 @@ class LocalCluster:
         return self.router_server.address
 
     def kill_instance(self, label: str) -> None:
-        """Stop one replica's whole node: server, replication shipper
-        and background threads (clients see resets/refusals).  Unlike
-        a SIGKILL, its shutdown hooks still run, e.g. a final WAL
-        compaction into its own directory."""
-        self.nodes[label].stop()
+        """Kill one replica's whole node as a SIGKILL would: server,
+        replication shipper and background threads stop (clients see
+        resets/refusals), and its WAL directory keeps exactly what its
+        acknowledged writes left there (:meth:`Node.kill`)."""
+        self.nodes[label].kill()
 
     def close(self) -> None:
         self.router_server.close()

@@ -48,7 +48,8 @@ Plan and executor
 The routing decisions are pure module functions over plain values —
 :func:`plan_batch` (which requests go to which shard, which are
 answered locally), :func:`plan_ingest` (each mutation to the owner of
-each endpoint), :func:`chunks` (wire-sized sub-batches) and
+each endpoint), :func:`first_refusal` (which shard's refusal of an
+ingest the client sees), :func:`chunks` (wire-sized sub-batches) and
 :func:`khop_step` (one BFS level).  :class:`RouterEngine` only carries
 out what they return: locks, threads, retries, spans and metrics.
 Every outbound connection is made by one ``connect(host, port,
@@ -83,6 +84,7 @@ import contextlib
 import functools
 import logging
 import random
+import re
 import threading
 import time
 from typing import Callable
@@ -116,6 +118,7 @@ __all__ = [
     "ShardPool",
     "check_node",
     "chunks",
+    "first_refusal",
     "khop_step",
     "plan_batch",
     "plan_ingest",
@@ -177,17 +180,52 @@ def plan_batch(
 
 def plan_ingest(
     mutations: list, n: int, owner: Callable[[int], int]
-) -> dict[int, list[list]]:
-    """Each ``[sign, u, v]`` mutation, in order, under the owner of
+) -> dict[int, list[int]]:
+    """The batch indices of the ``[sign, u, v]`` mutations each shard
+    applies, in batch order: every mutation goes to the owner of
     ``u`` and the owner of ``v`` (once when they are the same shard),
     so every shard keeps the 1-hop closure of its owned nodes.
     Refuses the whole batch as one engine would
     (:func:`~repro.service.ingest.parse_mutations`)."""
-    per_shard: dict[int, list[list]] = {}
-    for sign, u, v in parse_mutations(mutations, n):
+    per_shard: dict[int, list[int]] = {}
+    for index, (__, u, v) in enumerate(parse_mutations(mutations, n)):
         for shard in sorted({owner(u), owner(v)}):
-            per_shard.setdefault(shard, []).append([sign, u, v])
+            per_shard.setdefault(shard, []).append(index)
     return per_shard
+
+
+#: How an engine names the first mutation of a batch it refuses.
+_REFUSAL = re.compile(r"mutation #(\d+): ")
+
+
+def first_refusal(
+    errors: dict[int, Exception], plan: dict[int, list[int]]
+) -> Exception:
+    """The one error an ingest fan-out that failed with ``errors``
+    (shard -> what its sub-batch raised) answers with, given the
+    :func:`plan_ingest` ``plan`` that split the batch.
+
+    A shard refusing its sub-batch names the mutation by its index
+    there; mapped back through ``plan``, the lowest batch index wins,
+    and the refusal is relayed under it.  That is one engine's answer:
+    both owners of an edge see the same earlier toggles of it, so the
+    batch's first inapplicable mutation is some shard's first.  With
+    no refusal, the error of the lowest shard is relayed.
+    """
+    refusals = []
+    for shard, exc in errors.items():
+        match = (
+            _REFUSAL.match(exc.message)
+            if isinstance(exc, ServiceError) and exc.type == "bad_request"
+            else None
+        )
+        if match:
+            index = plan[shard][int(match.group(1))]
+            refusals.append((index, exc.message[match.end():]))
+    if refusals:
+        index, reason = min(refusals)
+        return QueryError("bad_request", f"mutation #{index}: {reason}")
+    return errors[min(errors)]
 
 
 def chunks(items: list) -> list[list]:
@@ -893,26 +931,33 @@ class RouterEngine:
         sub-call to the primary.
         """
         mutations = request["mutations"]
-        per_shard = plan_ingest(mutations, self.n, self.spec.owner)
+        plan = plan_ingest(mutations, self.n, self.spec.owner)
         identity = {"stream": request["stream"], "seq": request["seq"]}
         parent = get_tracer().current()
 
         def fan_out(**dry_run) -> dict[int, object]:
             results: dict[int, object] = {}
+            errors: dict[int, Exception] = {}
 
             def forward(shard: int) -> None:
-                results[shard] = self._call(
-                    shard, "ingest", parent,
-                    **identity, mutations=per_shard[shard], **dry_run,
-                )
+                try:
+                    results[shard] = self._call(
+                        shard, "ingest", parent, **identity,
+                        mutations=[mutations[i] for i in plan[shard]],
+                        **dry_run,
+                    )
+                except (ServiceError, QueryError) as exc:
+                    errors[shard] = exc
 
-            _parallel([functools.partial(forward, s) for s in per_shard])
+            _parallel([functools.partial(forward, s) for s in plan])
+            if errors:
+                raise first_refusal(errors, plan)
             return results
 
         with contextlib.ExitStack() as stack:
             # Ordered per-shard locking: batches over disjoint shard
             # sets overlap freely; batches sharing a shard serialize.
-            for shard in sorted(per_shard):
+            for shard in sorted(plan):
                 stack.enter_context(self._ingest_locks[shard])
             # Prepare: every involved shard validates its sub-batch
             # (already-applied shards answer from their dedup cache).
@@ -923,11 +968,11 @@ class RouterEngine:
                 # The client asked for validation only — the prepare
                 # round *is* the answer; nothing commits anywhere.
                 return {"validated": len(mutations)}
-            # Commit: _parallel re-raises the first failure only after
-            # every shard was attempted, so by the time an error
-            # surfaces any shard may have applied — the dirty-node
-            # cache entries are dropped even on that path, and a retry
-            # (same stream/seq) converges via per-shard dedup.
+            # Commit: a failure is raised only after every shard was
+            # attempted, so by the time an error surfaces any shard
+            # may have applied — the dirty-node cache entries are
+            # dropped even on that path, and a retry (same
+            # stream/seq) converges via per-shard dedup.
             try:
                 results = fan_out()
             finally:
@@ -936,7 +981,7 @@ class RouterEngine:
                     self._cache.invalidate(v)
         shard_results = {
             str(shard): _expect(results[shard], dict, "ingest")
-            for shard in per_shard
+            for shard in plan
         }
         self.metrics.registry.counter(
             "repro_ingest_applied_total"

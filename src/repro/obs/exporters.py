@@ -5,8 +5,7 @@ Three consumers, three formats:
 * **JSONL** — one span record per line (the schema of
   :mod:`repro.obs.schema`); machine-diffable, what
   ``python -m repro profile --trace-out`` writes and
-  ``python -m repro trace`` / ``tools/summarize_bench_results.py
-  --diff-traces`` read back;
+  ``python -m repro trace`` (``--diff`` too) reads back;
 * **text tree** — the human view of one trace, spans indented under
   their parents with wall/CPU time and counters;
 * **Prometheus text format** — a ``/metrics``-style dump of a
@@ -236,7 +235,7 @@ def diff_phase_totals(
 
     Returns one row per phase (union of both traces, first-trace order
     first) with ``a_s``, ``b_s``, ``delta_s`` and ``ratio`` — the diff
-    ``tools/summarize_bench_results.py --diff-traces`` prints.
+    ``python -m repro trace A --diff B`` prints.
     """
     a_totals = phase_totals(a_records)
     b_totals = phase_totals(b_records)

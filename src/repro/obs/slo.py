@@ -17,7 +17,7 @@ Every result reports **error-budget burn** — how much of the allowed
 slack is spent: for availability, observed error ratio over allowed
 error ratio; for latency, observed percentile over the threshold.
 ``burn <= 1`` means the objective holds; ``burn > 1`` is a violation
-(what fails ``repro slo`` and the chaos-harness gate).
+(what fails ``repro slo`` and the CI smoke drill's SLO gate).
 """
 
 from __future__ import annotations

@@ -25,7 +25,9 @@ breaker, degraded mode),
 :class:`~repro.cluster.router.RouterEngine` (replica failover) and
 the Mags/Mags-DM summarizers (checkpoint/resume).  Everything reports
 into :mod:`repro.obs` (``repro_resilience_*`` metrics, ``resilience:``
-spans).  See ``docs/resilience.md`` and ``tools/chaos_harness.py``.
+spans).  See ``docs/resilience.md``; the crash and failover tests
+are in the tier-1 suite, and ``tools/chaos_harness.py`` is one real
+``kill -9`` smoke test.
 """
 
 from repro.resilience.breaker import CircuitBreaker

@@ -25,7 +25,7 @@ rest of the repo uses: ``{"v": 1, "step": ..., "checksum": ...,
 
 Fault-injection site: ``checkpoint:write`` — a scheduled ``corrupt``
 fault flips bytes in the payload before it hits disk, which is how
-the chaos harness produces realistic torn checkpoints.
+the tests produce realistic torn checkpoints.
 """
 
 from __future__ import annotations

@@ -3,15 +3,15 @@
 Production failure modes — a worker process dying, a straggling
 machine, a dropped TCP connection, a corrupted checkpoint file — are
 rare in tests and constant in deployments.  This module lets the
-test-suite and the chaos harness *schedule* them: a :class:`FaultPlan`
+test-suite *schedule* them: a :class:`FaultPlan`
 lists faults keyed by **site labels** (strings like ``client:send``
 or ``summarize:iteration``), and a :class:`FaultInjector` fires them when the
 instrumented code paths pass through those sites.
 
 Everything is deterministic: a fault either fires on specific hit
 numbers of its site (``after``/``times``) or with a probability drawn
-from the injector's seeded RNG, so a chaos run with a fixed seed
-replays exactly.
+from the injector's seeded RNG, so a test with a fixed seed replays
+exactly.
 
 The hooks are **zero-cost when disabled**: call sites resolve the
 process-global injector through :func:`active_injector` (or the
@@ -290,7 +290,7 @@ def set_injector(injector: FaultInjector | None) -> None:
 
 @contextlib.contextmanager
 def use_injector(injector: FaultInjector) -> Iterator[FaultInjector]:
-    """Scoped injector installation (tests, the chaos harness)."""
+    """Scoped injector installation (tests)."""
     previous = _INJECTOR
     set_injector(injector)
     try:

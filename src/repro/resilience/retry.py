@@ -7,7 +7,7 @@ delegate here so backoff behaviour, metric accounting and
 ``resilience:retry`` spans are implemented exactly once.
 
 Jitter is drawn from a caller-supplied seeded RNG so retry schedules
-are reproducible in tests and chaos runs.
+are reproducible in tests.
 """
 
 from __future__ import annotations

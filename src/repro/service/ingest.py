@@ -700,18 +700,20 @@ class MutableQueryEngine(QueryEngine):
         lock, *before* the WAL append, so the log never holds an
         inapplicable record and a rejected batch is a no-op."""
         overlay: dict[tuple[int, int], bool] = {}
-        for sign, u, v in parsed:
+        for index, (sign, u, v) in enumerate(parsed):
             key = (min(u, v), max(u, v))
             exists = overlay.get(key)
             if exists is None:
                 exists = self.state.dynamic.has_edge(u, v)
             if sign == "+" and exists:
                 raise QueryError(
-                    "bad_request", f"edge ({u}, {v}) already exists"
+                    "bad_request",
+                    f"mutation #{index}: edge ({u}, {v}) already exists",
                 )
             if sign == "-" and not exists:
                 raise QueryError(
-                    "bad_request", f"edge ({u}, {v}) does not exist"
+                    "bad_request",
+                    f"mutation #{index}: edge ({u}, {v}) does not exist",
                 )
             overlay[key] = sign == "+"
 

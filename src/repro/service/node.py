@@ -345,7 +345,9 @@ class Node:
     :meth:`start` is all-or-nothing: when a step fails, what the
     earlier steps acquired is released before the error propagates.
     :meth:`stop` releases everything in the reverse order it was
-    acquired.  The stdout lines are ``repro serve``'s.
+    acquired; :meth:`kill` releases the same as a SIGKILL would,
+    without the writes only a graceful shutdown makes.  The stdout
+    lines are ``repro serve``'s.
     """
 
     def __init__(self, config: NodeConfig):
@@ -353,6 +355,7 @@ class Node:
         self.engine: QueryEngine | None = None
         self.server: SummaryQueryServer | None = None
         self._store = self._compactor = self._maintenance = None
+        self._final_compact = True
         self._stack = ExitStack()
 
     @property
@@ -372,6 +375,14 @@ class Node:
 
     def stop(self) -> None:
         """Release everything :meth:`start` acquired (idempotent)."""
+        self._stack.close()
+
+    def kill(self) -> None:
+        """Stop like a SIGKILL: release what :meth:`start` acquired,
+        but leave the WAL directory as the last acknowledged write
+        left it — the compactor stops without its final fold into a
+        checkpoint.  Idempotent, like :meth:`stop`."""
+        self._final_compact = False
         self._stack.close()
 
     def _start(self, stack: ExitStack) -> None:
@@ -504,7 +515,11 @@ class Node:
                 interval=config.compact_interval,
                 last_lsn=report.checkpoint_lsn,
             )
-            stack.callback(self._compactor.stop, final_compact=True)
+            stack.callback(
+                lambda: self._compactor.stop(
+                    final_compact=self._final_compact
+                )
+            )
         if config.maintenance_interval > 0:
             maintenance_budget = None
             if (

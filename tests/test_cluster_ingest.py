@@ -1,19 +1,35 @@
-"""Router-level ingest: endpoint-owner fan-out over a mutable cluster."""
+"""Router-level ingest: endpoint-owner fan-out over a mutable cluster,
+and the crash and failover paths of its replicas."""
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import random
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.cluster.manager import start_local_cluster
 from repro.cluster.sharder import shard_graph
-from repro.durability import replication
+from repro.core.serialization import load_representation
+from repro.core.verify import deep_audit
+from repro.durability import (
+    WriteAheadLog,
+    recover_engine,
+    replay_tail,
+    replication,
+)
 from repro.graph import generators
+from repro.graph.graph import Graph
+from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.retry import RetryPolicy
 from repro.service import ServiceError, SummaryServiceClient
 from repro.service.engine import QueryError
+from repro.service.ingest import MutableQueryEngine
+from repro.service.node import Node
 
 
 def _wait_for_edge(engine, u, v, timeout=5.0) -> bool:
@@ -25,6 +41,60 @@ def _wait_for_edge(engine, u, v, timeout=5.0) -> bool:
             return True
         time.sleep(0.05)
     return False
+
+
+def _wait(predicate, timeout=10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def _wal_bytes(wal_dir) -> bytes:
+    return b"".join(
+        path.read_bytes() for path in sorted(Path(wal_dir).glob("wal-*.log"))
+    )
+
+
+def _state_bytes(engine) -> bytes:
+    with engine._state_lock:
+        state = engine.state.to_state()
+    return json.dumps(state, sort_keys=True).encode()
+
+
+def _recovered(config) -> MutableQueryEngine:
+    """A stopped node's WAL directory recovered offline, from the
+    artifact it served."""
+    wal_dir = Path(config.wal_dir)
+    wal = WriteAheadLog(wal_dir, fsync="never")
+    try:
+        engine, pending, report = recover_engine(
+            load_representation(config.input), wal,
+            CheckpointStore(wal_dir / "checkpoints"),
+            engine_factory=lambda d: MutableQueryEngine(d, wal=wal),
+        )
+        replay_tail(engine, pending, report)
+    finally:
+        wal.close()
+    return engine
+
+
+def _script_on_shard(cluster, graph, shard, length, seed=0):
+    """``length`` one-mutation batches that each touch ``shard`` and
+    each apply after the ones before; returns them and the edge set
+    they leave."""
+    rng = random.Random(seed)
+    owned = [u for u in range(graph.n) if cluster.spec.owner(u) == shard]
+    edges = {tuple(sorted(edge)) for edge in graph.edges()}
+    script = []
+    while len(script) < length:
+        u, v = rng.choice(owned), rng.randrange(graph.n)
+        if u == v:
+            continue
+        pair = (min(u, v), max(u, v))
+        script.append(["-" if pair in edges else "+", u, v])
+        edges ^= {pair}
+    return script, edges
 
 
 @pytest.fixture(scope="module")
@@ -141,9 +211,21 @@ class TestRouterIngest:
         w, x = _free_pair_on_shard(cluster, graph, 1)
         host, port = cluster.router_address
         with SummaryServiceClient(host, port) as client:
-            with pytest.raises(ServiceError, match="already exists"):
+            with pytest.raises(ServiceError) as excinfo:
                 client.ingest([["+", w, x], ["+", a, b]])
+            assert excinfo.value.message == (
+                f"mutation #1: edge ({a}, {b}) already exists"
+            )
+            # Both shards refuse, shard 0 a later mutation than shard
+            # 1: the router names the first bad one, as one engine.
+            c, d = _free_pair_on_shard(cluster, graph, 0)
+            with pytest.raises(ServiceError) as excinfo:
+                client.ingest([["+", c, d], ["-", w, x], ["+", a, b]])
+            assert excinfo.value.message == (
+                f"mutation #1: edge ({w}, {x}) does not exist"
+            )
             assert x not in client.neighbors(w)
+            assert d not in client.neighbors(c)
             # Shard 1 never applied (w, x) during the rejected batch:
             # inserting it now at a fresh seq succeeds rather than
             # failing with "already exists".
@@ -173,6 +255,39 @@ class TestRouterIngest:
                     "ingest", stream="dr", seq=0,
                     mutations=[["+", a, b]], dry_run=True,
                 )
+
+    def test_kill_instance_leaves_the_wal_dir_as_acknowledged(
+        self, cluster, graph
+    ):
+        """A killed node writes nothing a SIGKILL would not: no final
+        checkpoint, no WAL byte changed, and a restart from its
+        directory recovers every acknowledged batch."""
+        label = "shard0/r0"
+        node = cluster.nodes[label]
+        # The compactor is on, but its first fold is far away.
+        assert node.config.compact_interval >= 30
+        wal_dir = Path(node.config.wal_dir)
+        store = CheckpointStore(wal_dir / "checkpoints")
+        u, v = _free_pair_on_shard(cluster, graph, 0)
+        batches = 5
+        host, port = cluster.router_address
+        with SummaryServiceClient(host, port) as client:
+            for seq in range(batches):
+                sign = "+" if seq % 2 == 0 else "-"
+                result = client.ingest([[sign, u, v]], stream="k", seq=seq)
+                assert result["applied"] == 1
+        steps, logged = store.steps(), _wal_bytes(wal_dir)
+        cluster.kill_instance(label)
+        assert store.steps() == steps == []
+        assert _wal_bytes(wal_dir) == logged
+        revived = Node(dataclasses.replace(node.config, port=0)).start()
+        try:
+            _wait(lambda: not revived.engine.replaying)
+            assert revived.engine.epoch == batches
+            assert revived.engine.state.dedup["k"][0] == batches - 1
+            assert v in revived.engine.neighbors(u)
+        finally:
+            revived.kill()
 
     def test_malformed_ingest_rejected_before_fanout(self, cluster):
         host, port = cluster.router_address
@@ -367,3 +482,102 @@ class TestReplicatedIngest:
             assert local.router_engine.metrics.registry.counter(
                 "router_failover_total", shard="0"
             ).value == 1
+
+    @pytest.mark.parametrize("acks", ["leader", "quorum"])
+    def test_primary_kill_failover_and_rejoin(
+        self, graph, shard_reps, monkeypatch, acks
+    ):
+        """Shard 0 loses its primary after ``k`` acked batches.  The
+        router promotes r1 on its own; under ``leader`` acks r1
+        acknowledges the next batch, under ``quorum`` (one of two
+        replicas) it cannot.  r0 comes back from its WAL directory as
+        a follower, and the client resends that batch with the same
+        ``(stream, seq)`` and finishes its script.  The batch lands
+        once, r0 follows r1 at r1's term, both replicas hold the same
+        bytes live and after offline recovery, and every answer is
+        the oracle's."""
+        monkeypatch.setattr(replication, "QUORUM_TIMEOUT_S", 1.0)
+        with start_local_cluster(
+            shard_reps, replicas=2, seed=0, n=graph.n, mutable=True,
+            acks=acks,
+            retry_policy=RetryPolicy(
+                max_attempts=2, base_delay=0.02, max_delay=0.1
+            ),
+        ) as local:
+            router = local.router_engine
+            script, oracle = _script_on_shard(local, graph, 0, 10)
+            k = 4
+
+            def ingest(seq: int) -> dict:
+                return router.query({
+                    "op": "ingest", "stream": "failover", "seq": seq,
+                    "mutations": [script[seq]],
+                })["result"]
+
+            for seq in range(k):
+                assert ingest(seq)["applied"] == 1
+            r0, r1 = local.nodes["shard0/r0"], local.nodes["shard0/r1"]
+            # Leader acks ship in the background: kill only once r1
+            # holds every acknowledged batch.
+            _wait(lambda: r1.engine.applied_lsn == r0.engine.applied_lsn)
+            local.kill_instance("shard0/r0")
+            if acks == "leader":
+                assert ingest(k)["shards"]["0"]["applied"] == 1
+            else:
+                with pytest.raises(QueryError) as excinfo:
+                    ingest(k)
+                assert excinfo.value.kind == "unavailable"
+
+            pool = router._shards[0]
+            assert pool.primary == 1 and pool.term >= 2
+            assert router.metrics.registry.counter(
+                "repro_replication_promotions_total", shard="0"
+            ).value >= 1
+
+            # The supervisor restarts r0 from its WAL directory on its
+            # old port, as a follower; r1's shipper finds it there.
+            revived = Node(dataclasses.replace(
+                r0.config,
+                port=local.spec.instances_for(0)[0].port,
+                repl_role="follower",
+                repl_follower=(),
+            )).start()
+            local.nodes["shard0/r0"] = revived  # close() stops it
+
+            def caught_up() -> bool:
+                return (
+                    revived.engine.term == r1.engine.term
+                    and revived.engine.applied_lsn == r1.engine.applied_lsn
+                )
+
+            _wait(caught_up)
+            assert ingest(k)["shards"]["0"]["duplicate"] is True
+            for seq in range(k + 1, len(script)):
+                assert ingest(seq)["applied"] == 1
+            _wait(caught_up)
+            assert (revived.engine.role, r1.engine.role) == (
+                "follower", "primary"
+            )
+            assert revived.engine.term == r1.engine.term >= 2
+            live = _state_bytes(r1.engine)
+            assert _state_bytes(revived.engine) == live
+            for node in range(graph.n):
+                got = router.query({"op": "neighbors", "node": node})
+                want = sorted(
+                    b if a == node else a
+                    for a, b in oracle if node in (a, b)
+                )
+                assert got["result"] == want, node
+
+            revived.kill()
+            r1.kill()
+            recovered = [_recovered(n.config) for n in (revived, r1)]
+            assert [_state_bytes(e) for e in recovered] == [live, live]
+            owned = [
+                edge for edge in sorted(oracle)
+                if 0 in {local.spec.owner(edge[0]), local.spec.owner(edge[1])}
+            ]
+            assert deep_audit(
+                recovered[0].representation, Graph(graph.n, owned),
+                optimal=False,
+            ) == []

@@ -14,6 +14,7 @@ from repro.cluster.router import (
     RouterEngine,
     ShardDownError,
     chunks,
+    first_refusal,
     khop_step,
     plan_batch,
     plan_ingest,
@@ -109,17 +110,63 @@ class TestRoutingPlan:
 
     @pytest.mark.parametrize("mutations, expected", [
         # An edge inside one shard goes to its one owner.
-        ([["+", 0, 1]], {0: [["+", 0, 1]]}),
+        ([["+", 0, 1]], {0: [0]}),
         # A cut edge goes to both endpoint owners.
-        ([["-", 1, 2]], {0: [["-", 1, 2]], 1: [["-", 1, 2]]}),
+        ([["-", 1, 2]], {0: [0], 1: [0]}),
         # Each owner keeps its mutations in batch order.
         (
             [["+", 2, 3], ["+", 0, 3], ["-", 0, 1]],
-            {1: [["+", 2, 3], ["+", 0, 3]], 0: [["+", 0, 3], ["-", 0, 1]]},
+            {1: [0, 1], 0: [1, 2]},
         ),
     ])
     def test_ingest_split(self, mutations, expected):
         assert plan_ingest(mutations, self.N, self.OWNER) == expected
+
+    @staticmethod
+    def _refused(message):
+        return ServiceError({"type": "bad_request", "message": message})
+
+    @pytest.mark.parametrize("errors, expected", [
+        # Batch [+0-1 (free), -2-3 (absent), +0-1 again (now present)]:
+        # shard 0 refuses its sub-batch's #1, batch #2; shard 1 its
+        # #0, batch #1.  One engine names #1, whichever shard answers
+        # first.
+        (
+            {
+                0: "mutation #1: edge (0, 1) already exists",
+                1: "mutation #0: edge (2, 3) does not exist",
+            },
+            ("bad_request", "mutation #1: edge (2, 3) does not exist"),
+        ),
+        (
+            {
+                1: "mutation #0: edge (2, 3) does not exist",
+                0: "mutation #1: edge (0, 1) already exists",
+            },
+            ("bad_request", "mutation #1: edge (2, 3) does not exist"),
+        ),
+        # One refusing shard: its index, mapped to the batch's.
+        (
+            {0: "mutation #1: edge (0, 1) already exists"},
+            ("bad_request", "mutation #2: edge (0, 1) already exists"),
+        ),
+    ])
+    def test_first_refusal_names_the_first_bad_mutation(
+        self, errors, expected
+    ):
+        plan = plan_ingest(
+            [["+", 0, 1], ["-", 2, 3], ["+", 0, 1]], self.N, self.OWNER
+        )
+        assert plan == {0: [0, 2], 1: [1]}
+        chosen = first_refusal(
+            {shard: self._refused(m) for shard, m in errors.items()}, plan
+        )
+        assert (chosen.kind, str(chosen)) == expected
+
+    def test_first_refusal_relays_other_errors_in_shard_order(self):
+        down = ShardDownError(0, 2)
+        timeout = ServiceError({"type": "timeout", "message": "slow"})
+        assert first_refusal({1: timeout, 0: down}, {0: [0], 1: [0]}) is down
 
     @pytest.mark.parametrize("mutations, message", [
         ([["+", 0, 4]], "mutation #0: node 4 out of range [0, 4)"),

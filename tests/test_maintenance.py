@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.mags_dm import MagsDMSummarizer
+from repro.core.verify import deep_audit
 from repro.durability import (
     ResummarizeRecord,
     WalCompactor,
@@ -378,6 +379,14 @@ class TestResummarizeDurability:
             recovered.state.dynamic.base_cost
             == engine.state.dynamic.base_cost
         )
+        # Every replayed pass is counted as the live one was.
+        committed = [
+            e.metrics.registry.counter(
+                "repro_maintenance_passes_total", outcome="committed"
+            ).value
+            for e in (recovered, engine)
+        ]
+        assert committed[0] == committed[1] > 0
 
     def test_checkpoint_cut_mid_maintenance_tail(self, rep):
         """Recovering from a checkpoint cut anywhere in a tail that
@@ -419,6 +428,7 @@ class TestResummarizeDurability:
                 resumed.state.dynamic._make_summarizer = _factory
                 replay_tail(resumed, records[cut:], rpt)
                 assert resumed.representation == straight.representation
+                assert resumed.state.to_state() == straight.state.to_state()
                 assert resumed.epoch == straight.epoch
                 assert (
                     resumed.state.dynamic.dirty_supernodes()
@@ -619,8 +629,6 @@ def test_interleaved_maintenance_preserves_edge_set_at_every_epoch(
         assert got == oracle, f"diverged after mutation {i}"
     # Converge fully, then the summary is the optimal encoding of its
     # own partition.
-    from repro.core.verify import deep_audit
-
     while engine.maintenance_pass(max_supernodes=1024)["outcome"] == (
         "committed"
     ):
@@ -671,20 +679,32 @@ def test_recovery_at_random_cut_covers_resummarize_records(
         recovered.state.dynamic._make_summarizer = factory
         surviving = list(pending)
         replay_tail(recovered, surviving, report)
-        wal2.close()
 
-    # Oracle: an uninterrupted engine fed exactly the surviving
-    # records through the same replay path.
-    oracle = MutableQueryEngine(
-        DynamicGraphSummary.from_representation(
-            rep, summarizer_factory=factory
+        # Oracle: an uninterrupted engine fed exactly the surviving
+        # records through the same replay path.
+        oracle = MutableQueryEngine(
+            DynamicGraphSummary.from_representation(
+                rep, summarizer_factory=factory
+            )
         )
-    )
-    for record in surviving:
-        oracle.replay_record(record)
-    assert recovered.representation == oracle.representation
-    assert recovered.epoch == oracle.epoch
-    assert (
-        recovered.state.dynamic.dirty_supernodes()
-        == oracle.state.dynamic.dirty_supernodes()
-    )
+        for record in surviving:
+            oracle.replay_record(record)
+        assert recovered.representation == oracle.representation
+        assert recovered.epoch == oracle.epoch
+        assert (
+            recovered.state.dynamic.dirty_supernodes()
+            == oracle.state.dynamic.dirty_supernodes()
+        )
+
+        # The recovered server's maintenance drains what the crash
+        # left dirty, into the optimal encoding of the same graph.
+        edges = oracle.representation.reconstruct_edges()
+        while recovered.maintenance_pass(max_supernodes=1024)[
+            "outcome"
+        ] == "committed":
+            pass
+        wal2.close()
+    assert recovered.state.dynamic.dirty_supernodes() == {}
+    assert deep_audit(
+        recovered.representation, Graph(n, sorted(edges)), optimal=True
+    ) == []

@@ -5,8 +5,10 @@ of ``tests/inprocess.py`` (the real codec and schema check, no
 sockets), so every test is deterministic: a quorum-acked
 ingest returns only after the follower holds and applied the batch,
 and the two engines can be compared byte-for-byte at every step.
-The socket path is covered by ``tests/test_cluster_ingest.py``
-(router promotion over a live local cluster) and the chaos harness.
+The socket path is covered by ``tests/test_cluster_ingest.py``:
+router promotion over a live local cluster, a primary killed and
+rejoined as a follower, and the kill itself.  The one real
+``kill -9`` of a server process is ``tools/chaos_harness.py``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.cluster.router import ReplicaPool, ShardPool
 from repro.cluster.topology import InstanceSpec
+from repro.core.verify import deep_audit
 from repro.durability import (
     WriteAheadLog,
     quorum_size,
@@ -32,6 +35,7 @@ from repro.durability import (
 from repro.durability.wal import ResummarizeRecord, TermRecord, WalRecord
 from repro.dynamic.summary import DynamicGraphSummary
 from repro.graph import generators
+from repro.graph.graph import Graph
 from repro.resilience import CheckpointStore
 from repro.resilience.retry import RetryPolicy
 from repro.service.engine import QueryError
@@ -500,6 +504,14 @@ class TestCatchUp:
         for seq, (u, v) in enumerate(pairs[3:], start=3):
             primary.ingest("s", seq, [["+", u, v]])
         assert _state_bytes(primary) == _state_bytes(revived)
+        # An incremental ship appends the primary's own records, so
+        # the two logs hold the same bytes.
+        assert _wal_bytes(tmp_path / "p") == _wal_bytes(tmp_path / "f")
+        edges = set(base_rep.reconstruct_edges()) | set(pairs)
+        assert deep_audit(
+            revived.representation, Graph(base_rep.n, sorted(edges)),
+            optimal=False,
+        ) == []
         snapshots = [
             sample
             for sample in revived.metrics.registry.snapshot().get(

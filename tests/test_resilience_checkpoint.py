@@ -8,6 +8,7 @@ from repro.algorithms.mags import MagsSummarizer
 from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.core.verify import verify_lossless
 from repro.graph import generators
+from repro.obs.metrics import get_registry
 from repro.resilience import (
     CheckpointCorrupt,
     CheckpointStore,
@@ -88,8 +89,6 @@ class TestCheckpointStore:
             store.load(5)
 
     def test_latest_skips_corrupt_and_counts(self, tmp_path):
-        from repro.obs.metrics import get_registry
-
         skipped = get_registry().counter(
             "repro_resilience_checkpoints_total", event="corrupt_skipped"
         )
@@ -132,9 +131,13 @@ class TestConfigureCheckpointing:
             wrong.summarize(graph)
 
 
-def _interrupted_then_resumed(make_summarizer, graph, store, after):
+def _interrupted_then_resumed(
+    make_summarizer, graph, store, after, *, corrupt_newest=False
+):
     """Run to completion once (baseline), then crash a second run at
-    iteration ``after + 1`` and resume it; returns both results."""
+    iteration ``after + 1`` and resume it; returns both results.
+    With ``corrupt_newest`` the newest snapshot is torn on disk
+    between the crash and the resume."""
     baseline = make_summarizer().summarize(graph)
 
     injector = FaultInjector(
@@ -145,6 +148,11 @@ def _interrupted_then_resumed(make_summarizer, graph, store, after):
         with pytest.raises(InjectedFault):
             interrupted.summarize(graph)
     assert store.latest() is not None
+    if corrupt_newest:
+        steps = store.steps()
+        assert len(steps) >= 2, steps
+        newest = store.path_for(steps[-1])
+        newest.write_bytes(newest.read_bytes()[:-40] + b"garbage!")
 
     resumed = make_summarizer().configure_checkpointing(
         store, interval=2, resume=True
@@ -162,11 +170,19 @@ class TestCrashResumeEquivalence:
         return generators.planted_partition(180, 9, 0.6, 0.03, seed=5)
 
     def test_mags_dm_resume_matches_baseline(self, graph, tmp_path):
+        """Also when the newest snapshot was torn after the crash: the
+        resume skips it for the one before (a clean Mags-DM resume is
+        ``tests/test_mags_dm.py::TestByteIdentity``'s)."""
+        skipped = get_registry().counter(
+            "repro_resilience_checkpoints_total", event="corrupt_skipped"
+        )
+        before = skipped.value
         store = CheckpointStore(tmp_path)
         baseline, resumed = _interrupted_then_resumed(
             lambda: MagsDMSummarizer(iterations=10, seed=3),
-            graph, store, after=6,
+            graph, store, after=6, corrupt_newest=True,
         )
+        assert skipped.value > before
         verify_lossless(graph, resumed.representation)
         assert resumed.relative_size == baseline.relative_size
         assert resumed.cost == baseline.cost

@@ -12,6 +12,8 @@ import pytest
 
 from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.graph import generators
+from repro.obs.metrics import get_registry
+from repro.queries.neighbors import neighbor_query
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultInjector, FaultPlan, use_injector
 from repro.resilience.retry import RetryPolicy
@@ -380,7 +382,12 @@ class TestDegradedMode:
         )
         assert response["ok"] is True
         assert response["degraded"] is True
+        assert isinstance(response["result"], float)
         assert response["result"] > 0.0
+        degraded = engine.metrics.registry.counter(
+            "service_degraded_total", op="pagerank"
+        )
+        assert degraded.value >= 1
 
     def test_unexpired_deadline_is_not_flagged(self, rep):
         engine = QueryEngine(rep, cache_size=64, degraded=True)
@@ -413,6 +420,10 @@ class TestDegradedMode:
 class TestClientRetry:
     def test_client_reconnects_after_injected_drop(self, rep):
         engine = QueryEngine(rep, cache_size=64)
+        retries = get_registry().counter(
+            "repro_resilience_retries_total", component="service_client"
+        )
+        before = retries.value
         with SummaryQueryServer(engine, workers=2) as server:
             client = SummaryServiceClient(
                 *server.address, timeout=10.0,
@@ -424,10 +435,13 @@ class TestClientRetry:
             injector = FaultInjector(
                 FaultPlan().drop("client:send", after=1, times=1)
             )
+            node = 17
             with use_injector(injector):
                 assert client.ping() == "pong"  # hit 1: untouched
-                assert client.ping() == "pong"  # hit 2: dropped + retried
+                got = client.neighbors(node)  # hit 2: dropped + retried
             assert injector.fired_count("client:send") == 1
+            assert set(got) == neighbor_query(rep, node)
+            assert retries.value > before
             assert client.usable
             client.close()
 

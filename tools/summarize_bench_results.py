@@ -2,55 +2,19 @@
 bench reports (run after `pytest benchmarks/ --benchmark-only`).
 
 Usage:  python tools/summarize_bench_results.py
-        python tools/summarize_bench_results.py --diff-traces A.jsonl B.jsonl
 
-The second form compares two trace files produced by
-``python -m repro profile --trace-out`` and prints per-phase wall-time
-deltas (the before/after table for an optimisation or ablation).
+(Per-phase before/after tables of two profile traces are
+``python -m repro trace A.jsonl --diff B.jsonl``.)
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import sys
 from pathlib import Path
 
 DEFAULT_RESULTS = Path(__file__).resolve().parent.parent / "bench_results"
 RESULTS = DEFAULT_RESULTS
-
-
-def _import_obs():
-    """Import :mod:`repro.obs`, falling back to the in-repo ``src/``."""
-    try:
-        import repro.obs as obs
-    except ImportError:
-        src = Path(__file__).resolve().parent.parent / "src"
-        sys.path.insert(0, str(src))
-        import repro.obs as obs
-    return obs
-
-
-def diff_traces(path_a: str, path_b: str) -> str:
-    """Per-phase wall-time comparison of two trace JSONL files."""
-    obs = _import_obs()
-    a = obs.read_trace_jsonl(path_a)
-    b = obs.read_trace_jsonl(path_b)
-
-    def fmt(value, spec):
-        return "-" if value is None else format(value, spec)
-
-    lines = [
-        f"{'phase':<24} {'a_s':>10} {'b_s':>10} {'delta_s':>10} {'ratio':>8}"
-    ]
-    for row in obs.diff_phase_totals(a, b):
-        lines.append(
-            f"{row['phase']:<24} {fmt(row['a_s'], '.4f'):>10} "
-            f"{fmt(row['b_s'], '.4f'):>10} "
-            f"{fmt(row['delta_s'], '+.4f'):>10} "
-            f"{fmt(row['ratio'], '.3f'):>8}"
-        )
-    return "\n".join(lines)
 
 
 def rows(
@@ -142,15 +106,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--diff-traces",
-        nargs=2,
-        metavar=("A", "B"),
-        help="compare two profile trace JSONL files phase by phase",
-    )
-    cli_args = parser.parse_args()
-    if cli_args.diff_traces:
-        print(diff_traces(*cli_args.diff_traces))
-    else:
-        main()
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    main()
