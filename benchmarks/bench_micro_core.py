@@ -3,8 +3,9 @@
 Unlike the figure benches (one timed end-to-end run each), these use
 pytest-benchmark's statistical looping: they are the regression guard
 for the inner loops every algorithm sits on — saving evaluation,
-merging, signature construction, encoding, reconstruction, and the
-two sides of Table 3's PageRank (Algorithm 7's plan and Eq. 8).
+merging, signature construction, encoding, reconstruction, the
+two sides of Table 3's PageRank (Algorithm 7's plan and Eq. 8), and
+one acked ingest batch through the mutable engine and its WAL.
 
 ``tools/perf_gate.py`` runs this file with ``--benchmark-json`` and
 compares the results against the committed baseline in
@@ -12,6 +13,8 @@ compares the results against the committed baseline in
 below deterministic, because the gate's speedup ratios assume the
 batched and scalar benches score the *same* pair list.
 """
+
+import itertools
 
 import pytest
 
@@ -192,3 +195,51 @@ def test_micro_pagerank_input_run(benchmark, graph):
     """One Eq. 8 run (20 iterations) over the graph's CSR arrays."""
     plan = InputGraphPageRank(graph)
     benchmark(lambda: plan.run(0.85, 20))
+
+
+#: Mutations per ``test_micro_ingest_batch`` batch (perfbench's size).
+INGEST_BATCH = 16
+
+
+def ingest_batches(graph, groups=8):
+    """An endless stream of valid 16-mutation batches over ``graph``.
+
+    ``groups`` disjoint sets of ``INGEST_BATCH / 2`` edges take turns:
+    batch ``i`` re-inserts group ``i - 1`` and deletes group ``i``, so
+    the first batch only deletes and every later one is valid against
+    the graph with the earlier ones applied."""
+    half = INGEST_BATCH // 2
+    edges = sorted(graph.edge_set())[:: max(1, graph.m // (groups * half))]
+    cycle = [edges[i * half:(i + 1) * half] for i in range(groups)]
+    yield [["-", u, v] for u, v in cycle[0]]
+    i = 1
+    while True:
+        yield (
+            [["+", u, v] for u, v in cycle[(i - 1) % groups]]
+            + [["-", u, v] for u, v in cycle[i % groups]]
+        )
+        i += 1
+
+
+def test_micro_ingest_batch(benchmark, graph, partition, tmp_path):
+    """One acked 16-mutation batch through ``MutableQueryEngine.ingest``:
+    the batch check, the WAL frame (``fsync="never"``), the apply, and
+    the cache and metric bookkeeping around them."""
+    from repro.durability.wal import WriteAheadLog
+    from repro.dynamic.summary import DynamicGraphSummary
+    from repro.service.ingest import MutableQueryEngine
+
+    batches = ingest_batches(graph)
+    seqs = itertools.count()
+    with WriteAheadLog(tmp_path, fsync="never") as wal:
+        engine = MutableQueryEngine(
+            DynamicGraphSummary.from_representation(encode(partition)),
+            wal=wal,
+        )
+        engine.ingest("bench", next(seqs), next(batches))  # delete-only
+
+        def run():
+            return engine.ingest("bench", next(seqs), next(batches))
+
+        result = benchmark(run)
+    assert result["applied"] == INGEST_BATCH

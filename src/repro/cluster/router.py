@@ -976,16 +976,14 @@ class RouterEngine:
             try:
                 results = fan_out()
             finally:
-                for __, u, v in mutations:
-                    self._cache.invalidate(u)
-                    self._cache.invalidate(v)
+                self._cache.invalidate_many(
+                    node for __, u, v in mutations for node in (u, v)
+                )
         shard_results = {
             str(shard): _expect(results[shard], dict, "ingest")
             for shard in plan
         }
-        self.metrics.registry.counter(
-            "repro_ingest_applied_total"
-        ).inc(len(mutations))
+        self.metrics.ingest_applied(len(mutations))
         return {"applied": len(mutations), "shards": shard_results}
 
     # -- neighbors + khop ------------------------------------------------

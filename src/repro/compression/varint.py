@@ -16,6 +16,8 @@ __all__ = [
     "decode_varint",
     "encode_varints",
     "decode_varints",
+    "pack_varints",
+    "read_varints",
     "zigzag_encode",
     "zigzag_decode",
 ]
@@ -26,14 +28,8 @@ def encode_varint(value: int) -> bytes:
     if value < 0:
         raise ValueError("varints encode non-negative integers only")
     out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    pack_varints(out, (value,))
+    return bytes(out)
 
 
 def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
@@ -42,25 +38,53 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
     Returns ``(value, next_offset)``; raises ``ValueError`` on
     truncated input.
     """
-    value = 0
-    shift = 0
-    position = offset
-    while True:
-        if position >= len(data):
-            raise ValueError("truncated varint")
-        byte = data[position]
-        position += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, position
-        shift += 7
+    (value,), offset = read_varints(data, offset, 1)
+    return value, offset
+
+
+def pack_varints(out: bytearray, values: Iterable[int]) -> None:
+    """Append the varint encoding of each of ``values`` to ``out`` —
+    one loop for a whole record instead of one call and one ``bytes``
+    per value.  A negative value raises ``ValueError``, leaving the
+    encodings of the values before it in ``out``."""
+    append = out.append
+    for value in values:
+        while value > 0x7F:
+            append(value & 0x7F | 0x80)
+            value >>= 7
+        append(value)
+
+
+def read_varints(
+    data: bytes, offset: int, count: int
+) -> tuple[list[int], int]:
+    """Decode ``count`` consecutive varints from ``data[offset:]``.
+
+    Returns ``(values, next_offset)``; raises ``ValueError`` on
+    truncated input.
+    """
+    values = []
+    append = values.append
+    try:
+        for _ in range(count):
+            value = shift = 0
+            byte = data[offset]
+            offset += 1
+            while byte > 0x7F:
+                value |= (byte & 0x7F) << shift
+                shift += 7
+                byte = data[offset]
+                offset += 1
+            append(value | byte << shift)
+    except IndexError:
+        raise ValueError("truncated varint") from None
+    return values, offset
 
 
 def encode_varints(values: Iterable[int]) -> bytes:
     """Concatenate the varint encodings of ``values``."""
     out = bytearray()
-    for value in values:
-        out.extend(encode_varint(value))
+    pack_varints(out, values)
     return bytes(out)
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "Applied",
     "EngineState",
     "STATE_VERSION",
+    "check_endpoints",
     "check_lsn",
     "merge_budget",
     "representation_to_state",
@@ -61,6 +62,21 @@ def check_lsn(applied_lsn: int, lsn: int) -> bool:
             f"{missing} missing"
         )
     return True
+
+
+def check_endpoints(index: int, u: int, v: int, n: int) -> None:
+    """Raise :class:`ValueError` unless mutation ``#index`` joins two
+    distinct nodes of ``[0, n)``; the message names the first bad
+    endpoint.  The one copy of this rule: the live path runs it on
+    arrival (:func:`~repro.service.ingest.parse_mutations`, which the
+    router shares) and :meth:`EngineState.check` on every record."""
+    if not (0 <= u < n and 0 <= v < n):
+        node = v if 0 <= u < n else u
+        raise ValueError(
+            f"mutation #{index}: node {node} out of range [0, {n})"
+        )
+    if u == v:
+        raise ValueError(f"mutation #{index} is a self-loop ({u}, {v})")
 
 
 def representation_to_state(rep: Representation) -> dict:
@@ -157,13 +173,47 @@ class EngineState:
         """:func:`check_lsn` against this state's ``applied_lsn``."""
         return check_lsn(self.applied_lsn, lsn)
 
+    def check(self, mutations) -> list[tuple[bool, bool]]:
+        """Validate an ingest batch against this state and return each
+        mutation's :meth:`~repro.dynamic.summary.DynamicGraphSummary.lookup`.
+
+        Every mutation must pass :func:`check_endpoints`, each insert
+        must name an absent edge and each delete a present one,
+        counting the batch's own earlier mutations.  Raises :class:`ValueError` naming the first
+        mutation that fails, having changed nothing.  One lookup per
+        distinct edge decides both whether it exists and which
+        correction :meth:`apply` flips, so the live path calls this
+        before the WAL append and hands the result to :meth:`apply`;
+        replay and follower apply get it from :meth:`apply` itself.
+        """
+        dyn = self.dynamic
+        n = dyn.n
+        lookup = dyn.lookup
+        # Edges the batch already flipped -> their lookup after it.
+        flipped: dict[tuple[int, int], tuple[bool, bool]] = {}
+        states = []
+        for index, (sign, u, v) in enumerate(mutations):
+            check_endpoints(index, u, v, n)
+            key = (u, v) if u < v else (v, u)
+            state = flipped.get(key) or lookup(u, v)
+            covered, corrected = state
+            if (covered != corrected) == (sign == "+"):
+                raise ValueError(
+                    f"mutation #{index}: edge ({u}, {v}) "
+                    + ("already exists" if sign == "+" else "does not exist")
+                )
+            states.append(state)
+            flipped[key] = (covered, not corrected)
+        return states
+
     def apply(self, record, built=None) -> Applied | None:
         """Apply one WAL record; ``None`` when it is already applied.
 
-        Replay bypasses validation — a logged record was validated
-        against exactly this state — but a corrupt-yet-checksum-valid
-        ingest record still raises (``insert_edge``/``delete_edge``).
-        A :class:`~repro.durability.wal.ResummarizeRecord` re-runs the
+        An ingest record is validated by :meth:`check` — unless the
+        live path passes the lookups it already made as ``built`` —
+        so a corrupt-yet-checksum-valid record raises
+        :class:`ValueError` before it changes anything.  A
+        :class:`~repro.durability.wal.ResummarizeRecord` re-runs the
         recorded maintenance pass in place (a pure function of this
         state, the targets, and the merge cap), unless the live path
         passes the structure it already built off-lock as ``built =
@@ -178,27 +228,24 @@ class EngineState:
             return Applied()
         if isinstance(record, ResummarizeRecord):
             return self._resummarize(record, built)
-        return self._ingest(record)
+        return self._ingest(record, built)
 
-    def _ingest(self, record) -> Applied:
-        dyn = self.dynamic
-        touched = []
-        for sign, u, v in record.mutations:
-            if sign == "+":
-                dyn.insert_edge(u, v)
-            else:
-                dyn.delete_edge(u, v)
-            touched += (u, v)
+    def _ingest(self, record, states) -> Applied:
+        mutations = record.mutations
+        if states is None:
+            states = self.check(mutations)
+        self.dynamic.toggle_batch(mutations, states)
         self.epoch += 1
         self.applied_lsn = record.lsn
-        result = {"applied": len(record.mutations), "lsn": record.lsn}
+        result = {"applied": len(mutations), "lsn": record.lsn}
         dedup = self.dedup
-        dedup[record.stream] = (record.seq, record.mutations, result)
+        dedup[record.stream] = (record.seq, mutations, result)
         dedup.move_to_end(record.stream)
         evicted = 0
         while 0 < self.dedup_capacity < len(dedup):
             dedup.popitem(last=False)
             evicted += 1
+        touched = [node for _, u, v in mutations for node in (u, v)]
         return Applied(touched, result=result, evicted=evicted)
 
     def _resummarize(self, record, built) -> Applied:

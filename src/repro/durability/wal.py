@@ -76,12 +76,18 @@ from __future__ import annotations
 import os
 import re
 import threading
+import time
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.compression.varint import decode_varint, encode_varint
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.compression.varint import pack_varints, read_varints
+from repro.obs.metrics import (
+    Counter,
+    Histogram,
+    MetricsRegistry,
+    get_registry,
+)
 
 __all__ = [
     "WalRecord",
@@ -142,93 +148,76 @@ _KIND_RESUMMARIZE = 1
 _KIND_TERM = 2
 
 
+#: On-disk opcode of each mutation kind.
+_OPCODES = {op: code for code, op in enumerate(MUTATION_OPS)}
+
+
 def encode_record(record) -> bytes:
     """Frame one record (length prefix + payload + crc32 varint)."""
     payload = bytearray()
     if isinstance(record, ResummarizeRecord):
-        payload += encode_varint(0)
-        payload += encode_varint(_KIND_RESUMMARIZE)
-        payload += encode_varint(record.lsn)
-        payload += encode_varint(len(record.targets))
-        for target in record.targets:
-            payload += encode_varint(target)
-        payload += encode_varint(
-            0 if record.max_merges is None else record.max_merges + 1
-        )
+        pack_varints(payload, (
+            0, _KIND_RESUMMARIZE, record.lsn, len(record.targets),
+            *record.targets,
+            0 if record.max_merges is None else record.max_merges + 1,
+        ))
     elif isinstance(record, TermRecord):
-        payload += encode_varint(0)
-        payload += encode_varint(_KIND_TERM)
-        payload += encode_varint(record.lsn)
-        payload += encode_varint(record.term)
+        pack_varints(payload, (0, _KIND_TERM, record.lsn, record.term))
     else:
-        stream_bytes = record.stream.encode("utf-8")
-        payload += encode_varint(record.lsn)
-        payload += encode_varint(record.seq)
-        payload += encode_varint(len(stream_bytes))
-        payload += stream_bytes
-        payload += encode_varint(len(record.mutations))
-        for op, u, v in record.mutations:
-            payload += encode_varint(MUTATION_OPS.index(op))
-            payload += encode_varint(u)
-            payload += encode_varint(v)
-    body = bytes(payload)
-    return (
-        encode_varint(len(body)) + body + encode_varint(zlib.crc32(body))
-    )
-
-
-def _decode_extended(body: bytes, offset: int):
-    kind, offset = decode_varint(body, offset)
-    if kind == _KIND_TERM:
-        lsn, offset = decode_varint(body, offset)
-        term, offset = decode_varint(body, offset)
-        if offset != len(body):
-            raise ValueError("trailing bytes in record payload")
-        return TermRecord(lsn=lsn, term=term)
-    if kind != _KIND_RESUMMARIZE:
-        raise ValueError(f"unknown extended record kind {kind}")
-    lsn, offset = decode_varint(body, offset)
-    count, offset = decode_varint(body, offset)
-    targets = []
-    for _ in range(count):
-        target, offset = decode_varint(body, offset)
-        targets.append(target)
-    merges_plus_1, offset = decode_varint(body, offset)
-    if offset != len(body):
-        raise ValueError("trailing bytes in record payload")
-    return ResummarizeRecord(
-        lsn=lsn,
-        targets=tuple(targets),
-        max_merges=None if merges_plus_1 == 0 else merges_plus_1 - 1,
-    )
+        stream = record.stream.encode("utf-8")
+        pack_varints(payload, (record.lsn, record.seq, len(stream)))
+        payload += stream
+        values = [len(record.mutations)]
+        try:
+            for op, u, v in record.mutations:
+                values += (_OPCODES[op], u, v)
+        except KeyError as exc:
+            raise ValueError(f"unknown mutation op {exc.args[0]!r}") from None
+        pack_varints(payload, values)
+    frame = bytearray()
+    pack_varints(frame, (len(payload),))
+    frame += payload
+    pack_varints(frame, (zlib.crc32(payload),))
+    return bytes(frame)
 
 
 def _decode_payload(body: bytes):
-    offset = 0
-    lsn, offset = decode_varint(body, offset)
+    (lsn,), offset = read_varints(body, 0, 1)
     if lsn == 0:
         # LSNs are 1-based; a leading 0 marks an extended record.
-        return _decode_extended(body, offset)
-    seq, offset = decode_varint(body, offset)
-    stream_len, offset = decode_varint(body, offset)
-    if offset + stream_len > len(body):
-        raise ValueError("truncated stream id")
-    stream = body[offset:offset + stream_len].decode("utf-8")
-    offset += stream_len
-    count, offset = decode_varint(body, offset)
-    mutations = []
-    for _ in range(count):
-        code, offset = decode_varint(body, offset)
-        u, offset = decode_varint(body, offset)
-        v, offset = decode_varint(body, offset)
-        if code >= len(MUTATION_OPS):
-            raise ValueError(f"unknown mutation opcode {code}")
-        mutations.append((MUTATION_OPS[code], u, v))
+        (kind, lsn), offset = read_varints(body, offset, 2)
+        if kind == _KIND_TERM:
+            (term,), offset = read_varints(body, offset, 1)
+            record = TermRecord(lsn=lsn, term=term)
+        elif kind == _KIND_RESUMMARIZE:
+            (count,), offset = read_varints(body, offset, 1)
+            targets, offset = read_varints(body, offset, count)
+            (merges_plus_1,), offset = read_varints(body, offset, 1)
+            record = ResummarizeRecord(
+                lsn=lsn,
+                targets=tuple(targets),
+                max_merges=None if merges_plus_1 == 0 else merges_plus_1 - 1,
+            )
+        else:
+            raise ValueError(f"unknown extended record kind {kind}")
+    else:
+        (seq, stream_len), offset = read_varints(body, offset, 2)
+        if offset + stream_len > len(body):
+            raise ValueError("truncated stream id")
+        stream = body[offset:offset + stream_len].decode("utf-8")
+        (count,), offset = read_varints(body, offset + stream_len, 1)
+        flat, offset = read_varints(body, offset, 3 * count)
+        codes = flat[0::3]
+        if codes and max(codes) >= len(MUTATION_OPS):
+            raise ValueError(f"unknown mutation opcode {max(codes)}")
+        record = WalRecord(
+            lsn=lsn, stream=stream, seq=seq, mutations=tuple(zip(
+                [MUTATION_OPS[code] for code in codes], flat[1::3], flat[2::3]
+            )),
+        )
     if offset != len(body):
         raise ValueError("trailing bytes in record payload")
-    return WalRecord(
-        lsn=lsn, stream=stream, seq=seq, mutations=tuple(mutations)
-    )
+    return record
 
 
 def _iter_frames(data: bytes):
@@ -238,12 +227,12 @@ def _iter_frames(data: bytes):
     offset = 0
     while offset < len(data):
         try:
-            length, body_start = decode_varint(data, offset)
+            (length,), body_start = read_varints(data, offset, 1)
             body_end = body_start + length
             if body_end > len(data):
                 raise ValueError("truncated record body")
             body = data[body_start:body_end]
-            crc, offset = decode_varint(data, body_end)
+            (crc,), offset = read_varints(data, body_end, 1)
             if crc != zlib.crc32(body):
                 raise ValueError("record checksum mismatch")
             record = _decode_payload(body)
@@ -303,6 +292,11 @@ class WriteAheadLog:
         self._fsync_interval = fsync_interval
         self._segment_bytes = segment_bytes
         self._registry = registry if registry is not None else get_registry()
+        # Handles of the two series every append touches, made on
+        # first use so a log that never appends or fsyncs exports
+        # neither series.
+        self._appended: Counter | None = None
+        self._fsync_seconds: Histogram | None = None
         self._lock = threading.Lock()
         self._unsynced = 0
         self._file = None
@@ -471,7 +465,11 @@ class WriteAheadLog:
         if isinstance(record, TermRecord):
             self._last_term = max(self._last_term, record.term)
         self._segment_last_lsn[self._active_index] = record.lsn
-        self._count_records("appended")
+        if self._appended is None:
+            self._appended = self._registry.counter(
+                "repro_wal_records_total", event="appended"
+            )
+        self._appended.inc()
         return record.lsn
 
     def _rotate_locked(self) -> None:
@@ -491,14 +489,15 @@ class WriteAheadLog:
         if self._fsync == "never" and not force:
             self._unsynced = 0
             return
-        import time
-
         started = time.perf_counter()
         self._file.flush()
         os.fsync(self._file.fileno())
-        self._registry.histogram("repro_wal_fsync_seconds").observe(
-            time.perf_counter() - started
-        )
+        elapsed = time.perf_counter() - started
+        if self._fsync_seconds is None:
+            self._fsync_seconds = self._registry.histogram(
+                "repro_wal_fsync_seconds"
+            )
+        self._fsync_seconds.observe(elapsed)
         self._unsynced = 0
 
     def sync(self) -> None:

@@ -202,6 +202,13 @@ class DynamicGraphSummary:
         """Whether the edge exists in the *current* graph."""
         return self._index.has_edge(u, v)
 
+    def lookup(self, u: int, v: int) -> tuple[bool, bool]:
+        """The pair's one existence lookup, ``(covered, corrected)``:
+        the edge exists exactly when the two differ (see
+        :meth:`~repro.queries.neighbors.SummaryNeighborIndex.lookup`).
+        The caller validates the endpoints."""
+        return self._index.lookup(u, v)
+
     def neighbors(self, q: int) -> set[int]:
         """Exact current neighbor set of ``q`` (Algorithm 6)."""
         return self._index.neighbors(q)
@@ -220,16 +227,33 @@ class DynamicGraphSummary:
     def insert_edge(self, u: int, v: int) -> None:
         """Insert edge ``(u, v)``; raises if it already exists."""
         self._check_pair(u, v)
-        if self.has_edge(u, v):
+        covered, corrected = state = self._index.lookup(u, v)
+        if covered != corrected:
             raise ValueError(f"edge ({u}, {v}) already exists")
-        self._toggle(u, v)
+        self._toggle(u, v, state)
 
     def delete_edge(self, u: int, v: int) -> None:
         """Delete edge ``(u, v)``; raises if it does not exist."""
         self._check_pair(u, v)
-        if not self.has_edge(u, v):
+        covered, corrected = state = self._index.lookup(u, v)
+        if covered == corrected:
             raise ValueError(f"edge ({u}, {v}) does not exist")
-        self._toggle(u, v)
+        self._toggle(u, v, state)
+
+    def toggle_batch(self, mutations, states) -> None:
+        """Apply a validated batch: flip each ``(sign, u, v)`` edge
+        through the correction its :meth:`lookup` in ``states`` named,
+        so no mutation is looked up twice.  The lookups must have been
+        made against this summary, counting the batch's own earlier
+        flips (:meth:`repro.durability.state.EngineState.check` makes
+        them).  A rebuild mid-batch replaces the structure they
+        describe, so the mutations after it look their edge up again.
+        """
+        rebuilds = self.num_rebuilds
+        for (_, u, v), state in zip(mutations, states):
+            if self.num_rebuilds != rebuilds:
+                state = self._index.lookup(u, v)
+            self._toggle(u, v, state)
 
     def resummarize(self) -> None:
         """Rebuild the super-node structure from the current graph."""
@@ -346,8 +370,8 @@ class DynamicGraphSummary:
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"edge ({u}, {v}) out of range for n={n}")
 
-    def _toggle(self, u: int, v: int) -> None:
-        self._index.toggle(u, v)
+    def _toggle(self, u: int, v: int, state: tuple[bool, bool]) -> None:
+        self._index.toggle(u, v, state)
         to_super, dirty = self._rep.node_to_supernode, self._dirty
         for node in (u, v):
             sid = to_super[node]

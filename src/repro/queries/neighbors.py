@@ -125,40 +125,45 @@ class SummaryNeighborIndex:
         rep = self._representation
         if u == v or not (0 <= u < rep.n and 0 <= v < rep.n):
             return False
-        key = _ordered(u, v)
-        if key in rep.additions:
-            return True
-        return key not in rep.removals and self._covered(u, v)
+        covered, corrected = self.lookup(u, v)
+        return covered != corrected
 
-    def toggle(self, u: int, v: int) -> None:
+    def lookup(self, u: int, v: int) -> tuple[bool, bool]:
+        """The one existence lookup of edge ``(u, v)``:
+        ``(covered, corrected)`` — whether a super-edge spans the pair
+        and whether a correction names it.  The edge exists exactly
+        when the two differ, and :meth:`toggle` flips the correction
+        they name (``-e`` under a super-edge, ``+e`` outside one).
+        The caller validates the endpoints."""
+        rep = self._representation
+        key = (u, v) if u <= v else (v, u)
+        if key in rep.additions:
+            return False, True
+        if key in rep.removals:
+            return True, True
+        to_super = rep.node_to_supernode
+        su, sv = to_super[u], to_super[v]
+        covered = ((su, sv) if su <= sv else (sv, su)) in rep.summary_edges
+        return covered, False
+
+    def toggle(self, u: int, v: int, state: tuple[bool, bool]) -> None:
         """Flip whether edge ``(u, v)`` exists by toggling the one
         correction that decides it: drop ``+e``/``-e`` when present,
         else add ``-e`` under a super-edge and ``+e`` outside one.
-        The caller validates the endpoints."""
+        ``state`` is the pair's :meth:`lookup` against the current
+        structure.  The caller validates the endpoints."""
         rep = self._representation
-        key = _ordered(u, v)
-        corrected = key in rep.additions or key in rep.removals
-        if corrected:
-            plus = present = key in rep.additions
-        else:
-            present = self._covered(u, v)
-            plus = not present
+        covered, corrected = state
         corrections, buckets = (
-            (rep.additions, self._add) if plus
-            else (rep.removals, self._remove)
+            (rep.removals, self._remove) if covered
+            else (rep.additions, self._add)
         )
         flip = set.discard if corrected else set.add
-        flip(corrections, key)
+        flip(corrections, (u, v) if u <= v else (v, u))
         flip(buckets[u], v)
         flip(buckets[v], u)
-        rep.m += -1 if present else 1
-
-    def _covered(self, u: int, v: int) -> bool:
-        """Whether a super-edge spans ``(u, v)``."""
-        to_super = self._representation.node_to_supernode
-        return _ordered(
-            to_super[u], to_super[v]
-        ) in self._representation.summary_edges
+        # The edge existed exactly when covered != corrected.
+        rep.m += 1 if covered == corrected else -1
 
     def degree(self, q: int) -> int:
         """Degree of node ``q``."""
@@ -180,7 +185,3 @@ class SummaryNeighborIndex:
             expanded += len(rep.supernodes[supernode]) - 1
         expanded += len(self._add.get(q, ()))
         return expanded + 2 * len(self._remove.get(q, ()))
-
-
-def _ordered(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)

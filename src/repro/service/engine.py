@@ -106,11 +106,14 @@ class _LRUCache:
             while len(self._data) > self._capacity:
                 self._data.popitem(last=False)
 
-    def invalidate(self, key: int) -> None:
-        """Drop one entry (mutation path: only the dirty nodes lose
-        their cached expansion, the rest of the cache stays hot)."""
+    def invalidate_many(self, keys) -> None:
+        """Drop every entry in ``keys`` under one lock acquisition
+        (mutation path: only the dirty nodes lose their cached
+        expansion, the rest of the cache stays hot)."""
         with self._lock:
-            self._data.pop(key, None)
+            pop = self._data.pop
+            for key in keys:
+                pop(key, None)
 
     def __len__(self) -> int:
         with self._lock:

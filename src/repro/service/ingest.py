@@ -67,7 +67,11 @@ from repro.durability.replication import (
     ReplicationManager,
     admit_frame,
 )
-from repro.durability.state import EngineState, merge_budget
+from repro.durability.state import (
+    EngineState,
+    check_endpoints,
+    merge_budget,
+)
 from repro.durability.wal import ResummarizeRecord, TermRecord, WalRecord
 from repro.dynamic.summary import DynamicGraphSummary
 from repro.service.engine import OPS, QueryEngine, QueryError
@@ -77,21 +81,16 @@ __all__ = ["MutableQueryEngine", "parse_mutations"]
 
 def parse_mutations(mutations, n: int) -> list:
     """A schema-checked batch as ``(sign, u, v)`` tuples, refusing
-    endpoints outside ``[0, n)`` and self-loops, in batch order (the
-    router checks a batch with it before splitting it, so both answer
-    with the same error)."""
+    the first mutation that fails
+    :func:`~repro.durability.state.check_endpoints`, in batch order
+    (the router checks a batch with it before splitting it, so both
+    answer with the same error)."""
     parsed = []
     for index, (sign, u, v) in enumerate(mutations):
-        for node in (u, v):
-            if not 0 <= node < n:
-                raise QueryError(
-                    "bad_request",
-                    f"mutation #{index}: node {node} out of range [0, {n})",
-                )
-        if u == v:
-            raise QueryError(
-                "bad_request", f"mutation #{index} is a self-loop ({u}, {v})"
-            )
+        try:
+            check_endpoints(index, u, v, n)
+        except ValueError as exc:
+            raise QueryError("bad_request", str(exc)) from None
         parsed.append((sign, u, v))
     return parsed
 
@@ -295,14 +294,21 @@ class MutableQueryEngine(QueryEngine):
                             f"{seq}, last acknowledged {last_seq}",
                         )
                 if result is None:
-                    self._dry_run(parsed)
+                    # Validated against the live state before the WAL
+                    # append, so the log never holds an inapplicable
+                    # record and a rejected batch is a no-op; the
+                    # lookups made here are the ones the apply flips.
+                    try:
+                        states = self.state.check(parsed)
+                    except ValueError as exc:
+                        raise QueryError("bad_request", str(exc)) from None
                     if dry_run:
                         return {"validated": len(parsed)}
                     record = WalRecord(
                         lsn=self._next_lsn(), stream=stream, seq=seq,
                         mutations=tuple(parsed),
                     )
-                    result = dict(self._apply_locked(record).result)
+                    result = dict(self._apply_locked(record, states).result)
             # Outside the state lock: make the batch replication-
             # durable before acknowledging.  A duplicate re-awaits the
             # quorum too — its original ack already implied one, and a
@@ -694,29 +700,6 @@ class MutableQueryEngine(QueryEngine):
             with self._inflight_lock:
                 self._inflight -= 1
 
-    def _dry_run(self, parsed: list) -> None:
-        """Check the whole batch applies cleanly against the live
-        state (plus its own earlier toggles) — called under the state
-        lock, *before* the WAL append, so the log never holds an
-        inapplicable record and a rejected batch is a no-op."""
-        overlay: dict[tuple[int, int], bool] = {}
-        for index, (sign, u, v) in enumerate(parsed):
-            key = (min(u, v), max(u, v))
-            exists = overlay.get(key)
-            if exists is None:
-                exists = self.state.dynamic.has_edge(u, v)
-            if sign == "+" and exists:
-                raise QueryError(
-                    "bad_request",
-                    f"mutation #{index}: edge ({u}, {v}) already exists",
-                )
-            if sign == "-" and not exists:
-                raise QueryError(
-                    "bad_request",
-                    f"mutation #{index}: edge ({u}, {v}) does not exist",
-                )
-            overlay[key] = sign == "+"
-
     def _next_lsn(self) -> int:
         """LSN of the next record this primary originates.  It is past
         both the state and the local log, so a log ahead of the state
@@ -731,7 +714,9 @@ class MutableQueryEngine(QueryEngine):
 
         A record past the local log's end is appended (and fsynced,
         policy permitting) first; then :meth:`EngineState.apply`
-        applies it, and this wrapper invalidates the caches it touched,
+        applies it — with ``built``, the live path's
+        :meth:`EngineState.check` lookups or prebuilt maintenance
+        structure — and this wrapper invalidates the caches it touched,
         counts it, and hands it to the replicator.  Returns the
         :class:`~repro.durability.state.Applied`, or ``None`` for an
         already-applied record.
@@ -744,15 +729,12 @@ class MutableQueryEngine(QueryEngine):
             self._wal.append_record(record)
         term = state.term
         applied = state.apply(record, built)
-        for node in applied.touched:
-            self._cache.invalidate(node)
+        self._cache.invalidate_many(applied.touched)
         self._pagerank_scores = None
         self._rep_snapshot = None
         registry = self.metrics.registry
         if applied.result is not None:
-            registry.counter("repro_ingest_applied_total").inc(
-                applied.result["applied"]
-            )
+            self.metrics.ingest_applied(applied.result["applied"])
             if applied.evicted:
                 registry.counter(
                     "repro_ingest_dedup_evictions_total"

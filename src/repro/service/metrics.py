@@ -81,6 +81,9 @@ class ServiceMetrics:
         self._breaker_rejected = self.registry.counter(
             "service_breaker_rejected_total"
         )
+        #: Made on the first applied batch, so a server that never
+        #: ingests exports no ``repro_ingest_applied_total`` series.
+        self._ingest_applied: Counter | None = None
 
     # -- engine-side accounting -----------------------------------------
     def cache_hit(self) -> None:
@@ -88,6 +91,14 @@ class ServiceMetrics:
 
     def cache_miss(self) -> None:
         self._cache_misses.inc()
+
+    def ingest_applied(self, mutations: int) -> None:
+        """Count the mutations of one applied ``ingest`` batch."""
+        if self._ingest_applied is None:
+            self._ingest_applied = self.registry.counter(
+                "repro_ingest_applied_total"
+            )
+        self._ingest_applied.inc(mutations)
 
     def batch(self, size: int, unique: int) -> None:
         """Record one ``query_many`` call and its deduplication."""

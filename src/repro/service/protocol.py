@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import json
 import socket
+import time
 
 from repro.durability.replication import ACKS_MODES
 from repro.obs.context import validate_trace_field
@@ -184,11 +185,14 @@ class ProtocolError(ValueError):
     object)."""
 
 
+#: The one compact encoder every message goes through; ``json.dumps``
+#: with these options builds the same encoder on each call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_message(message: dict) -> bytes:
     """Serialise one message to its wire form (compact JSON + LF)."""
-    return (
-        json.dumps(message, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    return (_ENCODER.encode(message) + "\n").encode("utf-8")
 
 
 def decode_line(line: bytes) -> dict:
@@ -404,8 +408,10 @@ def _check_ingest_fields(request: dict) -> None:
             f"batch of {len(mutations)} mutations exceeds the cap of "
             f"{MAX_INGEST_MUTATIONS}"
         )
+    # Exact types: ``decode_line`` yields only ``list``, ``int`` and
+    # ``str``, and ``bool`` (an ``int`` subclass) is no endpoint.
     for index, item in enumerate(mutations):
-        if not (isinstance(item, list) and len(item) == 3):
+        if type(item) is not list or len(item) != 3:
             raise ProtocolError(
                 f"mutation #{index} must be a 3-item list "
                 '["+"|"-", u, v]'
@@ -415,14 +421,11 @@ def _check_ingest_fields(request: dict) -> None:
             raise ProtocolError(
                 f"mutation #{index} has unknown sign {sign!r}"
             )
-        for node in (u, v):
-            if not isinstance(node, int) or isinstance(node, bool) or (
-                node < 0
-            ):
-                raise ProtocolError(
-                    f"mutation #{index} endpoints must be "
-                    "non-negative integers"
-                )
+        if type(u) is not int or type(v) is not int or u < 0 or v < 0:
+            raise ProtocolError(
+                f"mutation #{index} endpoints must be "
+                "non-negative integers"
+            )
 
 
 def validate_response(message: dict) -> dict:
@@ -477,8 +480,8 @@ class LineReader:
     """Incremental ``\\n``-splitter over a socket.
 
     ``readline`` returns the next complete line (without the
-    terminator), ``None`` on EOF, and re-raises ``socket.timeout`` so
-    callers can poll a shutdown flag between reads.
+    terminator), ``None`` on EOF, and raises ``socket.timeout`` when
+    the socket's timeout, or the ``deadline`` it was given, passes.
 
     An oversized *unterminated* line poisons the reader: there is no
     way to find the next message boundary in a stream whose current
@@ -501,7 +504,11 @@ class LineReader:
         self._eof = False
         self._poisoned = False
 
-    def readline(self) -> bytes | None:
+    def readline(self, deadline: float | None = None) -> bytes | None:
+        """The next line; with ``deadline`` (a :func:`time.monotonic`
+        instant) set, every read waits only until then, so a peer
+        that trickles bytes without ending the line still times out.
+        """
         if self._poisoned:
             raise ProtocolError(
                 "stream is beyond resynchronization after an "
@@ -520,6 +527,11 @@ class LineReader:
                 raise ProtocolError(
                     f"unterminated line exceeds {self._max_line_bytes} bytes"
                 )
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise socket.timeout("read deadline passed")
+                self._sock.settimeout(remaining)
             chunk = self._sock.recv(self._chunk_size)
             if not chunk:
                 self._eof = True

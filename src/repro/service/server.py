@@ -71,8 +71,9 @@ __all__ = ["SummaryQueryServer"]
 
 logger = logging.getLogger("repro.service")
 
-#: How often (seconds) a blocked worker wakes to poll the stop flag.
-_POLL_INTERVAL = 0.2
+#: Seconds a reply may take to leave: a client that stops reading
+#: loses its connection after this long instead of holding a worker.
+_SEND_TIMEOUT = 0.2
 
 
 class SummaryQueryServer:
@@ -91,7 +92,9 @@ class SummaryQueryServer:
     request_timeout:
         Per-request deadline in seconds.
     idle_timeout:
-        Close a connection after this long without a request.
+        Close a connection that sends no complete request line
+        within this long of its last reply, however its bytes
+        trickle in.
     log_interval:
         When set, a daemon thread logs a stats line this often.
     max_pending:
@@ -134,6 +137,13 @@ class SummaryQueryServer:
         self._threads: list[threading.Thread] = []
         self._connections: queue.Queue = queue.Queue()
         self._stop_event = threading.Event()
+        #: Connections a worker is serving.  Guarded by
+        #: ``_live_lock``, which also orders a worker adopting a
+        #: connection against :meth:`shutdown` waking them all.  It is
+        #: reentrant because a signal handler may call shutdown()
+        #: while the main thread is inside it.
+        self._live: set[socket.socket] = set()
+        self._live_lock = threading.RLock()
         self._started = False
         self._metrics_logger: MetricsLogger | None = None
 
@@ -157,7 +167,6 @@ class SummaryQueryServer:
         except OSError:
             listener.close()
             raise
-        listener.settimeout(_POLL_INTERVAL)
         self._socket = listener
         self._started = True
         acceptor = threading.Thread(
@@ -173,6 +182,8 @@ class SummaryQueryServer:
             )
             worker.start()
             self._threads.append(worker)
+        if self._stop_event.is_set():
+            self.shutdown()  # stopped before starting: wake the threads
         if self._log_interval:
             self._metrics_logger = MetricsLogger(
                 self.metrics, self._log_interval
@@ -223,8 +234,24 @@ class SummaryQueryServer:
 
     def shutdown(self) -> None:
         """Signal a graceful stop (idempotent, callable from any
-        thread, including a worker serving the ``shutdown`` op)."""
-        self._stop_event.set()
+        thread, including a worker serving the ``shutdown`` op).
+
+        Nothing polls: the blocked acceptor, workers and connections
+        are woken here.  The listener is shut down (its ``accept``
+        fails), each worker gets one ``None`` sentinel, and each live
+        connection's read side is shut down, so an idle connection
+        reads EOF at once.  A request already in flight is still
+        answered, because the write side stays open until its worker
+        closes the connection."""
+        with self._live_lock:
+            self._stop_event.set()
+            for conn in self._live:
+                _shutdown_socket(conn, socket.SHUT_RD)
+        # Repeated calls only add sentinels, which close() drains.
+        if self._started:
+            _shutdown_socket(self._socket, socket.SHUT_RDWR)
+            for _ in range(self._workers):
+                self._connections.put(None)
 
     def close(self, timeout: float = 10.0) -> None:
         """Wait for workers to drain in-flight requests and release
@@ -261,10 +288,8 @@ class SummaryQueryServer:
         while not self._stop_event.is_set():
             try:
                 conn, peer = self._socket.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                break  # listener closed under us during shutdown
+                break  # listener shut down by shutdown()
             injector = active_injector()
             if injector is not None:
                 try:
@@ -298,11 +323,10 @@ class SummaryQueryServer:
 
     # -- workers ----------------------------------------------------------
     def _worker_loop(self) -> None:
-        while not self._stop_event.is_set():
-            try:
-                item = self._connections.get(timeout=_POLL_INTERVAL)
-            except queue.Empty:
-                continue
+        while True:
+            item = self._connections.get()
+            if item is None:
+                return  # shutdown()'s sentinel
             conn, peer = item
             try:
                 self._serve_connection(conn, peer)
@@ -315,17 +339,25 @@ class SummaryQueryServer:
         # Each response is its own send: without this, Nagle holds a
         # pipelined client's second answer until its delayed ACK.
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn.settimeout(_POLL_INTERVAL)
+        with self._live_lock:
+            if self._stop_event.is_set():
+                return
+            self._live.add(conn)
+        try:
+            self._serve_lines(conn, peer)
+        finally:
+            with self._live_lock:
+                self._live.discard(conn)
+
+    def _serve_lines(self, conn: socket.socket, peer) -> None:
         reader = LineReader(conn)
-        last_activity = time.monotonic()
+        idle_since = time.monotonic()
         while not self._stop_event.is_set():
             try:
-                line = reader.readline()
+                line = reader.readline(idle_since + self._idle_timeout)
             except socket.timeout:
-                if time.monotonic() - last_activity > self._idle_timeout:
-                    logger.info("closing idle connection from %s", peer)
-                    return
-                continue
+                logger.info("closing idle connection from %s", peer)
+                return
             except ProtocolError as exc:
                 # Unterminated oversized line: the stream is beyond
                 # recovery; report once and drop the connection.
@@ -333,14 +365,14 @@ class SummaryQueryServer:
                 return
             except OSError:
                 return
-            if line is None:
-                return  # client closed
+            if line is None or self._stop_event.is_set():
+                return  # client closed, or shutdown() woke the read
             if not line.strip():
                 continue
-            last_activity = time.monotonic()
             response, stop_after = self._handle_line(line)
             if not self._send(conn, response):
                 return
+            idle_since = time.monotonic()
             if stop_after:
                 self.shutdown()
                 return
@@ -465,6 +497,7 @@ class SummaryQueryServer:
 
     def _send(self, conn: socket.socket, message: dict) -> bool:
         try:
+            conn.settimeout(_SEND_TIMEOUT)
             conn.sendall(encode_message(message))
             return True
         except OSError:
@@ -476,3 +509,11 @@ class SummaryQueryServer:
         finally:
             self.metrics.connection_closed()
 
+
+def _shutdown_socket(sock: socket.socket, how: int) -> None:
+    """``sock.shutdown(how)``, ignoring a socket the peer or its owner
+    already closed."""
+    try:
+        sock.shutdown(how)
+    except OSError:
+        pass

@@ -16,6 +16,8 @@ from repro.compression.varint import (
     decode_varints,
     encode_varint,
     encode_varints,
+    pack_varints,
+    read_varints,
     zigzag_decode,
     zigzag_encode,
 )
@@ -49,6 +51,24 @@ class TestVarint:
     def test_stream_roundtrip(self):
         values = [0, 5, 1000, 7, 2**40]
         assert list(decode_varints(encode_varints(values))) == values
+
+    def test_pack_appends_the_single_value_encodings(self):
+        values = [0, 127, 128, 300, 2**35]
+        out = bytearray(b"x")
+        pack_varints(out, values)
+        assert bytes(out) == b"x" + b"".join(map(encode_varint, values))
+
+    @given(st.lists(st.integers(0, 2**64), max_size=20), st.binary(max_size=3))
+    def test_read_counted_run(self, values, prefix):
+        data = prefix + encode_varints(values) + b"\xff"
+        decoded, offset = read_varints(data, len(prefix), len(values))
+        assert decoded == values
+        assert offset == len(data) - 1
+
+    def test_read_truncated_run(self):
+        data = encode_varints([1, 300])[:-1]
+        with pytest.raises(ValueError, match="truncated"):
+            read_varints(data, 0, 2)
 
     @given(st.integers(-(2**31), 2**31))
     def test_zigzag_roundtrip(self, value):

@@ -233,6 +233,37 @@ class TestRecovery:
         )
         wal2.close()
 
+    @pytest.mark.parametrize("bad", ["+existing", "-missing"])
+    def test_replay_refuses_inapplicable_record(self, rep, tmp_path, bad):
+        """A checksum-valid record that inserts an existing edge or
+        deletes a missing one stops recovery with an error, and the
+        state keeps every record before it and nothing of the bad
+        one, not even its applicable first mutation."""
+        u, v = _free_edge(rep)
+        x, y = min(rep.reconstruct_edges())
+        second = ["+", x, y] if bad == "+existing" else ["-", u, v]
+        with WriteAheadLog(tmp_path, fsync="never") as wal:
+            # The log takes any well-formed record; only the engine
+            # knows this one cannot apply.
+            wal.append("s", 0, [("+", u, v)])
+            wal.append("s", 1, [("-", u, v), tuple(second)])
+        expected = MutableQueryEngine(_dynamic(rep))
+        expected.ingest("s", 0, [["+", u, v]])
+
+        with WriteAheadLog(tmp_path, fsync="never") as wal:
+            engine, pending, report = recover_engine(
+                rep, wal, None,
+                engine_factory=lambda d: MutableQueryEngine(d, wal=wal),
+            )
+            message = "already exists" if bad == "+existing" else (
+                "does not exist"
+            )
+            with pytest.raises(ValueError, match=f"mutation #1: .*{message}"):
+                replay_tail(engine, pending, report)
+        assert not engine.replaying
+        assert engine.state.to_state() == expected.state.to_state()
+        assert v in engine.neighbors(u)
+
     def test_log_gap_after_checkpoint_fails_startup(self, rep, tmp_path):
         """A log that does not continue the loaded checkpoint is a
         startup error naming the missing LSN range, never a replay

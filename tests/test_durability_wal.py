@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.durability.wal import (
+    MUTATION_OPS,
+    ResummarizeRecord,
+    TermRecord,
     WalError,
     WalRecord,
     WriteAheadLog,
+    _iter_frames,
     encode_record,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -62,6 +68,110 @@ class TestFraming:
     def test_bad_policy_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="fsync policy"):
             WriteAheadLog(tmp_path, fsync="sometimes")
+
+
+#: One literal frame per record kind, as the log has always written
+#: them: multi-byte LSNs, sequence numbers and endpoints, a non-ASCII
+#: stream id, and a maintenance pass without and with a merge cap
+#: (``max_merges + 1`` >= 128 takes two varint bytes).
+GOLDEN_FRAMES = [
+    (
+        WalRecord(lsn=1, stream="s", seq=0, mutations=(
+            ("+", 1, 2), ("-", 3, 4),
+        )),
+        b"\x0b\x01\x00\x01s\x02\x00\x01\x02\x01\x03\x04\xe3\xc3\xe7\x96\x0b",
+    ),
+    (
+        WalRecord(lsn=300, stream="fl\u00fc\u00df-\u6d41", seq=16384, mutations=(
+            ("+", 127, 128), ("-", 70000, 5), ("+", 0, 2**40),
+        )),
+        b'"\xac\x02\x80\x80\x01\nfl\xc3\xbc\xc3\x9f-\xe6\xb5\x81\x03'
+        b"\x00\x7f\x80\x01\x01\xf0\xa2\x04\x05\x00\x00\x80\x80\x80\x80\x80 "
+        b"\xc1\xe8\xf6\xa7\t",
+    ),
+    (
+        ResummarizeRecord(lsn=5, targets=(3, 130, 20000), max_merges=None),
+        b"\x0b\x00\x01\x05\x03\x03\x82\x01\xa0\x9c\x01\x00\xd0\xee\xd1\xfe\x0b",
+    ),
+    (
+        ResummarizeRecord(lsn=1000, targets=(), max_merges=200),
+        b"\x07\x00\x01\xe8\x07\x00\xc9\x01\xed\xc9\xf3\xf3\x0b",
+    ),
+    (
+        ResummarizeRecord(lsn=7, targets=(0,), max_merges=0),
+        b"\x06\x00\x01\x07\x01\x00\x01\x8b\xd4\xc3\xbd\x06",
+    ),
+    (
+        TermRecord(lsn=70000, term=130),
+        b"\x07\x00\x02\xf0\xa2\x04\x82\x01\xa5\xba\xa62",
+    ),
+]
+
+
+def _decode_frame(frame: bytes):
+    """The one record a frame holds, through the segment reader."""
+    [(record, end)] = list(_iter_frames(frame))
+    assert end == len(frame)
+    return record
+
+
+class TestGoldenFrames:
+    """The on-disk bytes are a format: a codec change must keep them."""
+
+    @pytest.mark.parametrize(
+        "record, frame", GOLDEN_FRAMES,
+        ids=[f"{type(r).__name__}-{r.lsn}" for r, _ in GOLDEN_FRAMES],
+    )
+    def test_encode_matches_golden_bytes(self, record, frame):
+        assert encode_record(record) == frame
+
+    @pytest.mark.parametrize(
+        "record, frame", GOLDEN_FRAMES,
+        ids=[f"{type(r).__name__}-{r.lsn}" for r, _ in GOLDEN_FRAMES],
+    )
+    def test_golden_bytes_decode_to_record(self, record, frame):
+        assert _decode_frame(frame) == record
+
+    def test_golden_log_reads_back_from_disk(self, tmp_path):
+        (tmp_path / "wal-00000000.log").write_bytes(
+            b"".join(frame for _, frame in GOLDEN_FRAMES)
+        )
+        with WriteAheadLog(tmp_path, fsync="never") as wal:
+            assert wal.records() == [record for record, _ in GOLDEN_FRAMES]
+            assert wal.last_term == 130
+
+    @pytest.mark.parametrize("cut", [1, 5, 12])
+    def test_truncated_golden_frame_does_not_decode(self, cut):
+        frame = GOLDEN_FRAMES[1][1]
+        assert list(_iter_frames(frame[:-cut])) == []
+
+
+_VARINT = st.integers(min_value=0, max_value=2**64)
+_RECORDS = st.one_of(
+    st.builds(
+        WalRecord,
+        lsn=st.integers(min_value=1, max_value=2**64),
+        stream=st.text(min_size=1, max_size=128),
+        seq=_VARINT,
+        mutations=st.lists(
+            st.tuples(st.sampled_from(MUTATION_OPS), _VARINT, _VARINT),
+            max_size=20,
+        ).map(tuple),
+    ),
+    st.builds(
+        ResummarizeRecord,
+        lsn=_VARINT,
+        targets=st.lists(_VARINT, max_size=20).map(tuple),
+        max_merges=st.none() | _VARINT,
+    ),
+    st.builds(TermRecord, lsn=_VARINT, term=_VARINT),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=_RECORDS)
+def test_decode_inverts_encode(record):
+    assert _decode_frame(encode_record(record)) == record
 
 
 class TestRotation:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.core.verify import verify_lossless
@@ -277,3 +279,87 @@ class TestDirtinessTracking:
         # Worse than any graph's trivial encoding — never 0.0, which
         # would read as "perfectly compact".
         assert dyn.relative_size == float("inf")
+
+
+_CHECK_BASE = (
+    MagsDMSummarizer(iterations=6, seed=2)
+    .summarize(planted_partition(24, 4, 0.6, 0.05, seed=9))
+    .representation
+)
+
+
+def _overlay(rebuild_factor):
+    return DynamicGraphSummary.from_representation(
+        _CHECK_BASE,
+        summarizer_factory=lambda: MagsDMSummarizer(iterations=4, seed=1),
+        rebuild_factor=rebuild_factor,
+    )
+
+
+class TestCheckedBatches:
+    """``EngineState.check`` + ``toggle_batch`` (one lookup per
+    mutation) must equal ``insert_edge``/``delete_edge`` one by one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 23), st.integers(0, 23)).filter(
+                lambda p: p[0] != p[1]
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        rebuild_factor=st.sampled_from([None, 1.0, 1.3]),
+    )
+    def test_checked_batch_matches_single_updates(self, pairs, rebuild_factor):
+        from repro.durability.state import EngineState
+
+        edges = set(_CHECK_BASE.reconstruct_edges())
+        batch = []
+        for u, v in pairs:
+            key = (min(u, v), max(u, v))
+            batch.append(("-" if key in edges else "+", u, v))
+            edges ^= {key}
+        checked, single = _overlay(rebuild_factor), _overlay(rebuild_factor)
+        states = EngineState(checked).check(batch)
+        assert len(states) == len(batch)
+        checked.toggle_batch(batch, states)
+        for sign, u, v in batch:
+            (single.insert_edge if sign == "+" else single.delete_edge)(u, v)
+        assert checked.to_representation() == single.to_representation()
+        assert checked.num_rebuilds == single.num_rebuilds
+        assert checked.dirty_supernodes() == single.dirty_supernodes()
+        assert set(checked.to_graph().edges()) == edges
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda a, b: (
+                [("+", a, b), ("+", b, a)],
+                rf"#1: edge \({b}, {a}\) already exists",
+            ),
+            lambda a, b: (
+                [("+", a, b), ("-", a, b), ("-", b, a)],
+                rf"#2: edge \({b}, {a}\) does not exist",
+            ),
+            lambda a, b: ([("+", a, b), ("+", a, 24)], r"#1: node 24 out of range"),
+            lambda a, b: ([("+", a, b), ("+", -1, a)], r"#1: node -1 out of range"),
+            lambda a, b: ([("+", a, b), ("-", a, a)], r"#1 is a self-loop"),
+        ],
+        ids=["insert-existing", "delete-missing", "high", "negative", "loop"],
+    )
+    def test_check_names_first_bad_mutation(self, case):
+        """The first failing mutation is named — counting the batch's
+        own earlier flips — and the summary is left as it was."""
+        from repro.durability.state import EngineState
+
+        edges = set(_CHECK_BASE.reconstruct_edges())
+        batch, message = case(*next(
+            (u, v) for u in range(24) for v in range(u + 1, 24)
+            if (u, v) not in edges
+        ))
+        dyn = _overlay(None)
+        before = dyn.to_representation()
+        with pytest.raises(ValueError, match=f"mutation {message}"):
+            EngineState(dyn).check(batch)
+        assert dyn.to_representation() == before

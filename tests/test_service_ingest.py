@@ -250,6 +250,61 @@ class TestMutableEngine:
                  "mutations": [["+", 0, 1]]}
             )
 
+    def test_live_ingest_looks_each_edge_up_once(
+        self, rep, tmp_path, monkeypatch
+    ):
+        """Validation and apply share one existence lookup per
+        mutation: the check before the WAL append makes it, and the
+        apply flips the correction it named."""
+        from repro.durability.wal import WriteAheadLog
+        from repro.queries.neighbors import SummaryNeighborIndex
+
+        looked_up = []
+        lookup = SummaryNeighborIndex.lookup
+
+        def spy(index, u, v):
+            looked_up.append((u, v))
+            return lookup(index, u, v)
+
+        monkeypatch.setattr(SummaryNeighborIndex, "lookup", spy)
+        batch = [["+", u, v] for u, v in _free_edges(rep, 8)] + [
+            ["-", u, v] for u, v in sorted(rep.reconstruct_edges())[:8]
+        ]
+        with WriteAheadLog(tmp_path, fsync="never") as wal:
+            engine = _engine(rep, wal=wal)
+            assert engine.ingest("s", 0, batch)["applied"] == 16
+        assert sorted(looked_up) == sorted((u, v) for _, u, v in batch)
+        for sign, u, v in batch:
+            assert (v in engine.neighbors(u)) == (sign == "+")
+
+    def test_write_series_appear_with_the_first_write(self, rep, tmp_path):
+        """The write path's metric handles are cached, yet a durable
+        engine that has not ingested exports none of their series (an
+        empty histogram would read ``{"count": 0}``, without a
+        ``sum``)."""
+        from repro.durability.wal import WriteAheadLog
+        from repro.service import ServiceMetrics
+
+        metrics = ServiceMetrics()
+        names = (
+            "repro_ingest_applied_total",
+            "repro_wal_records_total",
+            "repro_wal_fsync_seconds",
+        )
+        with WriteAheadLog(
+            tmp_path, fsync="always", registry=metrics.registry
+        ) as wal:
+            engine = _engine(rep, wal=wal, metrics=metrics)
+            assert not set(names) & set(metrics.registry.snapshot())
+            (u, v), = _free_edges(rep, 1)
+            engine.ingest("s", 0, [["+", u, v]])
+            snapshot = metrics.registry.snapshot()
+        assert snapshot["repro_ingest_applied_total"][0]["value"] == 1
+        assert snapshot["repro_wal_records_total"][0]["labels"] == {
+            "event": "appended"
+        }
+        assert snapshot["repro_wal_fsync_seconds"][0]["count"] >= 1
+
     def test_ingest_equivalent_to_from_scratch(self, rep):
         """The paper-level invariant: a summary mutated online equals
         a summary whose graph was edited before summarization."""

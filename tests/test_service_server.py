@@ -260,6 +260,119 @@ class TestShutdown:
         active = engine.metrics.registry.gauge("service_connections_active")
         assert active.value == 0
 
+    def test_close_with_idle_client_returns_promptly(self, rep):
+        """Nothing polls: ``close()`` wakes the acceptor, the workers
+        and an idle connection's blocked read itself."""
+        server = SummaryQueryServer(QueryEngine(rep), workers=2).start()
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(encode_message({"id": 1, "op": "ping"}))
+            assert b"pong" in sock.recv(4096)
+            started = time.perf_counter()
+            server.close()
+            elapsed = time.perf_counter() - started
+            # The idle client sees the server end the connection.
+            assert sock.recv(4096) == b""
+        assert elapsed < 0.05, f"close() took {elapsed:.3f}s"
+
+    def test_request_in_flight_at_shutdown_is_answered(self, rep):
+        entered, release = threading.Event(), threading.Event()
+
+        class SlowEngine(QueryEngine):
+            def query(self, request, deadline=None):
+                entered.set()
+                release.wait(timeout=5)
+                return super().query(request, deadline)
+
+        server = SummaryQueryServer(SlowEngine(rep), workers=2).start()
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(encode_message({"id": 7, "op": "ping"}))
+            assert entered.wait(timeout=5)
+            server.shutdown()
+            release.set()
+            reply = LineReader(sock).readline()
+            server.close()
+        assert decode_line(reply)["result"] == "pong"
+
+    def test_idle_timeout_closes_connection(self, rep):
+        server = SummaryQueryServer(
+            QueryEngine(rep), workers=1, idle_timeout=0.1
+        ).start()
+        try:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                started = time.perf_counter()
+                assert sock.recv(4096) == b""
+                assert 0.05 < time.perf_counter() - started < 4
+        finally:
+            server.close()
+
+    def test_trickling_client_is_closed_at_idle_timeout(self, rep):
+        """The idle deadline runs from the last complete request, so a
+        client that sends a byte now and then but never ends its line
+        is still closed."""
+        server = SummaryQueryServer(
+            QueryEngine(rep), workers=1, idle_timeout=0.3
+        ).start()
+        done = threading.Event()
+
+        def trickle(sock):
+            while not done.wait(0.05):
+                try:
+                    sock.sendall(b" ")
+                except OSError:
+                    return
+
+        try:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(b'{"id": 1, "op": "ping"')
+                sender = threading.Thread(target=trickle, args=(sock,))
+                started = time.perf_counter()
+                sender.start()
+                try:
+                    assert sock.recv(4096) == b""
+                except ConnectionResetError:
+                    pass  # closed with trickled bytes still unread
+                elapsed = time.perf_counter() - started
+                done.set()
+                sender.join()
+            assert elapsed < 2.0, f"closed after {elapsed:.2f}s"
+        finally:
+            done.set()
+            server.close()
+
+    def test_client_that_stops_reading_frees_its_worker(self, rep):
+        """A reply the client does not take is dropped with its
+        connection after a short send deadline: the only worker goes
+        on to serve the next client, and close() does not wait on the
+        stalled send."""
+        server = SummaryQueryServer(QueryEngine(rep), workers=1).start()
+        request = encode_message({"id": 1, "op": "khop", "node": 0, "k": 3})
+        stalled = socket.socket()
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        stalled.connect(server.address)
+
+        def flood():
+            # Far more reply bytes than the socket buffers hold; the
+            # server stops reading once its send blocks, so this send
+            # ends when the server drops the connection.
+            try:
+                stalled.sendall(request * 20000)
+            except OSError:
+                pass
+
+        sender = threading.Thread(target=flood)
+        sender.start()
+        try:
+            with SummaryServiceClient(*server.address, timeout=5) as cli:
+                assert cli.ping() == "pong"
+            started = time.perf_counter()
+            server.close()
+            elapsed = time.perf_counter() - started
+            assert elapsed < 1.0, f"close() took {elapsed:.3f}s"
+        finally:
+            server.close()
+            stalled.close()
+            sender.join(timeout=5)
+
 
 class TestTracing:
     def test_requests_wrapped_in_service_spans(self, client):
