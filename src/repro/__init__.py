@@ -20,29 +20,33 @@ Quickstart::
     assert rep.reconstruct_edges() == graph.edge_set()   # lossless
 """
 
-from repro.algorithms import (
-    GreedySummarizer,
-    LDMESummarizer,
-    MagsDMSummarizer,
-    MagsSummarizer,
-    RandomizedSummarizer,
-    SluggerSummarizer,
-    SummaryResult,
-    Summarizer,
-    SWeGSummarizer,
-)
-from repro.core import (
-    LossyResult,
-    Representation,
-    SuperNodePartition,
-    encode,
-    load_representation,
-    make_lossy,
-    save_representation,
-    verify_lossless,
-)
-from repro.dynamic import DynamicGraphSummary
-from repro.graph import Graph, generators, load_dataset, load_graph
+from repro._lazy import lazy_exports
+
+# Re-exports resolve on first access (PEP 562), so importing any
+# ``repro.*`` module -- a server, say -- does not load the summarizers
+# and NumPy behind them.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.algorithms.base": ["SummaryResult", "Summarizer"],
+    "repro.algorithms.greedy": ["GreedySummarizer"],
+    "repro.algorithms.ldme": ["LDMESummarizer"],
+    "repro.algorithms.mags": ["MagsSummarizer"],
+    "repro.algorithms.mags_dm": ["MagsDMSummarizer"],
+    "repro.algorithms.randomized": ["RandomizedSummarizer"],
+    "repro.algorithms.slugger": ["SluggerSummarizer"],
+    "repro.algorithms.sweg": ["SWeGSummarizer"],
+    "repro.core.encoding": ["Representation", "encode"],
+    "repro.core.lossy": ["LossyResult", "make_lossy"],
+    "repro.core.serialization": [
+        "load_representation", "save_representation",
+    ],
+    "repro.core.supernodes": ["SuperNodePartition"],
+    "repro.core.verify": ["verify_lossless"],
+    "repro.dynamic.summary": ["DynamicGraphSummary"],
+    "repro.graph": ["generators"],
+    "repro.graph.datasets": ["load_dataset"],
+    "repro.graph.graph": ["Graph"],
+    "repro.graph.io": ["load_graph"],
+})
 
 __version__ = "1.0.0"
 

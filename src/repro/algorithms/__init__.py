@@ -1,17 +1,17 @@
 """Summarization algorithms: the paper's Mags / Mags-DM and all baselines."""
 
-from repro.algorithms.base import (
-    PhaseTimer,
-    SummaryResult,
-    Summarizer,
-)
-from repro.algorithms.greedy import GreedySummarizer
-from repro.algorithms.ldme import LDMESummarizer
-from repro.algorithms.mags import MagsSummarizer
-from repro.algorithms.mags_dm import MagsDMSummarizer
-from repro.algorithms.randomized import RandomizedSummarizer
-from repro.algorithms.slugger import SluggerSummarizer
-from repro.algorithms.sweg import SWeGSummarizer
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.algorithms.base": ["PhaseTimer", "SummaryResult", "Summarizer"],
+    "repro.algorithms.greedy": ["GreedySummarizer"],
+    "repro.algorithms.ldme": ["LDMESummarizer"],
+    "repro.algorithms.mags": ["MagsSummarizer"],
+    "repro.algorithms.mags_dm": ["MagsDMSummarizer"],
+    "repro.algorithms.randomized": ["RandomizedSummarizer"],
+    "repro.algorithms.slugger": ["SluggerSummarizer"],
+    "repro.algorithms.sweg": ["SWeGSummarizer"],
+})
 
 __all__ = [
     "PhaseTimer",

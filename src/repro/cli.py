@@ -24,30 +24,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.algorithms import (
-    GreedySummarizer,
-    LDMESummarizer,
-    MagsDMSummarizer,
-    MagsSummarizer,
-    RandomizedSummarizer,
-    SluggerSummarizer,
-    Summarizer,
-    SWeGSummarizer,
-)
-from repro.core.lossy import make_lossy
+# ``repro.algorithms`` resolves its summarizers on first use, and the
+# commands import lossy, verify and stats themselves: ``repro serve``
+# loads only the serving stack, which is NumPy-free.
+from repro import algorithms
 from repro.core.serialization import (
     load_representation,
     load_representation_checked,
     save_representation,
 )
-from repro.core.verify import deep_audit, verify_lossless
 from repro.durability.replication import ACKS_MODES
 from repro.graph.datasets import dataset_codes, load_dataset
 from repro.graph.graph import GraphError
 from repro.graph.io import INGEST_POLICIES, load_graph_checked, save_graph
-from repro.graph.stats import graph_stats
 from repro.service.node import (
     Node,
     NodeConfig,
@@ -55,19 +46,26 @@ from repro.service.node import (
     add_serve_arguments,
 )
 
+if TYPE_CHECKING:
+    from repro.algorithms import Summarizer
+
 __all__ = ["main", "build_parser", "ALGORITHMS"]
 
 #: CLI name -> summarizer factory (iterations, seed) -> Summarizer.
 ALGORITHMS: dict[str, Callable[[int, int], Summarizer]] = {
-    "mags": lambda T, seed: MagsSummarizer(iterations=T, seed=seed),
-    "mags-dm": lambda T, seed: MagsDMSummarizer(iterations=T, seed=seed),
-    "greedy": lambda T, seed: GreedySummarizer(seed=seed),
-    "randomized": lambda T, seed: RandomizedSummarizer(seed=seed),
-    "sweg": lambda T, seed: SWeGSummarizer(iterations=T, seed=seed),
-    "ldme": lambda T, seed: LDMESummarizer(
+    "mags": lambda T, seed: algorithms.MagsSummarizer(iterations=T, seed=seed),
+    "mags-dm": lambda T, seed: algorithms.MagsDMSummarizer(
+        iterations=T, seed=seed
+    ),
+    "greedy": lambda T, seed: algorithms.GreedySummarizer(seed=seed),
+    "randomized": lambda T, seed: algorithms.RandomizedSummarizer(seed=seed),
+    "sweg": lambda T, seed: algorithms.SWeGSummarizer(iterations=T, seed=seed),
+    "ldme": lambda T, seed: algorithms.LDMESummarizer(
         iterations=T, signature_length=2, seed=seed
     ),
-    "slugger": lambda T, seed: SluggerSummarizer(iterations=T, seed=seed),
+    "slugger": lambda T, seed: algorithms.SluggerSummarizer(
+        iterations=T, seed=seed
+    ),
 }
 
 
@@ -479,6 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
+    from repro.core.lossy import make_lossy
+    from repro.core.verify import verify_lossless
+
     graph = _load_graph_from_args(args, args.input)
     print(f"loaded {graph}")
     summarizer = ALGORITHMS[args.algorithm](args.iterations, args.seed)
@@ -555,6 +556,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.core.serialization import FormatError
+    from repro.core.verify import deep_audit, verify_lossless
 
     try:
         representation, checksum = load_representation_checked(args.input)
@@ -593,6 +595,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from repro.graph.stats import graph_stats
+
     graph = _load_graph_from_args(args, args.input)
     for key, value in graph_stats(graph).as_row().items():
         print(f"{key:10s} {value}")
@@ -600,6 +604,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.core.verify import verify_lossless
+
     graph = _load_graph_from_args(args, args.input)
     print(f"loaded {graph}")
     names = [name.strip() for name in args.algorithms.split(",") if name.strip()]

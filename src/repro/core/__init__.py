@@ -1,28 +1,34 @@
 """Core cost calculus: partition, costs, saving, MinHash, encoding."""
 
-from repro.core.costs import (
-    pair_cost,
-    potential_edges,
-    potential_self_edges,
-    self_cost,
-    use_superedge,
-)
-from repro.core.encoding import Representation, encode
-from repro.core.lossy import LossyResult, make_lossy, neighborhood_errors
-from repro.core.minhash import (
-    MinHashSignatures,
-    exact_jaccard,
-    node_signatures,
-    super_jaccard,
-)
-from repro.core.serialization import (
-    FormatError,
-    load_representation,
-    save_representation,
-)
-from repro.core.supernodes import SuperNodePartition
-from repro.core.thresholds import omega, omega_schedule, theta, theta_schedule
-from repro.core.verify import LosslessnessError, verify_lossless
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.costs": [
+        "pair_cost",
+        "potential_edges",
+        "potential_self_edges",
+        "self_cost",
+        "use_superedge",
+    ],
+    "repro.core.encoding": ["Representation", "encode"],
+    "repro.core.lossy": ["LossyResult", "make_lossy", "neighborhood_errors"],
+    "repro.core.minhash": [
+        "MinHashSignatures",
+        "exact_jaccard",
+        "node_signatures",
+        "super_jaccard",
+    ],
+    "repro.core.serialization": [
+        "FormatError",
+        "load_representation",
+        "save_representation",
+    ],
+    "repro.core.supernodes": ["SuperNodePartition"],
+    "repro.core.thresholds": [
+        "omega", "omega_schedule", "theta", "theta_schedule",
+    ],
+    "repro.core.verify": ["LosslessnessError", "verify_lossless"],
+})
 
 __all__ = [
     "pair_cost",

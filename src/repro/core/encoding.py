@@ -11,10 +11,15 @@ product ``R = (S, C)`` of every algorithm in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core import costs
-from repro.core.supernodes import SuperNodePartition
 from repro.graph.graph import Graph
+
+if TYPE_CHECKING:
+    # NumPy-backed; kept off the import path of every module that only
+    # holds or serves a Representation.
+    from repro.core.supernodes import SuperNodePartition
 
 __all__ = ["Representation", "encode"]
 

@@ -23,15 +23,24 @@ verify after arbitrary update sequences.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.algorithms.base import Summarizer
-from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.core.encoding import Representation
 from repro.graph.graph import Graph
 from repro.queries.neighbors import SummaryNeighborIndex
 
+if TYPE_CHECKING:
+    from repro.algorithms.base import Summarizer
+
 __all__ = ["DynamicGraphSummary"]
+
+
+def _default_summarizer() -> Summarizer:
+    # Imported by the first (re)build, so a server that serves and
+    # ingests without re-summarizing never loads Mags-DM or NumPy.
+    from repro.algorithms.mags_dm import MagsDMSummarizer
+
+    return MagsDMSummarizer(iterations=20)
 
 
 def _copy(rep: Representation) -> Representation:
@@ -72,9 +81,7 @@ class DynamicGraphSummary:
     ):
         if rebuild_factor is not None and rebuild_factor < 1.0:
             raise ValueError("rebuild_factor must be >= 1.0 (or None)")
-        self._make_summarizer = summarizer_factory or (
-            lambda: MagsDMSummarizer(iterations=20)
-        )
+        self._make_summarizer = summarizer_factory or _default_summarizer
         self.rebuild_factor = rebuild_factor
         self.num_rebuilds = 0
         self.num_updates = 0
@@ -103,9 +110,7 @@ class DynamicGraphSummary:
         if rebuild_factor is not None and rebuild_factor < 1.0:
             raise ValueError("rebuild_factor must be >= 1.0 (or None)")
         self = cls.__new__(cls)
-        self._make_summarizer = summarizer_factory or (
-            lambda: MagsDMSummarizer(iterations=20)
-        )
+        self._make_summarizer = summarizer_factory or _default_summarizer
         self.rebuild_factor = rebuild_factor
         self.num_rebuilds = 0
         self.num_updates = 0

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.graph import generators
 from repro.graph.graph import Graph
 
 __all__ = [
@@ -55,21 +54,34 @@ class DatasetSpec:
         return self.make()
 
 
+def _generated(generator: str, *args, **kwargs) -> Callable[[], Graph]:
+    """A builder calling :mod:`repro.graph.generators` ``generator``.
+    The NumPy-backed generators load when a dataset is first built,
+    not when the registry is read (``repro serve`` lists its codes)."""
+
+    def build() -> Graph:
+        from repro.graph import generators
+
+        return getattr(generators, generator)(*args, **kwargs)
+
+    return build
+
+
 def _social(n: int, m_attach: int, seed: int) -> Callable[[], Graph]:
-    return lambda: generators.barabasi_albert(n, m_attach, seed=seed)
+    return _generated("barabasi_albert", n, m_attach, seed=seed)
 
 
 def _community(
     n: int, communities: int, p_in: float, p_out: float, seed: int
 ) -> Callable[[], Graph]:
-    return lambda: generators.planted_partition(
-        n, communities, p_in, p_out, seed=seed
+    return _generated(
+        "planted_partition", n, communities, p_in, p_out, seed=seed
     )
 
 
 def _internet(n: int, exponent: float, seed: int) -> Callable[[], Graph]:
-    return lambda: generators.configuration_power_law(
-        n, exponent=exponent, d_min=2, seed=seed
+    return _generated(
+        "configuration_power_law", n, exponent=exponent, d_min=2, seed=seed
     )
 
 
@@ -81,8 +93,9 @@ def _collab(
     seed: int,
     noise: int = 0,
 ) -> Callable[[], Graph]:
-    return lambda: generators.cliques_and_stars(
-        cliques, clique_size, stars, star_size, noise_edges=noise, seed=seed
+    return _generated(
+        "cliques_and_stars",
+        cliques, clique_size, stars, star_size, noise_edges=noise, seed=seed,
     )
 
 
@@ -94,16 +107,17 @@ def _webt(
     mutation: float,
     seed: int,
 ) -> Callable[[], Graph]:
-    return lambda: generators.templated_web(
-        n, templates, hubs, template_size, mutation=mutation, seed=seed
+    return _generated(
+        "templated_web",
+        n, templates, hubs, template_size, mutation=mutation, seed=seed,
     )
 
 
 def _copying(
     n: int, out_degree: int, mutation: float, seed: int
 ) -> Callable[[], Graph]:
-    return lambda: generators.copying_model(
-        n, out_degree, mutation=mutation, seed=seed
+    return _generated(
+        "copying_model", n, out_degree, mutation=mutation, seed=seed
     )
 
 

@@ -5,7 +5,9 @@ The paper (Section 2.1) works on simple undirected graphs
 this package consume :class:`Graph`, which stores adjacency as a list
 of Python sets (fast membership and set algebra, which the cost
 calculus of Section 2.2 relies on) and lazily exposes a CSR view for
-vectorised workloads such as PageRank (Section 6.6).
+vectorised workloads such as PageRank (Section 6.6).  NumPy is
+imported by those array views only, so a process that merely builds
+or reconstructs graphs -- a server -- never loads it.
 
 Graphs are immutable after construction; summarization never mutates
 its input.
@@ -13,9 +15,10 @@ its input.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Graph", "GraphError"]
 
@@ -136,6 +139,8 @@ class Graph:
         sorted so the representation is deterministic.
         """
         if self._csr_cache is None:
+            import numpy as np
+
             indptr = np.zeros(self._n + 1, dtype=np.int64)
             for u in range(self._n):
                 indptr[u + 1] = indptr[u] + len(self._adj[u])
@@ -148,6 +153,8 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Degree of every node as an ``int64`` array."""
+        import numpy as np
+
         return np.fromiter(
             (len(nbrs) for nbrs in self._adj), dtype=np.int64, count=self._n
         )

@@ -1,26 +1,30 @@
 """Query processing on summaries (Section 6.6)."""
 
-from repro.queries.analytics import (
-    common_neighbors,
-    degree_distribution,
-    degree_vector,
-    jaccard_similarity,
-    top_degree_nodes,
-)
-from repro.queries.neighbors import SummaryNeighborIndex, neighbor_query
-from repro.queries.traversal import (
-    bfs_distances,
-    connected_components,
-    num_connected_components,
-    shortest_path,
-)
-from repro.queries.pagerank import (
-    InputGraphPageRank,
-    SummaryPageRank,
-    pagerank_input_graph,
-    pagerank_reference,
-    pagerank_summary,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.queries.analytics": [
+        "common_neighbors",
+        "degree_distribution",
+        "degree_vector",
+        "jaccard_similarity",
+        "top_degree_nodes",
+    ],
+    "repro.queries.neighbors": ["SummaryNeighborIndex", "neighbor_query"],
+    "repro.queries.traversal": [
+        "bfs_distances",
+        "connected_components",
+        "num_connected_components",
+        "shortest_path",
+    ],
+    "repro.queries.pagerank": [
+        "InputGraphPageRank",
+        "SummaryPageRank",
+        "pagerank_input_graph",
+        "pagerank_reference",
+        "pagerank_summary",
+    ],
+})
 
 __all__ = [
     "common_neighbors",

@@ -17,6 +17,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
+from repro.obs.metrics import get_registry
+from repro.obs.tracer import get_tracer
+
 __all__ = [
     "RetryPolicy",
     "Deadline",
@@ -167,13 +170,10 @@ def call_with_retry(
 
 
 def _record_retry(label: str) -> None:
-    from repro.algorithms.base import active_tracer
-    from repro.obs.metrics import get_registry
-
     get_registry().counter(
         "repro_resilience_retries_total", component=label or "unlabelled"
     ).inc()
-    tracer = active_tracer()
-    if tracer is not None:
+    tracer = get_tracer()
+    if tracer.enabled:
         with tracer.span("resilience:retry", component=label):
             pass

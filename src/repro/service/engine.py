@@ -44,7 +44,6 @@ from pathlib import Path
 from repro.core.encoding import Representation
 from repro.core.serialization import load_representation
 from repro.queries.neighbors import SummaryNeighborIndex, neighbor_query
-from repro.queries.pagerank import SummaryPageRank
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import error_response
 
@@ -316,6 +315,10 @@ class QueryEngine:
                     with self._state_lock:
                         built_at = self.epoch
                         rep = self.representation
+                    # NumPy loads with the first build, not with the
+                    # server; every later request reads ``scores``.
+                    from repro.queries.pagerank import SummaryPageRank
+
                     scores = SummaryPageRank(rep).run(
                         self._damping, self._pagerank_iterations
                     )

@@ -24,6 +24,14 @@ per-instance files (written to ``DIR/merged_trace.jsonl``), cluster
 telemetry is pulled from every process (``DIR/cluster_telemetry.json``)
 and the default availability/latency SLOs must pass.
 
+Both drills also check the serving footprint of every process they
+launch, before its first ``pagerank`` request: the plain server, and
+with ``--router`` every shard replica and the router (served inside
+this process).  No NumPy shared object may be mapped in it
+(``/proc/<pid>/maps``; skipped where ``/proc`` is absent), and its
+peak RSS (``VmHWM``) is printed.  So the graph is generated and
+summarized in a child interpreter: this one never imports NumPy.
+
 Run:  PYTHONPATH=src python tools/service_smoke.py [--router] [--trace-dir DIR]
 """
 
@@ -43,10 +51,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.algorithms.mags_dm import MagsDMSummarizer  # noqa: E402
-from repro.core.serialization import save_representation  # noqa: E402
-from repro.graph import generators  # noqa: E402
 from repro.cluster.router import BREAKER_STATES  # noqa: E402
+from repro.core.serialization import load_representation  # noqa: E402
 from repro.obs.metrics import counter_total, series_value  # noqa: E402
 from repro.queries.neighbors import neighbor_query  # noqa: E402
 from repro.service import SummaryServiceClient  # noqa: E402
@@ -58,21 +64,72 @@ SHUTDOWN_TIMEOUT_S = 15
 EXAMPLE_TOPOLOGY = REPO / "examples" / "cluster_topology.json"
 CHAOS_VICTIM = "shard0/r1"
 
+# Summarizes the smoke graph into ``argv[1]/summary.txt.gz`` and, given
+# a topology template as ``argv[2]``, plans the cluster from it into
+# ``argv[1]`` (``topology.json`` plus the shard artifacts).
+_PREPARE = """
+import sys
+from repro.algorithms.mags_dm import MagsDMSummarizer
+from repro.cluster import load_topology, plan_cluster
+from repro.core.serialization import save_representation
+from repro.graph import generators
+
+out = sys.argv[1]
+graph = generators.planted_partition(300, 15, 0.6, 0.02, seed=5)
+summarizer = lambda: MagsDMSummarizer(iterations=8, seed=0)
+save_representation(
+    f"{out}/summary.txt.gz", summarizer().summarize(graph).representation
+)
+if len(sys.argv) > 2:
+    plan_cluster(graph, load_topology(sys.argv[2]), out, summarizer)
+"""
+
+
+def _env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), env.get("PYTHONPATH", "")]
+    ).rstrip(os.pathsep)
+    return env
+
+
+def _prepare(out: str, template: Path | None = None):
+    """The smoke graph's full summary, loaded from the artifact a
+    child interpreter wrote (see ``_PREPARE``)."""
+    argv = [sys.executable, "-c", _PREPARE, out]
+    if template is not None:
+        argv.append(str(template))
+    subprocess.run(argv, check=True, env=_env(), cwd=REPO)
+    return load_representation(Path(out) / "summary.txt.gz")
+
+
+def _check_footprint(label: str, pid: int) -> None:
+    """No NumPy shared object mapped in ``pid``; print its VmHWM."""
+    proc = Path("/proc") / str(pid)
+    if not proc.is_dir():
+        print(f"{label}: no /proc, footprint check skipped")
+        return
+    numpy_objects = sorted({
+        line.split()[-1]
+        for line in (proc / "maps").read_text().splitlines()
+        if "/numpy" in line and ".so" in line
+    })
+    if numpy_objects:
+        raise SystemExit(
+            f"{label} (pid {pid}) mapped NumPy before its first pagerank "
+            f"request: {numpy_objects[:3]}"
+        )
+    hwm = re.search(r"VmHWM:\s+(\d+) kB", (proc / "status").read_text())
+    print(
+        f"{label} (pid {pid}): no NumPy mapped, "
+        f"VmHWM {int(hwm.group(1)) / 1024:.1f} MiB"
+    )
+
 
 def main() -> int:
-    graph = generators.planted_partition(300, 15, 0.6, 0.02, seed=5)
-    rep = MagsDMSummarizer(iterations=8, seed=0).summarize(
-        graph
-    ).representation
-
     with tempfile.TemporaryDirectory() as tmp:
+        rep = _prepare(tmp)
         summary_path = Path(tmp) / "summary.txt.gz"
-        save_representation(summary_path, rep)
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO / "src"), env.get("PYTHONPATH", "")]
-        ).rstrip(os.pathsep)
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
@@ -81,12 +138,13 @@ def main() -> int:
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
-            env=env,
+            env=_env(),
             cwd=REPO,
         )
         try:
             port = _wait_for_port(proc)
             print(f"server up on port {port}")
+            _check_footprint("server", proc.pid)
             _hammer(rep, port)
             print("concurrent queries verified, sending SIGINT")
             proc.send_signal(signal.SIGINT)
@@ -188,7 +246,7 @@ def router_main(trace_dir: str | None = None) -> int:
         ClusterManager,
         InstanceSpec,
         load_topology,
-        plan_cluster,
+        save_topology,
     )
 
     spec = load_topology(EXAMPLE_TOPOLOGY)
@@ -205,24 +263,20 @@ def router_main(trace_dir: str | None = None) -> int:
         for i, port in zip(spec.instances, ports[1:])
     ]
 
-    graph = generators.planted_partition(300, 15, 0.6, 0.02, seed=5)
-    full = MagsDMSummarizer(iterations=8, seed=0).summarize(
-        graph
-    ).representation
-
     with tempfile.TemporaryDirectory() as tmp:
-        plan_cluster(
-            graph,
-            spec,
-            tmp,
-            lambda: MagsDMSummarizer(iterations=8, seed=0),
-        )
+        template = Path(tmp) / "template.json"
+        save_topology(template, spec)
+        full = _prepare(tmp, template)
+        spec = load_topology(Path(tmp) / "topology.json")
         print(f"planned {spec.shards} shard artifact(s)")
         manager = ClusterManager(spec, workers=4, trace_dir=trace_dir)
         try:
             manager.start()
             host, port = manager.router_server.address
             print(f"router up on {host}:{port}")
+            for label, instance in sorted(manager.processes.items()):
+                _check_footprint(label, instance.pid)
+            _check_footprint("router", os.getpid())
             if trace_dir is not None:
                 # Before the hammer warms the router's neighbor cache:
                 # a cold khop is guaranteed to fan out to the shards.
@@ -243,13 +297,20 @@ def router_main(trace_dir: str | None = None) -> int:
 
 def _chaos_hammer(manager, rep, port: int) -> None:
     """Concurrent clients vs. a replica SIGKILL: zero failures
-    allowed."""
+    allowed.  The replica dies after every client's first sweep, so
+    the later sweeps' batched degrees (never served from the router
+    cache) reach the dead replica however fast the first sweep was."""
     failures: list[object] = []
+    swept = threading.Barrier(CLIENT_THREADS + 1)
+    killed = threading.Event()
 
     def worker(tid: int) -> None:
         try:
             with SummaryServiceClient("127.0.0.1", port) as client:
                 for sweep in range(3):
+                    if sweep == 1:
+                        swept.wait(timeout=60)
+                        killed.wait(timeout=60)
                     for q in range(tid, rep.n, CLIENT_THREADS):
                         got = set(client.neighbors(q))
                         want = neighbor_query(rep, q)
@@ -267,6 +328,7 @@ def _chaos_hammer(manager, rep, port: int) -> None:
                         failures.append(("batch", tid, sweep))
         except Exception as exc:
             failures.append((tid, repr(exc)))
+            swept.abort()
 
     threads = [
         threading.Thread(target=worker, args=(t,))
@@ -274,8 +336,12 @@ def _chaos_hammer(manager, rep, port: int) -> None:
     ]
     for thread in threads:
         thread.start()
-    time.sleep(0.3)  # let traffic build before pulling the plug
+    try:
+        swept.wait(timeout=60)
+    except threading.BrokenBarrierError:
+        pass  # a worker failed; its failure is reported below
     manager.processes[CHAOS_VICTIM].kill()
+    killed.set()
     print(f"killed replica {CHAOS_VICTIM} mid-run")
     for thread in threads:
         thread.join()
