@@ -54,34 +54,30 @@ class DatasetSpec:
         return self.make()
 
 
-def _generated(generator: str, *args, **kwargs) -> Callable[[], Graph]:
-    """A builder calling :mod:`repro.graph.generators` ``generator``.
-    The NumPy-backed generators load when a dataset is first built,
-    not when the registry is read (``repro serve`` lists its codes)."""
+def _generators():
+    """:mod:`repro.graph.generators`, loaded when a dataset is first
+    built: the NumPy-backed generators stay out of a process that only
+    reads the registry (``repro serve`` lists its codes)."""
+    from repro.graph import generators
 
-    def build() -> Graph:
-        from repro.graph import generators
-
-        return getattr(generators, generator)(*args, **kwargs)
-
-    return build
+    return generators
 
 
 def _social(n: int, m_attach: int, seed: int) -> Callable[[], Graph]:
-    return _generated("barabasi_albert", n, m_attach, seed=seed)
+    return lambda: _generators().barabasi_albert(n, m_attach, seed=seed)
 
 
 def _community(
     n: int, communities: int, p_in: float, p_out: float, seed: int
 ) -> Callable[[], Graph]:
-    return _generated(
-        "planted_partition", n, communities, p_in, p_out, seed=seed
+    return lambda: _generators().planted_partition(
+        n, communities, p_in, p_out, seed=seed
     )
 
 
 def _internet(n: int, exponent: float, seed: int) -> Callable[[], Graph]:
-    return _generated(
-        "configuration_power_law", n, exponent=exponent, d_min=2, seed=seed
+    return lambda: _generators().configuration_power_law(
+        n, exponent=exponent, d_min=2, seed=seed
     )
 
 
@@ -93,9 +89,8 @@ def _collab(
     seed: int,
     noise: int = 0,
 ) -> Callable[[], Graph]:
-    return _generated(
-        "cliques_and_stars",
-        cliques, clique_size, stars, star_size, noise_edges=noise, seed=seed,
+    return lambda: _generators().cliques_and_stars(
+        cliques, clique_size, stars, star_size, noise_edges=noise, seed=seed
     )
 
 
@@ -107,17 +102,16 @@ def _webt(
     mutation: float,
     seed: int,
 ) -> Callable[[], Graph]:
-    return _generated(
-        "templated_web",
-        n, templates, hubs, template_size, mutation=mutation, seed=seed,
+    return lambda: _generators().templated_web(
+        n, templates, hubs, template_size, mutation=mutation, seed=seed
     )
 
 
 def _copying(
     n: int, out_degree: int, mutation: float, seed: int
 ) -> Callable[[], Graph]:
-    return _generated(
-        "copying_model", n, out_degree, mutation=mutation, seed=seed
+    return lambda: _generators().copying_model(
+        n, out_degree, mutation=mutation, seed=seed
     )
 
 

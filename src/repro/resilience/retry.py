@@ -17,9 +17,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from repro.obs.metrics import get_registry
-from repro.obs.tracer import get_tracer
-
 __all__ = [
     "RetryPolicy",
     "Deadline",
@@ -170,6 +167,9 @@ def call_with_retry(
 
 
 def _record_retry(label: str) -> None:
+    from repro.obs.metrics import get_registry
+    from repro.obs.tracer import get_tracer
+
     get_registry().counter(
         "repro_resilience_retries_total", component=label or "unlabelled"
     ).inc()

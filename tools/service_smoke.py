@@ -297,9 +297,11 @@ def router_main(trace_dir: str | None = None) -> int:
 
 def _chaos_hammer(manager, rep, port: int) -> None:
     """Concurrent clients vs. a replica SIGKILL: zero failures
-    allowed.  The replica dies after every client's first sweep, so
-    the later sweeps' batched degrees (never served from the router
-    cache) reach the dead replica however fast the first sweep was."""
+    allowed.  The replica is killed once every client has finished its
+    first sweep, so the kill races the second sweep's requests in
+    flight; the third sweep starts only after the kill, so its
+    batched degrees (never served from the router cache) reach the
+    dead replica however fast the first two sweeps were."""
     failures: list[object] = []
     swept = threading.Barrier(CLIENT_THREADS + 1)
     killed = threading.Event()
@@ -310,6 +312,7 @@ def _chaos_hammer(manager, rep, port: int) -> None:
                 for sweep in range(3):
                     if sweep == 1:
                         swept.wait(timeout=60)
+                    elif sweep == 2:
                         killed.wait(timeout=60)
                     for q in range(tid, rep.n, CLIENT_THREADS):
                         got = set(client.neighbors(q))
