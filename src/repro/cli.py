@@ -795,7 +795,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 },
             )
             manager.start_instances()
-        except TopologyError as exc:
+        except (TopologyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         manager.start_router(workers=args.router_workers)

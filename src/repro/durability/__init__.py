@@ -21,8 +21,6 @@ from repro.durability.replication import (
     ReplicationError,
     ReplicationManager,
     quorum_size,
-    record_from_wire,
-    record_to_wire,
 )
 from repro.durability.recovery import (
     RecoveryReport,
@@ -61,8 +59,6 @@ __all__ = [
     "WalRecord",
     "WriteAheadLog",
     "quorum_size",
-    "record_from_wire",
-    "record_to_wire",
     "recover_engine",
     "replay_tail",
     "representation_to_state",

@@ -5,7 +5,9 @@ artifact is bit-identical (``Representation`` equality) — is exactly
 the property that makes shipped-log replication exact: a shard's
 primary streams its WAL records (ingest batches, resummarize
 decisions, term changes) to follower replicas over the ``replicate``
-wire op, each follower appends them to its *own* WAL and applies them
+wire op — as the log's own frames, byte for byte, base64'd into the
+request's ``frames`` string (:mod:`repro.durability.wal` is the one
+codec) — each follower appends them to its *own* WAL and applies them
 in LSN order through the same apply path as the primary's commit
 (:meth:`~repro.durability.state.EngineState.apply`), and primary and
 follower summaries are byte-equal at every epoch.  A follower checks a
@@ -47,17 +49,13 @@ still converges).
 
 from __future__ import annotations
 
+import base64
 import threading
 import time
 from typing import NamedTuple
 
 from repro.durability.state import check_lsn
-from repro.durability.wal import (
-    MUTATION_OPS,
-    ResummarizeRecord,
-    TermRecord,
-    WalRecord,
-)
+from repro.durability.wal import decode_frames, encode_record
 from repro.obs.metrics import MetricsRegistry, get_registry
 
 __all__ = [
@@ -66,8 +64,7 @@ __all__ = [
     "FIRST_TERM",
     "FrameRejected",
     "REPLICATION_ROLES",
-    "REPL_MAX_RECORDS",
-    "REPL_MAX_MUTATIONS",
+    "REPL_MAX_FRAME_BYTES",
     "ReplicaView",
     "ReplicationError",
     "ReplicaLink",
@@ -75,8 +72,6 @@ __all__ = [
     "admit_frame",
     "elect",
     "quorum_size",
-    "record_to_wire",
-    "record_from_wire",
 ]
 
 ACKS_MODES = ("leader", "quorum")
@@ -89,10 +84,11 @@ REPLICATION_ROLES = ("primary", "follower")
 #: promotion must exceed it, even when no responder reports it.
 FIRST_TERM = 1
 
-#: Caps per ``replicate`` frame, keeping it far below the protocol's
-#: MAX_LINE_BYTES even at worst-case mutation density.
-REPL_MAX_RECORDS = 256
-REPL_MAX_MUTATIONS = 4096
+#: Cap on the WAL bytes one ``replicate`` request ships: base64 makes
+#: them 4/3 as long, which leaves the rest of the protocol's 1 MiB
+#: MAX_LINE_BYTES for the JSON around them.  A single record larger
+#: than this still ships, alone.
+REPL_MAX_FRAME_BYTES = 512 << 10
 
 #: Quorum-mode ``publish`` wait before answering ``unavailable``.
 QUORUM_TIMEOUT_S = 10.0
@@ -138,7 +134,7 @@ def admit_frame(
     term: int,
     *,
     after_lsn=None,
-    records=None,
+    frames=None,
     snapshot=None,
     promote=False,
 ) -> tuple:
@@ -147,14 +143,21 @@ def admit_frame(
     to first (``None`` keeps it) and the decoded records — or raises
     :class:`FrameRejected`.
 
+    ``frames`` (base64 WAL frames) that do not decode whole are a
+    ``bad_request`` that changes nothing, like any malformed request.
     A frame below the local term is ``fenced`` (its sender must step
     down), and so is a promotion not past it.  A frame above it
     demotes a primary.  Records must continue the local log, or the
     frame is a ``bad_request`` the sender answers with a snapshot.
-    The frame's shape (a positive integer ``term``, ``records`` a
-    list of objects) was checked at the wire; each record is decoded
-    here by :func:`record_from_wire`.
+    The frame's shape (a positive integer ``term``, ``frames`` a
+    string) was checked at the wire.
     """
+    try:
+        records = decode_frames(base64.b64decode(frames or "", validate=True))
+    except ValueError as exc:
+        raise FrameRejected(
+            "bad_request", f"malformed replicate frames: {exc}"
+        ) from None
     if view.replaying:
         # A frame or a promotion applies at the end of the log, which
         # the state reaches only when replay is done.
@@ -178,13 +181,12 @@ def admit_frame(
     role = "follower" if term > view.term and view.role == "primary" else None
     if snapshot is not None:
         return role, ()
-    try:
-        frame = tuple(record_from_wire(obj) for obj in records or ())
-        if frame:
-            _check_continues(view, term, after_lsn, frame)
-    except ValueError as exc:
-        raise FrameRejected("bad_request", str(exc), role) from None
-    return role, frame
+    if records:
+        try:
+            _check_continues(view, term, after_lsn, records)
+        except ValueError as exc:
+            raise FrameRejected("bad_request", str(exc), role) from None
+    return role, records
 
 
 def _check_continues(view: ReplicaView, term: int, after_lsn, frame):
@@ -270,101 +272,18 @@ def elect(statuses, *, known_term: int, replicas: int, acks: str):
     return Election("promote", candidate, new_term)
 
 
-# ----------------------------------------------------------------------
-# Record <-> wire (JSON-safe) codec
-# ----------------------------------------------------------------------
-def record_to_wire(record) -> dict:
-    """One WAL record as a JSON-safe ``replicate`` frame entry."""
-    if isinstance(record, ResummarizeRecord):
-        return {
-            "lsn": record.lsn,
-            "resummarize": {
-                "targets": list(record.targets),
-                "max_merges": record.max_merges,
-            },
-        }
-    if isinstance(record, TermRecord):
-        return {"lsn": record.lsn, "term": record.term}
-    return {
-        "lsn": record.lsn,
-        "stream": record.stream,
-        "seq": record.seq,
-        "mutations": [list(m) for m in record.mutations],
-    }
-
-
-def record_from_wire(obj):
-    """Decode and validate one frame entry; raises ``ValueError``."""
-    if not isinstance(obj, dict):
-        raise ValueError("replicated record must be an object")
-    lsn = obj.get("lsn")
-    if not isinstance(lsn, int) or isinstance(lsn, bool) or lsn < 1:
-        raise ValueError("replicated record needs a positive integer lsn")
-    if "term" in obj:
-        term = obj["term"]
-        if not isinstance(term, int) or isinstance(term, bool) or term < 1:
-            raise ValueError("term record needs a positive integer term")
-        return TermRecord(lsn=lsn, term=term)
-    if "resummarize" in obj:
-        body = obj["resummarize"]
-        if not isinstance(body, dict):
-            raise ValueError("resummarize record body must be an object")
-        targets = body.get("targets")
-        if not isinstance(targets, list) or not all(
-            isinstance(t, int) and not isinstance(t, bool) and t >= 0
-            for t in targets
-        ):
-            raise ValueError("resummarize targets must be node ids")
-        max_merges = body.get("max_merges")
-        if max_merges is not None and (
-            not isinstance(max_merges, int)
-            or isinstance(max_merges, bool)
-            or max_merges < 0
-        ):
-            raise ValueError("max_merges must be a non-negative integer")
-        return ResummarizeRecord(
-            lsn=lsn, targets=tuple(targets), max_merges=max_merges
-        )
-    stream = obj.get("stream")
-    seq = obj.get("seq")
-    mutations = obj.get("mutations")
-    if not isinstance(stream, str) or not stream:
-        raise ValueError("ingest record needs a stream id")
-    if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
-        raise ValueError("ingest record needs a non-negative seq")
-    if not isinstance(mutations, list) or not mutations:
-        raise ValueError("ingest record needs a mutation list")
-    parsed = []
-    for item in mutations:
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) != 3
-            or item[0] not in MUTATION_OPS
-            or not all(
-                isinstance(x, int) and not isinstance(x, bool) and x >= 0
-                for x in item[1:]
-            )
-        ):
-            raise ValueError(f"malformed replicated mutation: {item!r}")
-        parsed.append((item[0], item[1], item[2]))
-    return WalRecord(
-        lsn=lsn, stream=stream, seq=seq, mutations=tuple(parsed)
-    )
-
-
-def _chunk(records) -> list:
-    """The leading records that fit one ``replicate`` frame."""
-    chunk = []
-    mutation_load = 0
+def _chunk(records) -> tuple[bytes, int]:
+    """The frames of the leading records that fit one ``replicate``
+    request, and how many records they hold."""
+    frames = bytearray()
+    count = 0
     for record in records:
-        chunk.append(record)
-        mutation_load += len(getattr(record, "mutations", ()))
-        if (
-            len(chunk) >= REPL_MAX_RECORDS
-            or mutation_load >= REPL_MAX_MUTATIONS
-        ):
+        frame = encode_record(record)
+        if count and len(frames) + len(frame) > REPL_MAX_FRAME_BYTES:
             break
-    return chunk
+        frames += frame
+        count += 1
+    return bytes(frames), count
 
 
 # ----------------------------------------------------------------------
@@ -432,8 +351,9 @@ class ReplicationManager:
             ReplicaLink(host, port) for host, port in followers
         ]
         # Hot-path record buffer: committed records the shipper can
-        # read without touching disk (and the only source when the
-        # engine runs without a WAL, e.g. in-process local clusters).
+        # read without touching disk.  A cursor below it reads the WAL;
+        # an engine without one (only tests build such a primary) can
+        # then bridge the gap only with a snapshot.
         self._buffer: list = []
         self._buffer_floor = engine.applied_lsn
         self._buffer_lock = threading.Lock()
@@ -487,8 +407,9 @@ class ReplicationManager:
                 self._buffer_floor = evicted.lsn
 
     def _records_after(self, cursor: int):
-        """Next chunk of records past ``cursor``, or ``None`` when
-        only a snapshot can bridge the gap."""
+        """Next chunk of records past ``cursor`` as ``(frames, count)``
+        (see :func:`_chunk`), or ``None`` when only a snapshot can
+        bridge the gap."""
         with self._buffer_lock:
             if cursor >= self._buffer_floor:
                 return _chunk(r for r in self._buffer if r.lsn > cursor)
@@ -570,16 +491,18 @@ class ReplicationManager:
             if chunk is None:
                 link.needs_snapshot = True
                 continue
-            if not chunk:
+            frames, count = chunk
+            if not count:
                 # Nothing durable past the cursor — the target LSN is
                 # not shippable (should not happen in practice).
                 return link.acked_lsn >= target_lsn
             if not self._send(
                 link,
-                records=[record_to_wire(r) for r in chunk],
+                frames=base64.b64encode(frames).decode("ascii"),
                 after_lsn=link.acked_lsn,
             ):
                 return False
+            self._count("records_shipped", count)
         return link.acked_lsn >= target_lsn
 
     def _ship_snapshot(self, link: ReplicaLink) -> bool:
@@ -626,8 +549,6 @@ class ReplicationManager:
         link.last_error = None
         acked = response.get("last_lsn")
         if isinstance(acked, int) and acked > link.acked_lsn:
-            if "records" in payload:
-                self._count("records_shipped", len(payload["records"]))
             link.acked_lsn = acked
         return True
 

@@ -51,13 +51,23 @@ stale primary — whose log lacks the newer term — is fenced when it
 tries to replicate.  Because the term is an ordinary WAL record, a
 follower's log is byte-identical to its primary's, terms included.
 
+On the wire
+-----------
+These frames are the only encoding of a log record: the
+``replicate`` op ships a run of them, byte for byte, and a follower
+reads it with :func:`decode_frames` — the segment scan's reader, made
+strict, so a damaged run is refused whole instead of cut short.  A
+payload naming LSN 0, term 0, an empty stream id or an empty
+mutation list decodes as damage too: the log never writes one.
+
 Torn tails
 ----------
 A crash mid-append leaves a truncated or checksum-broken record at
-the end of a segment.  The scan run on open (and by :meth:`records`)
-stops at the first record that fails to frame or checksum, truncates
-the segment back to the last intact record, drops any later segments
-(nothing after a broken record can be trusted to be contiguous), and
+the end of a segment.  The scan run on open (and by
+:meth:`~WriteAheadLog.iter_records`) stops at the first record that
+fails to frame or checksum, truncates the segment back to the last
+intact record, drops any later segments (nothing after a broken
+record can be trusted to be contiguous), and
 counts the event under ``repro_wal_records_total{event="torn_dropped"}``.
 Only *unacknowledged* data can be lost this way: acknowledgement
 happens strictly after the record is durable.
@@ -78,7 +88,7 @@ import re
 import threading
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.compression.varint import pack_varints, read_varints
@@ -95,6 +105,8 @@ __all__ = [
     "TermRecord",
     "WriteAheadLog",
     "WalError",
+    "decode_frames",
+    "encode_record",
     "FSYNC_POLICIES",
     "MUTATION_OPS",
 ]
@@ -182,12 +194,19 @@ def encode_record(record) -> bytes:
 
 
 def _decode_payload(body: bytes):
+    """The record one frame's payload holds; raises ``ValueError`` on
+    bytes no record encodes to, and on records the log never writes
+    (lsn or term 0, an empty stream id or mutation list)."""
     (lsn,), offset = read_varints(body, 0, 1)
     if lsn == 0:
         # LSNs are 1-based; a leading 0 marks an extended record.
         (kind, lsn), offset = read_varints(body, offset, 2)
+        if lsn == 0:
+            raise ValueError("record lsn 0")
         if kind == _KIND_TERM:
             (term,), offset = read_varints(body, offset, 1)
+            if term == 0:
+                raise ValueError("term record with term 0")
             record = TermRecord(lsn=lsn, term=term)
         elif kind == _KIND_RESUMMARIZE:
             (count,), offset = read_varints(body, offset, 1)
@@ -204,8 +223,12 @@ def _decode_payload(body: bytes):
         (seq, stream_len), offset = read_varints(body, offset, 2)
         if offset + stream_len > len(body):
             raise ValueError("truncated stream id")
+        if stream_len == 0:
+            raise ValueError("ingest record with an empty stream id")
         stream = body[offset:offset + stream_len].decode("utf-8")
         (count,), offset = read_varints(body, offset + stream_len, 1)
+        if count == 0:
+            raise ValueError("ingest record with no mutations")
         flat, offset = read_varints(body, offset, 3 * count)
         codes = flat[0::3]
         if codes and max(codes) >= len(MUTATION_OPS):
@@ -220,10 +243,11 @@ def _decode_payload(body: bytes):
     return record
 
 
-def _iter_frames(data: bytes):
+def _iter_frames(data: bytes, *, strict: bool = False):
     """Yield ``(record, end_offset)`` for each intact record in one
     segment's bytes, stopping at the first record that fails to frame,
-    checksum, or decode (the torn tail, if any, starts there)."""
+    checksum, or decode (the torn tail, if any, starts there) — or,
+    when ``strict``, raising its ``ValueError`` instead."""
     offset = 0
     while offset < len(data):
         try:
@@ -237,8 +261,18 @@ def _iter_frames(data: bytes):
                 raise ValueError("record checksum mismatch")
             record = _decode_payload(body)
         except ValueError:
+            if strict:
+                raise
             return
         yield record, offset
+
+
+def decode_frames(data: bytes) -> tuple:
+    """Every record in ``data``, a run of whole frames as a segment
+    holds them (and as the ``replicate`` op ships them); raises
+    ``ValueError`` on the first byte that is not part of an intact
+    record, so a damaged run is refused whole."""
+    return tuple(record for record, _ in _iter_frames(data, strict=True))
 
 
 class WriteAheadLog:
@@ -411,36 +445,17 @@ class WriteAheadLog:
         with self._lock:
             return self._truncated_lsn
 
-    def append(
-        self, stream: str, seq: int, mutations, *, lsn: int | None = None
-    ) -> int:
-        """Append one mutation batch; returns its LSN (see
-        :meth:`append_record`)."""
-        return self.append_record(
-            WalRecord(
-                lsn=lsn,
-                stream=stream,
-                seq=seq,
-                mutations=tuple(
-                    (op, int(u), int(v)) for op, u, v in mutations
-                ),
-            )
-        )
-
     def append_record(self, record) -> int:
         """Append one record of any kind; returns its LSN.
 
         The record is on disk (and fsynced, policy permitting) when
         this returns — the caller may only apply and acknowledge it
-        afterwards.  A record whose ``lsn`` is ``None`` gets the next
-        LSN; an explicit one must be past the last LSN in the log.
+        afterwards.  Its ``lsn`` must be past the last LSN in the log.
         """
         with self._lock:
             if self._file is None:
                 raise WalError("write-ahead log is closed")
-            if record.lsn is None:
-                record = replace(record, lsn=self._last_lsn + 1)
-            elif record.lsn <= self._last_lsn:
+            if record.lsn <= self._last_lsn:
                 raise WalError(
                     f"lsn {record.lsn} is not past the last lsn "
                     f"{self._last_lsn}"
@@ -539,12 +554,6 @@ class WriteAheadLog:
             if end < len(data):
                 self._count_records("torn_dropped")
                 return
-
-    def records(self, after_lsn: int = 0) -> list[WalRecord]:
-        """All durable records with ``lsn > after_lsn``, oldest first,
-        as one list.  Prefer :meth:`iter_records` on paths that may
-        face a large log."""
-        return list(self.iter_records(after_lsn=after_lsn))
 
     # -- compaction ------------------------------------------------------
     def truncate_through(self, lsn: int) -> int:

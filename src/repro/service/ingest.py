@@ -221,7 +221,7 @@ class MutableQueryEngine(QueryEngine):
             return self.apply_replicated(
                 request["term"],
                 after_lsn=request.get("after_lsn"),
-                records=request.get("records"),
+                frames=request.get("frames"),
                 snapshot=request.get("snapshot"),
                 promote=request.get("promote", False),
                 followers=request.get("followers"),
@@ -424,7 +424,7 @@ class MutableQueryEngine(QueryEngine):
         term,
         *,
         after_lsn=None,
-        records=None,
+        frames=None,
         snapshot=None,
         promote=False,
         followers=None,
@@ -433,16 +433,16 @@ class MutableQueryEngine(QueryEngine):
         """Carry out :func:`~repro.durability.replication.admit_frame`'s
         verdict on one ``replicate`` frame.  A promotion stamps its
         term and ships to ``followers``; a ``snapshot`` replaces state
-        and log; records are logged and applied in LSN order through
-        the apply path live ingest uses, which keeps follower state
-        byte-identical to the primary's."""
+        and log; the records in ``frames`` are logged and applied in
+        LSN order through the apply path live ingest uses, which keeps
+        follower state and log byte-identical to the primary's."""
         retired = None
         try:
             with self._state_lock:
                 try:
-                    role, frame = admit_frame(
+                    role, records = admit_frame(
                         self._view(), term, after_lsn=after_lsn,
-                        records=records, snapshot=snapshot, promote=promote,
+                        frames=frames, snapshot=snapshot, promote=promote,
                     )
                 except FrameRejected as exc:
                     if exc.role is not None:
@@ -472,7 +472,7 @@ class MutableQueryEngine(QueryEngine):
                 else:
                     applied = sum(
                         self._apply_locked(record) is not None
-                        for record in frame
+                        for record in records
                     )
                 self._transition(term=term)
                 return self._repl_ack(applied=applied)

@@ -298,6 +298,11 @@ class NodeConfig:
     def validate(self) -> None:
         """Reject flag combinations ``repro serve`` cannot honour
         (:class:`ValueError` with the message the CLI prints)."""
+        if self.maintenance_interval > 0 and self.wal_dir is None:
+            raise ValueError(
+                "--maintenance-interval requires --wal-dir (maintenance "
+                "commits are WAL records)"
+            )
         if self.repl_role is not None:
             if self.wal_dir is None:
                 raise ValueError(
@@ -391,12 +396,6 @@ class Node:
         representation = load_representation(config.input)
         pending, report, tail_lsns = (), None, 0
         if config.wal_dir is None:
-            if config.maintenance_interval > 0:
-                print(
-                    "--maintenance-interval requires --wal-dir (maintenance "
-                    "commits are WAL records); ignoring",
-                    flush=True,
-                )
             self.engine = QueryEngine(
                 representation,
                 cache_size=config.cache_size,

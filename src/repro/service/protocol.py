@@ -19,7 +19,7 @@ ingest     ``stream``, ``seq``,        ``{"applied", "lsn"[, "duplicate"]}``
            ``mutations``,              (``{"validated"}`` under ``dry_run``)
            [``dry_run``]
 replicate  ``term``, [``after_lsn``,   ``{"applied", "last_lsn",
-           ``records``, ``snapshot``,  "applied_lsn", "term", "role"}``
+           ``frames``, ``snapshot``,   "applied_lsn", "term", "role"}``
            ``promote``, ``followers``,
            ``acks``]
 repl_status —                          ``{"role", "term", "last_lsn",
@@ -39,10 +39,14 @@ router's two-phase fan-out.
 ``replicate``/``repl_status`` (mutable servers only) are the
 primary/follower WAL-shipping pair of
 :mod:`repro.durability.replication`: a shard primary streams its
-committed WAL records (``records``, resuming ``after_lsn``) or a full
-checkpoint ``snapshot`` to followers, every frame fenced by the
-monotonic leadership ``term``; ``promote`` (with the new ``followers``
-list and ``acks`` mode) turns the receiver into the shard's primary.
+committed WAL records or a full checkpoint ``snapshot`` to followers,
+every frame fenced by the monotonic leadership ``term``; ``promote``
+(with the new ``followers`` list and ``acks`` mode) turns the receiver
+into the shard's primary.  ``frames`` is the base64 of a run of WAL
+frames, byte for byte as ``wal-*.log`` holds them (see the WAL
+section of docs/formats.md), resuming ``after_lsn``; the protocol
+checks only that it is a string, and the follower decodes it whole
+or refuses it.
 
 Every op additionally accepts an optional ``trace`` field —
 ``{"id": <trace id>, "span": <parent span id>}`` (``span`` optional)
@@ -96,7 +100,6 @@ __all__ = [
     "MAX_BATCH_REQUESTS",
     "MAX_KHOP_K",
     "MAX_INGEST_MUTATIONS",
-    "MAX_REPLICATE_RECORDS",
     "MAX_STREAM_LEN",
     "KNOWN_OPS",
     "encode_message",
@@ -143,9 +146,6 @@ KNOWN_OPS = (
     "shutdown",
 )
 
-#: Upper bound on records in one ``replicate`` frame.
-MAX_REPLICATE_RECORDS = 1024
-
 #: Ops that only make sense as a whole frame: a batch does not nest,
 #: and ``shutdown`` stops the server, not one item.
 _FRAME_ONLY_OPS = ("batch", "shutdown")
@@ -167,7 +167,7 @@ _ALLOWED_FIELDS: dict[str, frozenset[str]] = {
     ),
     "replicate": frozenset(
         {
-            "id", "op", "term", "after_lsn", "records", "snapshot",
+            "id", "op", "term", "after_lsn", "frames", "snapshot",
             "promote", "followers", "acks", "trace",
         }
     ),
@@ -320,10 +320,9 @@ def validate_batch_item(item: dict) -> dict:
 def _check_replicate_fields(request: dict) -> None:
     """Shape-check a ``replicate`` frame.
 
-    Bounds list sizes and basic types; per-record validation (LSN
-    ordering, mutation shapes) happens in
-    :func:`repro.durability.replication.record_from_wire` under the
-    engine's fencing checks.
+    Bounds list sizes and basic types; ``frames`` is opaque here — the
+    follower decodes it with :func:`repro.durability.wal.decode_frames`
+    under the engine's fencing checks.
     """
     term = request.get("term")
     if not isinstance(term, int) or isinstance(term, bool) or term < 1:
@@ -343,20 +342,9 @@ def _check_replicate_fields(request: dict) -> None:
             f"unknown acks mode {acks!r}; supported: "
             + ", ".join(map(repr, ACKS_MODES))
         )
-    records = request.get("records")
-    if records is not None:
-        if not isinstance(records, list):
-            raise ProtocolError("'records' must be a list")
-        if len(records) > MAX_REPLICATE_RECORDS:
-            raise ProtocolError(
-                f"frame of {len(records)} records exceeds the cap of "
-                f"{MAX_REPLICATE_RECORDS}"
-            )
-        for index, item in enumerate(records):
-            if not isinstance(item, dict):
-                raise ProtocolError(
-                    f"replicated record #{index} is not a JSON object"
-                )
+    frames = request.get("frames")
+    if frames is not None and not isinstance(frames, str):
+        raise ProtocolError("'frames' must be a base64 string")
     snapshot = request.get("snapshot")
     if snapshot is not None and not isinstance(snapshot, dict):
         raise ProtocolError("'snapshot' must be a JSON object")

@@ -21,6 +21,7 @@ All three must serialize to byte-identical ``to_state()`` JSON.
 
 from __future__ import annotations
 
+import base64
 import json
 import tempfile
 from pathlib import Path
@@ -32,10 +33,10 @@ from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.durability import (
     TermRecord,
     WriteAheadLog,
-    record_to_wire,
     recover_engine,
     replay_tail,
 )
+from repro.durability.wal import encode_record
 from repro.dynamic.summary import DynamicGraphSummary
 from repro.graph import generators
 from repro.resilience.checkpoint import CheckpointStore
@@ -135,7 +136,9 @@ def _replicate(records, frame_sizes) -> MutableQueryEngine:
             "replicate",
             term=term,
             after_lsn=records[start - 1].lsn if start else 0,
-            records=[record_to_wire(r) for r in frame],
+            frames=base64.b64encode(
+                b"".join(map(encode_record, frame))
+            ).decode("ascii"),
         )
         assert ack["applied"] == len(frame)
         start += len(frame)
@@ -164,7 +167,7 @@ def test_commit_recovery_and_replication_agree_bit_for_bit(
         live = _state_json(primary)
 
         wal = WriteAheadLog(tmp / "wal", fsync="never")
-        records = wal.records()
+        records = list(wal.iter_records())
         assert [r.lsn for r in records] == list(
             range(1, primary.applied_lsn + 1)
         )

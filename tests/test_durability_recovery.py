@@ -14,6 +14,7 @@ import pytest
 from repro.algorithms.mags_dm import MagsDMSummarizer
 from repro.durability import (
     WalCompactor,
+    WalRecord,
     WriteAheadLog,
     recover_engine,
     replay_tail,
@@ -245,8 +246,13 @@ class TestRecovery:
         with WriteAheadLog(tmp_path, fsync="never") as wal:
             # The log takes any well-formed record; only the engine
             # knows this one cannot apply.
-            wal.append("s", 0, [("+", u, v)])
-            wal.append("s", 1, [("-", u, v), tuple(second)])
+            wal.append_record(WalRecord(
+                lsn=1, stream="s", seq=0, mutations=(("+", u, v),)
+            ))
+            wal.append_record(WalRecord(
+                lsn=2, stream="s", seq=1,
+                mutations=(("-", u, v), tuple(second)),
+            ))
         expected = MutableQueryEngine(_dynamic(rep))
         expected.ingest("s", 0, [["+", u, v]])
 
@@ -276,7 +282,7 @@ class TestRecovery:
         wal.close()
 
         wal2 = WriteAheadLog(tmp_path, fsync="never", segment_bytes=64)
-        assert wal2.records()[0].lsn == 9
+        assert next(wal2.iter_records()).lsn == 9
         with pytest.raises(ValueError, match="records 5-8 are missing"):
             recover_engine(
                 rep, wal2, store,
@@ -338,7 +344,7 @@ class TestCompactor:
         # Everything durable is in the checkpoint; only the active
         # segment remains and the replay tail from it is empty.
         assert len(list(tmp_path.glob("wal-*.log"))) == 1
-        assert wal.records(after_lsn=engine.applied_lsn) == []
+        assert list(wal.iter_records(after_lsn=engine.applied_lsn)) == []
         # Idempotent: nothing new applied -> no new checkpoint.
         assert compactor.compact_now() is False
         wal.close()

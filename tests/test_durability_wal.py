@@ -20,16 +20,27 @@ from repro.obs.metrics import MetricsRegistry
 
 
 def _mutations(*pairs):
-    return [("+", u, v) for u, v in pairs]
+    return tuple(("+", u, v) for u, v in pairs)
+
+
+def _record(lsn, seq, *pairs):
+    """One ingest batch of insertions on stream ``s``."""
+    return WalRecord(
+        lsn=lsn, stream="s", seq=seq, mutations=_mutations(*pairs)
+    )
 
 
 class TestFraming:
     def test_roundtrip_through_disk(self, tmp_path):
         with WriteAheadLog(tmp_path, fsync="never") as wal:
-            lsn1 = wal.append("s", 0, [("+", 1, 2), ("-", 3, 4)])
-            lsn2 = wal.append("t", 7, [("+", 0, 5)])
+            lsn1 = wal.append_record(WalRecord(
+                lsn=1, stream="s", seq=0, mutations=(("+", 1, 2), ("-", 3, 4))
+            ))
+            lsn2 = wal.append_record(WalRecord(
+                lsn=2, stream="t", seq=7, mutations=(("+", 0, 5),)
+            ))
             assert (lsn1, lsn2) == (1, 2)
-            records = wal.records()
+            records = list(wal.iter_records())
         assert [r.lsn for r in records] == [1, 2]
         assert records[0].stream == "s"
         assert records[0].seq == 0
@@ -40,29 +51,31 @@ class TestFraming:
 
     def test_lsn_continues_across_reopen(self, tmp_path):
         with WriteAheadLog(tmp_path, fsync="never") as wal:
-            wal.append("s", 0, _mutations((1, 2)))
+            wal.append_record(_record(1, 0, (1, 2)))
         with WriteAheadLog(tmp_path, fsync="never") as wal:
             assert wal.last_lsn == 1
-            assert wal.append("s", 1, _mutations((2, 3))) == 2
+            with pytest.raises(WalError, match="not past"):
+                wal.append_record(_record(1, 1, (2, 3)))
+            assert wal.append_record(_record(2, 1, (2, 3))) == 2
 
     def test_explicit_lsn_must_advance(self, tmp_path):
         with WriteAheadLog(tmp_path, fsync="never") as wal:
-            wal.append("s", 0, _mutations((1, 2)), lsn=5)
+            wal.append_record(_record(5, 0, (1, 2)))
             with pytest.raises(WalError, match="not past"):
-                wal.append("s", 1, _mutations((2, 3)), lsn=5)
-            assert wal.append("s", 1, _mutations((2, 3))) == 6
+                wal.append_record(_record(5, 1, (2, 3)))
+            assert wal.append_record(_record(6, 1, (2, 3))) == 6
 
     def test_append_after_close_raises(self, tmp_path):
         wal = WriteAheadLog(tmp_path, fsync="never")
         wal.close()
         with pytest.raises(WalError, match="closed"):
-            wal.append("s", 0, _mutations((1, 2)))
+            wal.append_record(_record(1, 0, (1, 2)))
 
     def test_records_after_lsn_cursor(self, tmp_path):
         with WriteAheadLog(tmp_path, fsync="never") as wal:
             for i in range(5):
-                wal.append("s", i, _mutations((i, i + 1)))
-            tail = wal.records(after_lsn=3)
+                wal.append_record(_record(i + 1, i, (i, i + 1)))
+            tail = list(wal.iter_records(after_lsn=3))
         assert [r.lsn for r in tail] == [4, 5]
 
     def test_bad_policy_rejected(self, tmp_path):
@@ -137,7 +150,9 @@ class TestGoldenFrames:
             b"".join(frame for _, frame in GOLDEN_FRAMES)
         )
         with WriteAheadLog(tmp_path, fsync="never") as wal:
-            assert wal.records() == [record for record, _ in GOLDEN_FRAMES]
+            assert list(wal.iter_records()) == [
+                record for record, _ in GOLDEN_FRAMES
+            ]
             assert wal.last_term == 130
 
     @pytest.mark.parametrize("cut", [1, 5, 12])
@@ -147,24 +162,29 @@ class TestGoldenFrames:
 
 
 _VARINT = st.integers(min_value=0, max_value=2**64)
+_POSITIVE = st.integers(min_value=1, max_value=2**64)
+#: Every record the log writes: LSNs and terms are positive, and an
+#: ingest batch names a stream and holds at least one mutation (the
+#: decoder refuses anything else as damage).
 _RECORDS = st.one_of(
     st.builds(
         WalRecord,
-        lsn=st.integers(min_value=1, max_value=2**64),
+        lsn=_POSITIVE,
         stream=st.text(min_size=1, max_size=128),
         seq=_VARINT,
         mutations=st.lists(
             st.tuples(st.sampled_from(MUTATION_OPS), _VARINT, _VARINT),
+            min_size=1,
             max_size=20,
         ).map(tuple),
     ),
     st.builds(
         ResummarizeRecord,
-        lsn=_VARINT,
+        lsn=_POSITIVE,
         targets=st.lists(_VARINT, max_size=20).map(tuple),
         max_merges=st.none() | _VARINT,
     ),
-    st.builds(TermRecord, lsn=_VARINT, term=_VARINT),
+    st.builds(TermRecord, lsn=_POSITIVE, term=_POSITIVE),
 )
 
 
@@ -183,15 +203,15 @@ class TestRotation:
             tmp_path, fsync="never", segment_bytes=frame * 2
         ) as wal:
             for i in range(6):
-                wal.append("s", i, _mutations((1, 2)))
+                wal.append_record(_record(i + 1, i, (1, 2)))
             segments = sorted(p.name for p in tmp_path.glob("wal-*.log"))
             assert len(segments) == 3
             # Checkpoint at lsn=4: the first two segments (lsns 1-4)
             # are redundant; the active one stays.
             assert wal.truncate_through(4) == 2
-            assert [r.lsn for r in wal.records(after_lsn=4)] == [5, 6]
+            assert [r.lsn for r in wal.iter_records(after_lsn=4)] == [5, 6]
             # New appends continue seamlessly after compaction.
-            assert wal.append("s", 6, _mutations((1, 2))) == 7
+            assert wal.append_record(_record(7, 6, (1, 2))) == 7
 
     def test_replay_cursor_skips_sealed_segments_unread(self, tmp_path):
         """Segments that end at or below the cursor are not decoded:
@@ -204,18 +224,20 @@ class TestRotation:
             tmp_path, fsync="never", segment_bytes=frame * 2
         ) as wal:
             for i in range(6):
-                wal.append("s", i, _mutations((1, 2)))
+                wal.append_record(_record(i + 1, i, (1, 2)))
             first = sorted(tmp_path.glob("wal-*.log"))[0]
             first.write_bytes(b"\xff" * frame)
-            assert wal.records() == []
-            assert [r.lsn for r in wal.records(after_lsn=2)] == [3, 4, 5, 6]
-            assert [r.lsn for r in wal.records(after_lsn=5)] == [6]
+            assert list(wal.iter_records()) == []
+            assert [r.lsn for r in wal.iter_records(after_lsn=2)] == [
+                3, 4, 5, 6
+            ]
+            assert [r.lsn for r in wal.iter_records(after_lsn=5)] == [6]
 
     def test_active_segment_never_truncated(self, tmp_path):
         with WriteAheadLog(tmp_path, fsync="never") as wal:
-            wal.append("s", 0, _mutations((1, 2)))
+            wal.append_record(_record(1, 0, (1, 2)))
             assert wal.truncate_through(10) == 0
-            assert wal.records() != []
+            assert list(wal.iter_records()) != []
 
     def test_directory_fsynced_on_create_rotate_truncate(
         self, tmp_path, monkeypatch
@@ -238,7 +260,7 @@ class TestRotation:
         ) as wal:
             assert calls == ["dir"]  # open created wal-00000000.log
             for i in range(3):
-                wal.append("s", i, _mutations((1, 2)))
+                wal.append_record(_record(i + 1, i, (1, 2)))
             assert calls == ["dir"] * 2  # one rotation
             assert wal.truncate_through(2) == 1
             assert calls == ["dir"] * 3  # one segment unlinked
@@ -251,7 +273,7 @@ class TestTornTail:
     def _write_three(self, tmp_path):
         with WriteAheadLog(tmp_path, fsync="never") as wal:
             for i in range(3):
-                wal.append("s", i, _mutations((i, i + 1)))
+                wal.append_record(_record(i + 1, i, (i, i + 1)))
 
     def test_garbage_tail_repaired_on_open(self, tmp_path):
         self._write_three(tmp_path)
@@ -264,9 +286,9 @@ class TestTornTail:
             tmp_path, fsync="never", registry=registry
         ) as wal:
             assert wal.last_lsn == 3
-            assert [r.lsn for r in wal.records()] == [1, 2, 3]
+            assert [r.lsn for r in wal.iter_records()] == [1, 2, 3]
             # Appends land at a clean boundary after the repair.
-            assert wal.append("s", 3, _mutations((7, 8))) == 4
+            assert wal.append_record(_record(4, 3, (7, 8))) == 4
         assert segment.stat().st_size > clean_size  # repaired + appended
         assert (
             registry.counter(
@@ -282,7 +304,7 @@ class TestTornTail:
         segment.write_bytes(data[:-3])  # tear the last record
         with WriteAheadLog(tmp_path, fsync="never") as wal:
             assert wal.last_lsn == 2
-            assert [r.lsn for r in wal.records()] == [1, 2]
+            assert [r.lsn for r in wal.iter_records()] == [1, 2]
 
     def test_corrupt_mid_segment_drops_later_segments(self, tmp_path):
         frame = len(encode_record(
@@ -292,7 +314,7 @@ class TestTornTail:
             tmp_path, fsync="never", segment_bytes=frame * 2
         ) as wal:
             for i in range(6):
-                wal.append("s", i, _mutations((0, 1)))
+                wal.append_record(_record(i + 1, i, (0, 1)))
         segments = sorted(tmp_path.glob("wal-*.log"))
         assert len(segments) >= 2
         # Flip a byte inside the FIRST segment's second record: every
@@ -302,7 +324,7 @@ class TestTornTail:
         segments[0].write_bytes(bytes(data))
         with WriteAheadLog(tmp_path, fsync="never") as wal:
             assert wal.last_lsn == 1
-            assert [r.lsn for r in wal.records()] == [1]
+            assert [r.lsn for r in wal.iter_records()] == [1]
         assert len(list(tmp_path.glob("wal-*.log"))) == 1
 
 
@@ -314,7 +336,7 @@ class TestFsyncPolicies:
             directory, fsync=policy, fsync_interval=3
         ) as wal:
             for i in range(7):
-                wal.append("s", i, _mutations((i, i + 1)))
+                wal.append_record(_record(i + 1, i, (i, i + 1)))
         with WriteAheadLog(directory, fsync="never") as wal:
             assert wal.last_lsn == 7
 
@@ -323,7 +345,7 @@ class TestFsyncPolicies:
         with WriteAheadLog(
             tmp_path, fsync="always", registry=registry
         ) as wal:
-            wal.append("s", 0, _mutations((1, 2)))
+            wal.append_record(_record(1, 0, (1, 2)))
         assert registry.histogram("repro_wal_fsync_seconds").count >= 1
 
 
@@ -331,7 +353,7 @@ class TestStreamingReplay:
     def test_iter_records_streams_lazily(self, tmp_path):
         with WriteAheadLog(tmp_path, fsync="never") as wal:
             for i in range(5):
-                wal.append("s", i, _mutations((i, i + 1)))
+                wal.append_record(_record(i + 1, i, (i, i + 1)))
             stream = wal.iter_records(after_lsn=2)
             assert next(stream).lsn == 3
             # Appends after the cursor position still surface: the
@@ -349,7 +371,9 @@ class TestStreamingReplay:
             tmp_path, fsync="never", segment_bytes=16 << 10
         ) as wal:
             for i in range(400):
-                wal.append("s", i, payload)
+                wal.append_record(WalRecord(
+                    lsn=i + 1, stream="s", seq=i, mutations=payload
+                ))
             log_bytes = sum(
                 p.stat().st_size for p in tmp_path.glob("wal-*.log")
             )

@@ -22,6 +22,7 @@ from repro.core.verify import deep_audit
 from repro.durability import (
     ResummarizeRecord,
     WalCompactor,
+    WalRecord,
     WriteAheadLog,
     recover_engine,
     replay_tail,
@@ -308,7 +309,7 @@ class TestMaintenanceTask:
             wal.close()
             wal = WriteAheadLog(tmp, fsync="never")
             resum = [
-                r for r in wal.records(after_lsn=0)
+                r for r in wal.iter_records(after_lsn=0)
                 if isinstance(r, ResummarizeRecord)
             ]
             wal.close()
@@ -327,16 +328,18 @@ class TestResummarizeDurability:
     def test_resummarize_record_roundtrip(self):
         with tempfile.TemporaryDirectory() as tmp:
             wal = WriteAheadLog(tmp, fsync="never")
-            wal.append("s", 0, [("+", 1, 2)])
+            wal.append_record(WalRecord(
+                lsn=1, stream="s", seq=0, mutations=(("+", 1, 2),)
+            ))
             lsn = wal.append_record(ResummarizeRecord(
-                lsn=None, targets=(7, 3, 9), max_merges=10
+                lsn=2, targets=(7, 3, 9), max_merges=10
             ))
             wal.append_record(
-                ResummarizeRecord(lsn=None, targets=(4,), max_merges=None)
+                ResummarizeRecord(lsn=3, targets=(4,), max_merges=None)
             )
             wal.close()
             wal = WriteAheadLog(tmp, fsync="never")
-            records = list(wal.records(after_lsn=0))
+            records = list(wal.iter_records(after_lsn=0))
             wal.close()
         assert lsn == 2
         assert isinstance(records[1], ResummarizeRecord)
@@ -402,7 +405,7 @@ class TestResummarizeDurability:
                     engine.maintenance_pass(max_supernodes=6)
             wal.close()
             wal = WriteAheadLog(tmp, fsync="never")
-            records = list(wal.records(after_lsn=0))
+            records = list(wal.iter_records(after_lsn=0))
             wal.close()
 
             def replayed(tail, store=None):

@@ -107,6 +107,7 @@ def _configs(draw):
             ),
             max_size=3,
         )))
+    wal_dir = draw(_names if role else st.none() | _names)
     return NodeConfig(
         input=draw(_names),
         host=draw(st.sampled_from(["127.0.0.1", "localhost", "0.0.0.0"])),
@@ -120,7 +121,7 @@ def _configs(draw):
         breaker_threshold=draw(st.integers(0, 100)),
         trace_dir=draw(st.none() | _names),
         instance_label=draw(st.none() | _names),
-        wal_dir=draw(_names if role else st.none() | _names),
+        wal_dir=wal_dir,
         fsync=draw(st.sampled_from(FSYNC_POLICIES)),
         fsync_interval=draw(st.integers(1, 100)),
         wal_segment_bytes=draw(st.integers(1, 2**30)),
@@ -128,7 +129,8 @@ def _configs(draw):
         max_inflight_mutations=draw(st.integers(0, 1000)),
         ingest_memory_budget=draw(st.none() | _seconds),
         dedup_capacity=draw(st.integers(0, 10**6)),
-        maintenance_interval=draw(_seconds),
+        # Maintenance commits are WAL records.
+        maintenance_interval=draw(_seconds if wal_dir else st.just(0.0)),
         maintenance_budget_seconds=draw(_seconds),
         maintenance_budget_merges=draw(st.none() | st.integers(0, 10**4)),
         maintenance_max_supernodes=draw(st.integers(1, 1000)),
@@ -168,6 +170,10 @@ class TestNodeConfig:
             {"wal_dir": "w", "repl_role": "primary",
              "repl_follower": ("h:x",)},
             "--repl-follower 'h:x' is not HOST:PORT",
+        ),
+        (
+            {"maintenance_interval": 0.5},
+            "--maintenance-interval requires --wal-dir",
         ),
     ])
     def test_validate_rejects(self, changes, message):

@@ -27,7 +27,6 @@ from repro.service.protocol import (
     MAX_BATCH_REQUESTS,
     MAX_KHOP_K,
     MAX_LINE_BYTES,
-    MAX_REPLICATE_RECORDS,
     LineReader,
     ProtocolError,
     validate_request,
@@ -71,7 +70,7 @@ def _raw_exchange(server, payload: bytes) -> dict:
 #: A well-formed ``replicate`` promotion carrying every optional field.
 _REPLICATE = {
     "id": 1, "op": "replicate", "term": 2, "after_lsn": 0,
-    "records": [{"lsn": 1}], "promote": True,
+    "frames": "", "promote": True,
     "followers": [["127.0.0.1", 7001]], "acks": "leader",
 }
 
@@ -138,13 +137,11 @@ class TestValidateRequest:
             pytest.param({"after_lsn": -1}, "'after_lsn'", id="after-lsn"),
             pytest.param({"promote": "yes"}, "'promote'", id="promote"),
             pytest.param({"acks": "bogus"}, "acks mode", id="acks"),
-            pytest.param({"records": {"lsn": 1}}, "'records'",
-                         id="records-not-list"),
-            pytest.param({"records": [{"lsn": 1}] * (
-                MAX_REPLICATE_RECORDS + 1)}, "exceeds the cap",
-                id="records-over-cap"),
-            pytest.param({"records": [{"lsn": 1}, 7]}, "#1 is not",
-                         id="record-not-object"),
+            pytest.param({"frames": [{"lsn": 1}]}, "'frames'",
+                         id="frames-not-string"),
+            pytest.param({"records": [{"lsn": 1}]},
+                         "does not accept field.*'records'",
+                         id="records-unknown"),
             pytest.param({"snapshot": []}, "'snapshot'",
                          id="snapshot-not-object"),
             pytest.param({"followers": [["h", 7001]] * 65}, "at most 64",

@@ -13,6 +13,7 @@ rejoined as a follower, and the kill itself.  The one real
 
 from __future__ import annotations
 
+import base64
 import json
 import time
 
@@ -27,12 +28,10 @@ from repro.core.verify import deep_audit
 from repro.durability import (
     WriteAheadLog,
     quorum_size,
-    record_from_wire,
-    record_to_wire,
     recover_engine,
     replay_tail,
 )
-from repro.durability.wal import ResummarizeRecord, TermRecord, WalRecord
+from repro.durability.wal import TermRecord, WalRecord, encode_record
 from repro.dynamic.summary import DynamicGraphSummary
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -85,6 +84,13 @@ def _state_bytes(engine) -> bytes:
     return json.dumps(state, sort_keys=True).encode()
 
 
+def _frames(*records) -> str:
+    """``records`` as the ``frames`` field of a ``replicate`` request."""
+    return base64.b64encode(
+        b"".join(map(encode_record, records))
+    ).decode("ascii")
+
+
 def _wal_bytes(wal_dir) -> bytes:
     return b"".join(
         path.read_bytes()
@@ -106,27 +112,32 @@ def _free_pairs(rep, count):
 
 
 class TestWireFormat:
-    def test_record_round_trip(self):
-        records = [
-            WalRecord(lsn=3, stream="s", seq=1,
-                      mutations=(("+", 1, 2), ("-", 3, 4))),
-            ResummarizeRecord(lsn=4, targets=(7, 9), max_merges=5),
-            TermRecord(lsn=5, term=2),
-        ]
-        for record in records:
-            assert record_from_wire(record_to_wire(record)) == record
-
-    def test_malformed_wire_records_rejected(self):
+    def test_malformed_wire_records_rejected(self, base_rep, tmp_path):
+        """A ``replicate`` request whose frames do not decode whole is
+        a ``bad_request`` before anything reaches the follower's log —
+        not even the intact records ahead of the damage."""
+        follower, wal, store = _make_engine(base_rep, tmp_path)
+        follower.configure_replication(role="follower", store=store)
+        (u, v), = _free_pairs(base_rep, 1)
+        good = encode_record(TermRecord(lsn=1, term=1)) + encode_record(
+            WalRecord(lsn=2, stream="s", seq=0, mutations=(("+", u, v),))
+        )
+        damaged = good[:-1] + bytes([good[-1] ^ 1])
         for bad in (
-            {},  # no lsn
-            {"lsn": 0, "stream": "s", "seq": 0, "mutations": []},
-            {"lsn": 1, "term": 0},
-            {"lsn": 1, "stream": "s", "seq": 0,
-             "mutations": [["*", 1, 2]]},
-            {"lsn": 1, "resummarize": {"targets": "x", "max_merges": 1}},
+            "%%%",
+            base64.b64encode(damaged).decode(),
+            _frames(TermRecord(lsn=1, term=0)),
+            _frames(WalRecord(lsn=1, stream="s", seq=0, mutations=())),
         ):
-            with pytest.raises(ValueError):
-                record_from_wire(bad)
+            with pytest.raises(QueryError) as excinfo:
+                follower.apply_replicated(1, after_lsn=0, frames=bad)
+            assert excinfo.value.kind == "bad_request"
+            assert (wal.last_lsn, follower.applied_lsn) == (0, 0)
+            assert _wal_bytes(tmp_path) == b""
+        follower.apply_replicated(
+            1, after_lsn=0, frames=base64.b64encode(good).decode()
+        )
+        assert _wal_bytes(tmp_path) == good
 
     def test_quorum_sizes(self):
         assert quorum_size(1) == 1
@@ -206,10 +217,10 @@ class TestFencingAndPromotion:
         follower.configure_replication(role="follower")
         follower.apply_replicated(
             3, after_lsn=0,
-            records=[record_to_wire(TermRecord(lsn=1, term=3))],
+            frames=_frames(TermRecord(lsn=1, term=3)),
         )
         with pytest.raises(QueryError) as excinfo:
-            follower.apply_replicated(2, after_lsn=1, records=[])
+            follower.apply_replicated(2, after_lsn=1, frames="")
         assert excinfo.value.kind == "fenced"
 
     def test_promotion_takes_over_and_old_primary_catches_up(
@@ -332,7 +343,7 @@ class TestFencingAndPromotion:
         engine.configure_replication(role="follower")
         engine.apply_replicated(
             4, after_lsn=0,
-            records=[record_to_wire(TermRecord(lsn=1, term=4))],
+            frames=_frames(TermRecord(lsn=1, term=4)),
         )
         with pytest.raises(QueryError) as excinfo:
             engine.apply_replicated(3, promote=True)
@@ -368,8 +379,8 @@ class TestFrameValidation:
 
     @staticmethod
     def _batch(lsn, u, v):
-        return record_to_wire(
-            WalRecord(lsn=lsn, stream="s", seq=lsn, mutations=(("+", u, v),))
+        return WalRecord(
+            lsn=lsn, stream="s", seq=lsn, mutations=(("+", u, v),)
         )
 
     def _assert_rejected(self, follower, wal_dir, match, term, **frame):
@@ -387,7 +398,7 @@ class TestFrameValidation:
         (u, v), = _free_pairs(base_rep, 1)
         self._assert_rejected(
             follower, tmp_path / "f", "records 1-2 are missing", 1,
-            after_lsn=None, records=[self._batch(3, u, v)],
+            after_lsn=None, frames=_frames(self._batch(3, u, v)),
         )
         assert wal.last_lsn == 0
 
@@ -395,19 +406,19 @@ class TestFrameValidation:
         follower, wal = self._follower(base_rep, tmp_path)
         follower.apply_replicated(
             1, after_lsn=0,
-            records=[record_to_wire(TermRecord(lsn=1, term=1))],
+            frames=_frames(TermRecord(lsn=1, term=1)),
         )
         (a, b), (c, d) = _free_pairs(base_rep, 2)
         # Resumes at the right cursor but one LSN too far ...
         self._assert_rejected(
             follower, tmp_path / "f", "record 2 is missing", 1,
-            after_lsn=0, records=[self._batch(3, a, b)],
+            after_lsn=0, frames=_frames(self._batch(3, a, b)),
         )
         # ... or starts right and skips an LSN mid-frame.
         self._assert_rejected(
             follower, tmp_path / "f", "not contiguous", 1,
             after_lsn=1,
-            records=[self._batch(2, a, b), self._batch(4, c, d)],
+            frames=_frames(self._batch(2, a, b), self._batch(4, c, d)),
         )
         assert wal.last_lsn == 1
         assert follower.applied_lsn == 1
@@ -418,7 +429,7 @@ class TestFrameValidation:
         with pytest.raises(QueryError) as excinfo:
             follower.apply_replicated(
                 1, after_lsn=0,
-                records=[record_to_wire(TermRecord(lsn=1, term=1))],
+                frames=_frames(TermRecord(lsn=1, term=1)),
             )
         assert excinfo.value.kind == "overloaded"
         assert wal.last_lsn == 0
@@ -430,7 +441,7 @@ class TestFrameValidation:
         follower, wal = self._follower(base_rep, tmp_path)
         follower.apply_replicated(
             1, after_lsn=0,
-            records=[record_to_wire(TermRecord(lsn=1, term=1))],
+            frames=_frames(TermRecord(lsn=1, term=1)),
         )
         follower.replaying = True
         state, log = _state_bytes(follower), _wal_bytes(tmp_path / "f")
@@ -460,7 +471,7 @@ class TestFrameValidation:
         follower, _ = self._follower(base_rep, tmp_path)
         follower.apply_replicated(
             1, after_lsn=0,
-            records=[record_to_wire(TermRecord(lsn=1, term=1))],
+            frames=_frames(TermRecord(lsn=1, term=1)),
         )
         self._assert_rejected(
             follower, tmp_path / "f", "malformed snapshot", 1,

@@ -5,10 +5,14 @@ so every role, term and fencing decision is pinned down here."""
 
 from __future__ import annotations
 
+import base64
+import zlib
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression.varint import encode_varints
 from repro.durability.replication import (
     FIRST_TERM,
     Election,
@@ -17,22 +21,47 @@ from repro.durability.replication import (
     admit_frame,
     elect,
     quorum_size,
-    record_to_wire,
 )
-from repro.durability.wal import WalRecord
+from repro.durability.wal import (
+    MUTATION_OPS,
+    ResummarizeRecord,
+    TermRecord,
+    WalRecord,
+    encode_record,
+)
 
 
 def _record(lsn):
     return WalRecord(lsn=lsn, stream="s", seq=lsn, mutations=(("+", 1, 2),))
 
 
-def _batch(lsn):
-    return record_to_wire(_record(lsn))
+def _wire(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+def _frames(*records) -> str:
+    """``records`` as the ``frames`` field of a ``replicate`` request."""
+    return _wire(b"".join(map(encode_record, records)))
+
+
+def _batch(*lsns):
+    return _frames(*map(_record, lsns))
+
+
+def _framed(payload: bytes) -> bytes:
+    """A correctly framed and checksummed arbitrary payload."""
+    return (
+        encode_varints([len(payload)]) + payload
+        + encode_varints([zlib.crc32(payload)])
+    )
 
 
 #: A follower at term 2 whose log and state both end at lsn 3.
 FOLLOWER = ReplicaView("follower", 2, 3, 3, False)
 PRIMARY = FOLLOWER._replace(role="primary")
+
+#: Frame 4 of the log, for the byte-level damage rows.
+_GOOD = encode_record(_record(4))
 
 
 class TestAdmitFrameRejections:
@@ -43,27 +72,28 @@ class TestAdmitFrameRejections:
             # what is left here needs the replica's state.
             (FOLLOWER, 1, {"snapshot": {}}, "fenced", "local term is 2"),
             (PRIMARY, 2, {"promote": True}, "fenced", "stale promotion"),
-            (FOLLOWER, 3, {"records": [{"lsn": 4}]}, "bad_request",
-             "stream id"),
+            (FOLLOWER, 3, {"frames": _frames(WalRecord(
+                lsn=4, stream="", seq=0, mutations=(("+", 1, 2),)))},
+             "bad_request", "stream id"),
             (FOLLOWER._replace(replaying=True), 2, {}, "overloaded",
              "replay in progress"),
             (FOLLOWER._replace(replaying=True), 3, {"promote": True},
              "overloaded", "replay in progress"),
             (FOLLOWER, 2, {"promote": True}, "fenced", "stale promotion"),
             (FOLLOWER, 1, {"promote": True}, "fenced", "stale promotion"),
-            (FOLLOWER, 1, {"records": [_batch(4)]}, "fenced",
+            (FOLLOWER, 1, {"frames": _batch(4)}, "fenced",
              "local term is 2"),
             (PRIMARY, 1, {"snapshot": {}}, "fenced", "local term is 2"),
-            (FOLLOWER, 2, {"records": [{"lsn": 4}]}, "bad_request",
-             "stream id"),
-            (FOLLOWER, 2, {"after_lsn": 5, "records": [_batch(6)]},
+            (FOLLOWER, 2, {"frames": _frames(WalRecord(
+                lsn=4, stream="", seq=0, mutations=(("+", 1, 2),)))},
+             "bad_request", "stream id"),
+            (FOLLOWER, 2, {"after_lsn": 5, "frames": _batch(6)},
              "bad_request", "replication gap"),
-            (FOLLOWER, 3, {"after_lsn": 1, "records": [_batch(2)]},
+            (FOLLOWER, 3, {"after_lsn": 1, "frames": _batch(2)},
              "bad_request", "snapshot required"),
-            (FOLLOWER, 2, {"after_lsn": 3,
-                           "records": [_batch(4), _batch(6)]},
+            (FOLLOWER, 2, {"after_lsn": 3, "frames": _batch(4, 6)},
              "bad_request", "not contiguous"),
-            (FOLLOWER, 2, {"records": [_batch(6)]}, "bad_request",
+            (FOLLOWER, 2, {"frames": _batch(6)}, "bad_request",
              "records 4-5 are missing"),
         ],
     )
@@ -75,8 +105,136 @@ class TestAdmitFrameRejections:
 
     def test_bad_frame_from_higher_term_still_demotes_a_primary(self):
         with pytest.raises(FrameRejected, match="snapshot required") as exc:
-            admit_frame(PRIMARY, 3, after_lsn=0, records=[_batch(1)])
+            admit_frame(PRIMARY, 3, after_lsn=0, frames=_batch(1))
         assert (exc.value.kind, exc.value.role) == ("bad_request", "follower")
+
+
+class TestMalformedFrames:
+    """``frames`` that do not decode whole are refused before any
+    record is returned — and so before any is appended — and, being a
+    malformed request, change no role even from a higher term."""
+
+    @pytest.mark.parametrize(
+        "frames, match",
+        [
+            pytest.param("not base64!", "malformed", id="base64"),
+            pytest.param(_wire(_GOOD[:-3]), "truncated", id="truncated"),
+            pytest.param(
+                _wire(_GOOD[:-1] + bytes([_GOOD[-1] ^ 1])), "checksum",
+                id="crc",
+            ),
+            pytest.param(
+                _frames(TermRecord(lsn=0, term=3)), "lsn 0", id="lsn-0",
+            ),
+            pytest.param(
+                _frames(TermRecord(lsn=4, term=0)), "term 0", id="term-0",
+            ),
+            pytest.param(
+                _frames(WalRecord(
+                    lsn=4, stream="", seq=0, mutations=(("+", 1, 2),),
+                )),
+                "empty stream", id="empty-stream",
+            ),
+            pytest.param(
+                _frames(WalRecord(lsn=4, stream="s", seq=0, mutations=())),
+                "no mutations", id="no-mutations",
+            ),
+            pytest.param(
+                # lsn 4, seq 4, stream "s", one mutation of opcode 2.
+                _wire(_framed(
+                    encode_varints([4, 4, 1]) + b"s"
+                    + encode_varints([1, len(MUTATION_OPS), 1, 2])
+                )),
+                "opcode", id="unknown-opcode",
+            ),
+            pytest.param(
+                _wire(_framed(encode_varints([0, 9, 4]))),
+                "record kind", id="unknown-kind",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("view", [FOLLOWER, PRIMARY])
+    def test_refused_whole(self, view, frames, match):
+        with pytest.raises(FrameRejected, match=match) as excinfo:
+            admit_frame(view, 3, after_lsn=3, frames=frames)
+        assert (excinfo.value.kind, excinfo.value.role) == (
+            "bad_request", None
+        )
+
+
+_VARINT = st.integers(min_value=0, max_value=2**40)
+
+
+@st.composite
+def _runs(draw):
+    """A run of records of every kind continuing ``FOLLOWER``'s log."""
+    kinds = draw(st.lists(
+        st.sampled_from(["ingest", "resummarize", "term"]),
+        min_size=1, max_size=6,
+    ))
+    records = []
+    for lsn, kind in enumerate(kinds, start=FOLLOWER.last_lsn + 1):
+        if kind == "ingest":
+            records.append(WalRecord(
+                lsn=lsn,
+                stream=draw(st.text(min_size=1, max_size=8)),
+                seq=draw(_VARINT),
+                mutations=tuple(draw(st.lists(
+                    st.tuples(st.sampled_from(MUTATION_OPS), _VARINT,
+                              _VARINT),
+                    min_size=1, max_size=4,
+                ))),
+            ))
+        elif kind == "resummarize":
+            records.append(ResummarizeRecord(
+                lsn=lsn,
+                targets=tuple(draw(st.lists(_VARINT, max_size=4))),
+                max_merges=draw(st.none() | _VARINT),
+            ))
+        else:
+            records.append(
+                TermRecord(lsn=lsn, term=draw(st.integers(1, 2**40)))
+            )
+    return records
+
+
+class TestFramesProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(_runs())
+    def test_runs_arrive_unchanged(self, records):
+        assert admit_frame(
+            FOLLOWER, 2, after_lsn=3, frames=_frames(*records)
+        ) == (None, tuple(records))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_runs(), st.data())
+    def test_any_flipped_byte_is_refused_whole(self, records, data):
+        raw = bytearray(b"".join(map(encode_record, records)))
+        index = data.draw(st.integers(0, len(raw) - 1))
+        raw[index] ^= data.draw(st.integers(1, 255))
+        with pytest.raises(FrameRejected) as excinfo:
+            admit_frame(FOLLOWER, 2, after_lsn=3, frames=_wire(bytes(raw)))
+        assert excinfo.value.kind == "bad_request"
+
+    @settings(max_examples=100, deadline=None)
+    @given(_runs(), st.data())
+    def test_any_torn_frame_is_refused_whole(self, records, data):
+        """A cut inside a frame; a cut between frames is a shorter
+        valid run, on the wire as on disk."""
+        frames = [encode_record(record) for record in records]
+        raw = b"".join(frames)
+        boundaries, end = set(), 0
+        for frame in frames:
+            end += len(frame)
+            boundaries.add(end)
+        cut = data.draw(
+            st.integers(1, len(raw) - 1).filter(
+                lambda cut: cut not in boundaries
+            )
+        )
+        with pytest.raises(FrameRejected) as excinfo:
+            admit_frame(FOLLOWER, 2, after_lsn=3, frames=_wire(raw[:cut]))
+        assert excinfo.value.kind == "bad_request"
 
 
 class TestAdmitFrameTransitions:
@@ -87,16 +245,15 @@ class TestAdmitFrameTransitions:
             (FOLLOWER, 3, {"promote": True}, ("primary", ())),
             # A primary seeing a higher term steps down first ...
             (PRIMARY, 3, {"snapshot": {}}, ("follower", ())),
-            (PRIMARY, 3, {"after_lsn": 3, "records": [_batch(4)]},
+            (PRIMARY, 3, {"after_lsn": 3, "frames": _batch(4)},
              ("follower", (_record(4),))),
             # ... a follower just adopts it once the frame is applied.
-            (FOLLOWER, 3, {"after_lsn": 3, "records": [_batch(4)]},
+            (FOLLOWER, 3, {"after_lsn": 3, "frames": _batch(4)},
              (None, (_record(4),))),
             # Same term: records decoded, nothing else changes.
-            (FOLLOWER, 2, {"after_lsn": 2,
-                           "records": [_batch(3), _batch(4)]},
+            (FOLLOWER, 2, {"after_lsn": 2, "frames": _batch(3, 4)},
              (None, (_record(3), _record(4)))),
-            (FOLLOWER, 2, {"after_lsn": 3, "records": []},
+            (FOLLOWER, 2, {"after_lsn": 3, "frames": ""},
              (None, ())),
             (FOLLOWER, 2, {"snapshot": {}}, (None, ())),
         ],

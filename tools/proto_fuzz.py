@@ -6,7 +6,8 @@ invalid UTF-8, JSON non-objects, truncated JSON, oversized frames
 (terminated and unterminated), unknown ops, wrong-typed and
 out-of-range parameters, malformed batches, unechoable ids,
 malformed/duplicate/rewound/oversized ``ingest`` mutations, malformed
-``replicate`` frames, and each malformed request again as an item of
+``replicate`` requests (damaged WAL ``frames`` included, which must be
+answered ``bad_request``), and each malformed request again as an item of
 an otherwise valid ``batch`` — mixed with valid requests, and asserts
 the hardening contract:
 
@@ -34,6 +35,7 @@ Run:  PYTHONPATH=src python tools/proto_fuzz.py --frames 500 --seed 0
 from __future__ import annotations
 
 import argparse
+import base64
 import json
 import logging
 import random
@@ -52,10 +54,10 @@ from repro.service import (  # noqa: E402
     SummaryQueryServer,
     SummaryServiceClient,
 )
+from repro.durability.wal import WalRecord, encode_record  # noqa: E402
 from repro.service.protocol import (  # noqa: E402
     MAX_INGEST_MUTATIONS,
     MAX_LINE_BYTES,
-    MAX_REPLICATE_RECORDS,
     MAX_STREAM_LEN,
 )
 
@@ -270,10 +272,46 @@ def _ingest_oversized(rng: random.Random) -> bytes:
     return json.dumps(request).encode() + b"\n"
 
 
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+def _replicate_frames(rng: random.Random) -> str:
+    """A ``frames`` value that does not decode whole: a WAL frame run
+    (one intact record, then a damaged one) torn mid-frame or with a
+    broken checksum, a string that is not base64, or a long run of
+    junk."""
+    kind = rng.choice(["torn", "crc", "not-base64", "junk"])
+    if kind == "not-base64":
+        return rng.choice(["%%%", "not base64", "QUJD\u00e9"])
+    if kind == "junk":
+        # A quarter of the line cap, so that even three such items in
+        # one batch stay under it.
+        return "A" * (MAX_LINE_BYTES // 4)
+    intact, frame = (
+        encode_record(WalRecord(
+            lsn=lsn, stream="fuzz", seq=lsn, mutations=(("+", 0, lsn),)
+        ))
+        for lsn in (1, 2)
+    )
+    if kind == "torn":
+        frame = frame[:rng.randrange(1, len(frame))]
+    else:
+        frame = frame[:-1] + bytes([frame[-1] ^ rng.randrange(1, 128)])
+    return base64.b64encode(intact + frame).decode("ascii")
+
+
 def _replicate_malformed(rng: random.Random) -> bytes:
     """A ``replicate`` frame with one bad field; as a frame or a batch
-    item it must be refused before any term, role or acks changes."""
+    item it must be refused before any term, role or acks changes.
+    Damaged ``frames`` come without ``promote``, so that they reach the
+    follower-side decoder, and must be answered ``bad_request``."""
     request = {"id": 34, "op": "replicate", "term": 20, "promote": True}
+    if rng.random() < 0.5:
+        request.update(
+            promote=False, after_lsn=0, frames=_replicate_frames(rng)
+        )
+        return json.dumps(request).encode() + b"\n"
     request.update(
         rng.choice(
             [
@@ -286,9 +324,9 @@ def _replicate_malformed(rng: random.Random) -> bytes:
                 {"term": "2"},
                 {"promote": "yes"},
                 {"after_lsn": -1},
-                {"records": "not-a-list"},
-                {"records": [7]},
-                {"records": [{"lsn": 1}] * (MAX_REPLICATE_RECORDS + 1)},
+                {"frames": ["not", "a", "string"]},
+                {"frames": 7},
+                {"records": []},
                 {"snapshot": []},
             ]
         )
@@ -385,7 +423,8 @@ def _batch_item(rng: random.Random) -> bytes:
 #: ``ok: true``; ``False``: it must be a structured error; ``None``:
 #: either is acceptable (state-dependent outcome) but it must still
 #: be exactly one structured, non-``internal`` response; ``"items"``:
-#: an ``ok`` batch whose every item answer is such an error.
+#: an ``ok`` batch whose every item answer is such an error;
+#: ``"bad_request"``: a structured error of exactly that type.
 CATEGORIES = [
     ("random_bytes", _rand_bytes, False),
     ("invalid_utf8", _invalid_utf8, False),
@@ -408,7 +447,7 @@ CATEGORIES = [
     ("ingest_oversized", _ingest_oversized, False),
     ("ingest_seq_replay", _ingest_seq_replay, None),
     ("ingest_with_trace", _ingest_with_trace, None),
-    ("replicate_malformed", _replicate_malformed, False),
+    ("replicate_malformed", _replicate_malformed, "bad_request"),
     ("batch_item", _batch_item, "items"),
     ("valid", _valid, True),
 ]
@@ -485,7 +524,13 @@ def _check_response(
         return _check_items(name, message)
     if expect_ok is None and message.get("ok") is True:
         return ""
-    return _check_error(name, message)
+    problem = _check_error(name, message)
+    if not problem and expect_ok == "bad_request" and (
+        message["error"]["type"] != "bad_request"
+    ):
+        problem = f"{name}: answered {message['error']['type']!r}, "
+        problem += f"not 'bad_request': {message!r:.200}"
+    return problem
 
 
 def _build_server() -> SummaryQueryServer:
