@@ -64,19 +64,20 @@ def check_lsn(applied_lsn: int, lsn: int) -> bool:
     return True
 
 
-def check_endpoints(index: int, u: int, v: int, n: int) -> None:
-    """Raise :class:`ValueError` unless mutation ``#index`` joins two
-    distinct nodes of ``[0, n)``; the message names the first bad
-    endpoint.  The one copy of this rule: the live path runs it on
-    arrival (:func:`~repro.service.ingest.parse_mutations`, which the
-    router shares) and :meth:`EngineState.check` on every record."""
-    if not (0 <= u < n and 0 <= v < n):
-        node = v if 0 <= u < n else u
-        raise ValueError(
-            f"mutation #{index}: node {node} out of range [0, {n})"
-        )
-    if u == v:
-        raise ValueError(f"mutation #{index} is a self-loop ({u}, {v})")
+def check_endpoints(mutations, n: int) -> None:
+    """Raise :class:`ValueError` naming the first mutation that does
+    not join two distinct nodes of ``[0, n)``, and its bad endpoint.
+    The one copy of this rule: the live path runs it once, on arrival
+    (:func:`~repro.service.ingest.parse_mutations`, which the router
+    shares), and :meth:`EngineState.check` on every other record."""
+    for index, (_, u, v) in enumerate(mutations):
+        if not (0 <= u < n and 0 <= v < n):
+            node = v if 0 <= u < n else u
+            raise ValueError(
+                f"mutation #{index}: node {node} out of range [0, {n})"
+            )
+        if u == v:
+            raise ValueError(f"mutation #{index} is a self-loop ({u}, {v})")
 
 
 def representation_to_state(rep: Representation) -> dict:
@@ -174,26 +175,31 @@ class EngineState:
         return check_lsn(self.applied_lsn, lsn)
 
     def check(self, mutations) -> list[tuple[bool, bool]]:
-        """Validate an ingest batch against this state and return each
+        """:func:`check_endpoints`, then :meth:`lookups`, in the live
+        path's order, so a replayed or shipped batch is refused with
+        the error the live path would answer."""
+        check_endpoints(mutations, self.dynamic.n)
+        return self.lookups(mutations)
+
+    def lookups(self, mutations) -> list[tuple[bool, bool]]:
+        """Validate an ingest batch whose endpoints passed
+        :func:`check_endpoints` against this state and return each
         mutation's :meth:`~repro.dynamic.summary.DynamicGraphSummary.lookup`.
 
-        Every mutation must pass :func:`check_endpoints`, each insert
-        must name an absent edge and each delete a present one,
-        counting the batch's own earlier mutations.  Raises :class:`ValueError` naming the first
-        mutation that fails, having changed nothing.  One lookup per
-        distinct edge decides both whether it exists and which
-        correction :meth:`apply` flips, so the live path calls this
-        before the WAL append and hands the result to :meth:`apply`;
-        replay and follower apply get it from :meth:`apply` itself.
+        Each insert must name an absent edge and each delete a present
+        one, counting the batch's own earlier mutations.  Raises
+        :class:`ValueError` naming the first mutation that fails,
+        having changed nothing.  One lookup per distinct edge decides
+        both whether it exists and which correction :meth:`apply`
+        flips, so the live path calls this before the WAL append and
+        hands the result to :meth:`apply`; replay and follower apply
+        get :meth:`check` from :meth:`apply`.
         """
-        dyn = self.dynamic
-        n = dyn.n
-        lookup = dyn.lookup
+        lookup = self.dynamic.lookup
         # Edges the batch already flipped -> their lookup after it.
         flipped: dict[tuple[int, int], tuple[bool, bool]] = {}
         states = []
         for index, (sign, u, v) in enumerate(mutations):
-            check_endpoints(index, u, v, n)
             key = (u, v) if u < v else (v, u)
             state = flipped.get(key) or lookup(u, v)
             covered, corrected = state

@@ -452,17 +452,25 @@ class WriteAheadLog:
         this returns — the caller may only apply and acknowledge it
         afterwards.  Its ``lsn`` must be past the last LSN in the log.
         """
+        if not self.append_new(record):
+            raise WalError(
+                f"lsn {record.lsn} is not past the last lsn {self.last_lsn}"
+            )
+        return record.lsn
+
+    def append_new(self, record) -> bool:
+        """:meth:`append_record`, except that a record whose LSN the
+        log already holds (replayed or re-shipped) is skipped: returns
+        whether it appended, deciding and writing in one lock round."""
         with self._lock:
+            if record.lsn <= self._last_lsn:
+                return False
             if self._file is None:
                 raise WalError("write-ahead log is closed")
-            if record.lsn <= self._last_lsn:
-                raise WalError(
-                    f"lsn {record.lsn} is not past the last lsn "
-                    f"{self._last_lsn}"
-                )
-            return self._write_locked(record)
+            self._write_locked(record)
+            return True
 
-    def _write_locked(self, record) -> int:
+    def _write_locked(self, record) -> None:
         frame = encode_record(record)
         if self._file.tell() > 0 and (
             self._file.tell() + len(frame) > self._segment_bytes
@@ -485,7 +493,6 @@ class WriteAheadLog:
                 "repro_wal_records_total", event="appended"
             )
         self._appended.inc()
-        return record.lsn
 
     def _rotate_locked(self) -> None:
         self._sync_locked(force=True)

@@ -85,14 +85,11 @@ def parse_mutations(mutations, n: int) -> list:
     :func:`~repro.durability.state.check_endpoints`, in batch order
     (the router checks a batch with it before splitting it, so both
     answer with the same error)."""
-    parsed = []
-    for index, (sign, u, v) in enumerate(mutations):
-        try:
-            check_endpoints(index, u, v, n)
-        except ValueError as exc:
-            raise QueryError("bad_request", str(exc)) from None
-        parsed.append((sign, u, v))
-    return parsed
+    try:
+        check_endpoints(mutations, n)
+    except ValueError as exc:
+        raise QueryError("bad_request", str(exc)) from None
+    return [(sign, u, v) for sign, u, v in mutations]
 
 
 def _stop(replicator) -> None:
@@ -298,8 +295,9 @@ class MutableQueryEngine(QueryEngine):
                     # append, so the log never holds an inapplicable
                     # record and a rejected batch is a no-op; the
                     # lookups made here are the ones the apply flips.
+                    # (parse_mutations checked the endpoints.)
                     try:
-                        states = self.state.check(parsed)
+                        states = self.state.lookups(parsed)
                     except ValueError as exc:
                         raise QueryError("bad_request", str(exc)) from None
                     if dry_run:
@@ -713,9 +711,9 @@ class MutableQueryEngine(QueryEngine):
         holds the state lock.
 
         A record past the local log's end is appended (and fsynced,
-        policy permitting) first; then :meth:`EngineState.apply`
-        applies it — with ``built``, the live path's
-        :meth:`EngineState.check` lookups or prebuilt maintenance
+        policy permitting) first, in one WAL lock round; then
+        :meth:`EngineState.apply` applies it — with ``built``, the live
+        path's :meth:`EngineState.lookups` or prebuilt maintenance
         structure — and this wrapper invalidates the caches it touched,
         counts it, and hands it to the replicator.  Returns the
         :class:`~repro.durability.state.Applied`, or ``None`` for an
@@ -725,8 +723,8 @@ class MutableQueryEngine(QueryEngine):
         # Checked before the append, so a gap never reaches the log.
         if not state.check_lsn(record.lsn):
             return None
-        if self._wal is not None and record.lsn > self._wal.last_lsn:
-            self._wal.append_record(record)
+        if self._wal is not None:
+            self._wal.append_new(record)
         term = state.term
         applied = state.apply(record, built)
         self._cache.invalidate_many(applied.touched)

@@ -89,7 +89,9 @@ frames and batch items at a live server to keep these checks honest.
 from __future__ import annotations
 
 import json
+import math
 import socket
+import struct
 import time
 
 from repro.durability.replication import ACKS_MODES
@@ -110,6 +112,7 @@ __all__ = [
     "validate_response",
     "LineReader",
     "ProtocolError",
+    "set_kernel_timeout",
 ]
 
 #: Upper bound on one request/response line (1 MiB).
@@ -185,14 +188,42 @@ class ProtocolError(ValueError):
     object)."""
 
 
-#: The one compact encoder every message goes through; ``json.dumps``
-#: with these options builds the same encoder on each call.
+#: The compact encoder every message goes through: the bytes of
+#: ``json.dumps(message, separators=(",", ":"))``.  Its ``encode``
+#: builds a C encoder per call; ``_C_ENCODER`` is that one, built once
+#: and shared by every thread (it keeps no per-call state), without
+#: the circular-reference check no message needs (``markers=None``).
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+_C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring_ascii, None,
+    _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+    _ENCODER.skipkeys, _ENCODER.allow_nan,
+)
 
 
 def encode_message(message: dict) -> bytes:
     """Serialise one message to its wire form (compact JSON + LF)."""
-    return (_ENCODER.encode(message) + "\n").encode("utf-8")
+    if _C_ENCODER is None:  # no C speedups: json encodes in Python
+        return (_ENCODER.encode(message) + "\n").encode("utf-8")
+    return ("".join(_C_ENCODER(message, 0)) + "\n").encode("utf-8")
+
+
+#: ``struct timeval``, the value of ``SO_RCVTIMEO`` and ``SO_SNDTIMEO``.
+_TIMEVAL = struct.Struct("@ll")
+
+
+def set_kernel_timeout(
+    sock: socket.socket, option: int, seconds: float
+) -> None:
+    """Arm ``SO_RCVTIMEO`` or ``SO_SNDTIMEO`` of a blocking socket: a
+    read, or a send that makes no progress, fails with
+    :class:`BlockingIOError` after ``seconds`` (at least 1 µs: zero
+    means no bound), at no syscall per read or send."""
+    micros = max(1, math.ceil(seconds * 1e6))
+    sock.setsockopt(
+        socket.SOL_SOCKET, option,
+        _TIMEVAL.pack(*divmod(micros, 1_000_000)),
+    )
 
 
 def decode_line(line: bytes) -> dict:
@@ -468,8 +499,7 @@ class LineReader:
     """Incremental ``\\n``-splitter over a socket.
 
     ``readline`` returns the next complete line (without the
-    terminator), ``None`` on EOF, and raises ``socket.timeout`` when
-    the socket's timeout, or the ``deadline`` it was given, passes.
+    terminator) or ``None`` on EOF.
 
     An oversized *unterminated* line poisons the reader: there is no
     way to find the next message boundary in a stream whose current
@@ -491,20 +521,31 @@ class LineReader:
         self._buffer = bytearray()
         self._eof = False
         self._poisoned = False
+        #: The deadline of the last read (see :meth:`readline`).
+        self._read_deadline: float | None = None
 
     def readline(self, deadline: float | None = None) -> bytes | None:
-        """The next line; with ``deadline`` (a :func:`time.monotonic`
-        instant) set, every read waits only until then, so a peer
-        that trickles bytes without ending the line still times out.
-        """
+        """The next line.  Without ``deadline`` a read waits as the
+        socket's timeout says.  ``deadline`` is ``time.monotonic() +
+        w`` for a blocking socket whose ``SO_RCVTIMEO`` the caller
+        armed to ``w``: the first read under it waits ``w``, each later
+        one (a line that spans reads, or the line after a blank one)
+        re-arms to the time left, so a peer that trickles bytes still
+        times out, and a complete line puts ``w`` back.  Timing out
+        raises :class:`BlockingIOError` or ``socket.timeout``."""
         if self._poisoned:
             raise ProtocolError(
                 "stream is beyond resynchronization after an "
                 "oversized unterminated line"
             )
+        armed = None
         while True:
             newline = self._buffer.find(b"\n")
             if newline >= 0:
+                if armed is not None:
+                    self._sock.setsockopt(
+                        socket.SOL_SOCKET, socket.SO_RCVTIMEO, armed
+                    )
                 line = bytes(self._buffer[:newline])
                 del self._buffer[: newline + 1]
                 return line
@@ -515,11 +556,16 @@ class LineReader:
                 raise ProtocolError(
                     f"unterminated line exceeds {self._max_line_bytes} bytes"
                 )
-            if deadline is not None:
+            if deadline is not None and deadline == self._read_deadline:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise socket.timeout("read deadline passed")
-                self._sock.settimeout(remaining)
+                if armed is None:
+                    armed = self._sock.getsockopt(
+                        socket.SOL_SOCKET, socket.SO_RCVTIMEO, _TIMEVAL.size
+                    )
+                set_kernel_timeout(self._sock, socket.SO_RCVTIMEO, remaining)
+            self._read_deadline = deadline
             chunk = self._sock.recv(self._chunk_size)
             if not chunk:
                 self._eof = True

@@ -63,6 +63,7 @@ from repro.service.protocol import (
     decode_line,
     encode_message,
     error_response,
+    set_kernel_timeout,
     validate_batch_item,
     validate_request,
 )
@@ -71,8 +72,10 @@ __all__ = ["SummaryQueryServer"]
 
 logger = logging.getLogger("repro.service")
 
-#: Seconds a reply may take to leave: a client that stops reading
-#: loses its connection after this long instead of holding a worker.
+#: Seconds a reply may go without progress (``SO_SNDTIMEO``): a
+#: client that stops reading loses its connection after this long
+#: instead of holding a worker.  The bound is per stall, so a reply
+#: the client takes slowly but steadily still leaves whole.
 _SEND_TIMEOUT = 0.2
 
 
@@ -308,6 +311,7 @@ class SummaryQueryServer:
 
     def _shed_connection(self, conn: socket.socket, peer) -> None:
         """Load shedding: one structured error, then close."""
+        self._arm_deadlines(conn)
         self.metrics.shed()
         logger.warning(
             "shedding connection from %s (%d pending >= max_pending=%d)",
@@ -339,6 +343,7 @@ class SummaryQueryServer:
         # Each response is its own send: without this, Nagle holds a
         # pipelined client's second answer until its delayed ACK.
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._arm_deadlines(conn)
         with self._live_lock:
             if self._stop_event.is_set():
                 return
@@ -355,7 +360,7 @@ class SummaryQueryServer:
         while not self._stop_event.is_set():
             try:
                 line = reader.readline(idle_since + self._idle_timeout)
-            except socket.timeout:
+            except (socket.timeout, BlockingIOError):  # idle deadline
                 logger.info("closing idle connection from %s", peer)
                 return
             except ProtocolError as exc:
@@ -495,9 +500,16 @@ class SummaryQueryServer:
         self.metrics.protocol_rejected("schema")
         return error_response(request, "bad_request", str(exc))
 
+    def _arm_deadlines(self, conn: socket.socket) -> None:
+        """Set ``conn``'s deadlines once: a read waits at most
+        ``idle_timeout``, a send stalls at most ``_SEND_TIMEOUT``, and
+        each is one syscall, not a ``settimeout`` and a poll."""
+        conn.setblocking(True)
+        set_kernel_timeout(conn, socket.SO_RCVTIMEO, self._idle_timeout)
+        set_kernel_timeout(conn, socket.SO_SNDTIMEO, _SEND_TIMEOUT)
+
     def _send(self, conn: socket.socket, message: dict) -> bool:
         try:
-            conn.settimeout(_SEND_TIMEOUT)
             conn.sendall(encode_message(message))
             return True
         except OSError:

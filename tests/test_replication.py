@@ -35,6 +35,7 @@ from repro.durability.wal import TermRecord, WalRecord, encode_record
 from repro.dynamic.summary import DynamicGraphSummary
 from repro.graph import generators
 from repro.graph.graph import Graph
+from repro.obs.metrics import series_value
 from repro.resilience import CheckpointStore
 from repro.resilience.retry import RetryPolicy
 from repro.service.engine import QueryError
@@ -51,11 +52,11 @@ def base_rep():
     ).representation
 
 
-def _make_engine(base_rep, wal_dir=None):
+def _make_engine(base_rep, wal_dir=None, **wal_options):
     """A mutable engine, optionally durable (WAL + checkpoint store)."""
     wal = store = None
     if wal_dir is not None:
-        wal = WriteAheadLog(wal_dir)
+        wal = WriteAheadLog(wal_dir, **wal_options)
         store = CheckpointStore(wal_dir / "checkpoints")
     engine = MutableQueryEngine(
         DynamicGraphSummary.from_representation(base_rep), wal=wal
@@ -523,21 +524,18 @@ class TestCatchUp:
             revived.representation, Graph(base_rep.n, sorted(edges)),
             optimal=False,
         ) == []
-        snapshots = [
-            sample
-            for sample in revived.metrics.registry.snapshot().get(
-                "counters", []
-            )
-            if sample.get("name")
-            == "repro_replication_snapshots_installed_total"
-        ]
-        assert not snapshots or all(
-            s.get("value", 0) == 0 for s in snapshots
+        assert not series_value(
+            revived.metrics.registry.snapshot(),
+            "repro_replication_snapshots_installed_total",
         )
         primary.stop_replication()
 
     def test_far_behind_follower_gets_snapshot(self, base_rep, tmp_path):
-        primary, p_wal, p_store = _make_engine(base_rep, tmp_path / "p")
+        # One record per segment: truncation keeps the active segment,
+        # so only a rolled log loses what a fresh follower needs.
+        primary, p_wal, p_store = _make_engine(
+            base_rep, tmp_path / "p", segment_bytes=1
+        )
         pairs = _free_pairs(base_rep, 5)
         for seq, (u, v) in enumerate(pairs):
             primary.ingest("s", seq, [["+", u, v]])
@@ -546,7 +544,8 @@ class TestCatchUp:
         with primary._state_lock:
             state = primary.state.to_state()
         p_store.save(state, step=primary.applied_lsn)
-        p_wal.truncate_through(primary.applied_lsn)
+        assert p_wal.truncate_through(primary.applied_lsn) == 4
+        assert p_wal.truncated_lsn == 4
         follower, _, f_store = _make_engine(base_rep, tmp_path / "f")
         follower.configure_replication(role="follower", store=f_store)
         primary.configure_replication(
@@ -558,6 +557,10 @@ class TestCatchUp:
         u, v = _free_pairs(base_rep, 6)[5]
         primary.ingest("s", 5, [["+", u, v]])
         assert _state_bytes(primary) == _state_bytes(follower)
+        assert series_value(
+            primary.metrics.registry.snapshot(),
+            "repro_replication_ship_total", event="snapshots",
+        ) == 1
         primary.stop_replication()
 
 

@@ -1,8 +1,10 @@
 """Tests for the TCP server, client, protocol framing and metrics."""
 
+import json
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -54,10 +56,46 @@ def client(server):
         yield cli
 
 
+#: Messages whose wire bytes must equal ``json.dumps``'s.
+WIRE_TABLE = [
+    {"id": 1, "op": "neighbors", "node": 5},
+    {"id": None, "ok": True, "op": "pagerank", "result": float("nan")},
+    {"id": "x", "ok": True, "result": [float("inf"), -float("inf"), 0.1]},
+    {"id": "caf\u00e9 \u4e2d\u6587 \U0001f600", "op": "ping"},
+    {"id": 2, "ok": True, "result": {"3": 1, "7": {"a": [{"b": {}}]}}},
+    {"ok": False, "degraded": True, "epoch": 0, "result": [True, None]},
+    {"id": 10**30, "ok": True, "result": [-(2**63), 2**64 + 1]},
+    {"id": 3, "op": "khop", "result": {}, "error": {"type": "", "m": []}},
+    {"id": "quote\"back\\slash\nnewline\ttab\u0001", "result": -0.0},
+]
+
+
 class TestProtocol:
     def test_roundtrip(self):
         message = {"id": 1, "op": "neighbors", "node": 5}
         assert decode_line(encode_message(message).rstrip(b"\n")) == message
+
+    @pytest.mark.parametrize("message", WIRE_TABLE)
+    def test_wire_bytes_are_json_dumps(self, message):
+        expected = (json.dumps(message, separators=(",", ":")) + "\n")
+        assert encode_message(message) == expected.encode()
+
+    def test_wire_bytes_identical_from_eight_threads(self):
+        """The shared encoder holds no per-call state."""
+        expected = [
+            (json.dumps(m, separators=(",", ":")) + "\n").encode()
+            for m in WIRE_TABLE
+        ]
+
+        def encode_all(_):
+            return [
+                [encode_message(m) for m in WIRE_TABLE]
+                for _ in range(200)
+            ]
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for rounds in pool.map(encode_all, range(8)):
+                assert all(got == expected for got in rounds)
 
     def test_non_object_rejected(self):
         with pytest.raises(ProtocolError, match="JSON object"):
@@ -337,6 +375,71 @@ class TestShutdown:
             assert elapsed < 2.0, f"closed after {elapsed:.2f}s"
         finally:
             done.set()
+            server.close()
+
+    def test_request_split_across_reads_is_answered(self, rep):
+        """A line that spans reads within the idle deadline is read
+        whole, however many reads it takes."""
+        server = SummaryQueryServer(
+            QueryEngine(rep), workers=1, idle_timeout=2.0
+        ).start()
+        try:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for part in (b'{"id": 4', b', "op": ', b'"ping"}\n'):
+                    sock.sendall(part)
+                    time.sleep(0.05)
+                reply = LineReader(sock).readline()
+            assert decode_line(reply) == {
+                "id": 4, "ok": True, "op": "ping", "result": "pong",
+            }
+        finally:
+            server.close()
+
+    def test_idle_wait_after_split_line_is_full_timeout(self, rep):
+        """Reading the rest of a split line shortens the read timeout
+        to what is left of the deadline; once the line is complete
+        the next idle wait is the whole ``idle_timeout`` again."""
+        idle = 0.6
+        server = SummaryQueryServer(
+            QueryEngine(rep), workers=1, idle_timeout=idle
+        ).start()
+        try:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                sock.sendall(b'{"id": 5, ')
+                time.sleep(0.4)
+                sock.sendall(b'"op": ')
+                time.sleep(0.05)  # the last read re-arms to ~0.2 s
+                sock.sendall(b'"ping"}\n')
+                reader = LineReader(sock)
+                assert decode_line(reader.readline())["result"] == "pong"
+                replied = time.perf_counter()
+                assert reader.readline() is None  # the idle close
+                waited = time.perf_counter() - replied
+            assert 0.75 * idle < waited < 4, f"closed after {waited:.2f}s"
+        finally:
+            server.close()
+
+    def test_blank_lines_do_not_extend_the_idle_deadline(self, rep):
+        """A blank line answers nothing, so the idle deadline still
+        runs from the last reply: a client that sends only blank lines
+        is closed like one that trickles bytes."""
+        server = SummaryQueryServer(
+            QueryEngine(rep), workers=1, idle_timeout=0.3
+        ).start()
+        try:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                started = time.perf_counter()
+                try:
+                    while time.perf_counter() - started < 4:
+                        sock.sendall(b"\n")
+                        time.sleep(0.05)
+                except OSError:
+                    pass  # closed: the peer reset the next send
+                elapsed = time.perf_counter() - started
+            assert elapsed < 2.0, f"closed after {elapsed:.2f}s"
+        finally:
             server.close()
 
     def test_client_that_stops_reading_frees_its_worker(self, rep):
